@@ -21,8 +21,8 @@ from .errors import FuelExhausted, PreconditionFailed, TooLarge
 from .ivt import (ContinuousMap, approx_ivt, enumerated_witnesses, f0, f1, f2,
                   identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle)
-from .real import CReal, RationalInterval, rho0, rho1, rho2, sqrt2
-from .streams import NatStream, pattern_indicator, pi_digits
+from .real import CReal, RationalInterval, half_pow, rho0, rho1, rho2, sqrt2
+from .streams import NatStream, fugitive_least, pattern_indicator, pi_digits
 
 
 def _fmt_frac(q: Fraction) -> str:
@@ -169,7 +169,7 @@ def _cmd_eval(args, out: TextIO, err: TextIO) -> int:
     _emit(out, args, "eval",
           {"expr": args.expr, "p": args.precision, "fuel": args.fuel},
           {"lo": _fmt_frac(iv.lo), "hi": _fmt_frac(iv.hi)},
-          {"width_le": _fmt_frac(Fraction(1, 2 ** args.precision))},
+          {"width_le": _fmt_frac(half_pow(args.precision))},
           _fmt_interval(iv))
     return 0
 
@@ -187,11 +187,7 @@ def _cmd_hunt(args, out: TextIO, err: TextIO) -> int:
     if args.budget < 1:
         raise _UsageError("--budget must be >= 1")
     spec = pattern_indicator(pi_digits(), args.digit, args.run)
-    position = None
-    for j in range(args.budget):
-        if spec.indicator[j] != 0:
-            position = j
-            break
+    position = fugitive_least(spec, args.budget - 1)
     inputs = {"digit": args.digit, "run": args.run, "budget": args.budget}
     if position is None:
         _emit(out, args, "hunt", inputs, None, None,
@@ -389,7 +385,7 @@ def _cmd_ivt(args, out: TextIO, err: TextIO) -> int:
     img = f.enclose(xi, p + 2)
     yi = y.approx(p + 2, fuel)
     diff = RationalInterval(img.lo - yi.hi, img.hi - yi.lo)
-    bound = _fmt_frac(Fraction(1, 2 ** p))
+    bound = _fmt_frac(half_pow(p))
     plain = (f"x in {_fmt_interval(xi)}\n"
              f"f(x) - y in {_fmt_interval(diff)}\n"
              f"certified: |f(x) - y| < {bound}")
@@ -406,11 +402,8 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--fuel", type=int, default=argparse.SUPPRESS,
                         help="index budget for semi-decidable searches (default 64)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized demos (reserved; output stays deterministic)")
     common.add_argument("--format", choices=("plain", "json"), default=argparse.SUPPRESS)
     parser.add_argument("--fuel", type=int, default=64, help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--format", choices=("plain", "json"), default="plain")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coding import encode
 from .errors import TooLarge
@@ -90,14 +90,6 @@ def _validate_arrow_args(M: int, n: int, k: int, r: int) -> None:
         raise ValueError("need r >= 1")
 
 
-def _guarded_coloring_count(M: int, k: int, r: int) -> tuple[list[tuple[int, ...]], int]:
-    slots = list(itertools.combinations(range(M), k))
-    total = r ** len(slots)
-    if total > COLORING_GUARD:
-        raise TooLarge(f"{r}^C({M},{k}) = {total} colorings exceed the 2^30 guard")
-    return slots, total
-
-
 def _digits(numeral: int, r: int, width: int) -> list[int]:
     colors = []
     for _ in range(width):
@@ -106,16 +98,16 @@ def _digits(numeral: int, r: int, width: int) -> list[int]:
     return colors
 
 
-def arrow_check(M: int, n: int, k: int, r: int) -> bool:
-    """Exhaustive check that every r-coloring of the k-tuples over M admits a
-    monochromatic increasing n-tuple."""
-    _validate_arrow_args(M, n, k, r)
-    slots, total = _guarded_coloring_count(M, k, r)
+def _every_coloring_hits(M: int, k: int, r: int, tuples: Iterable[tuple[int, ...]]) -> bool:
+    # True iff every r-coloring of the k-tuples over M (by increasing numeral)
+    # makes some tuple of ``tuples`` monochromatic.  The guard runs before
+    # ``tuples`` is read.
+    slots = list(itertools.combinations(range(M), k))
+    total = r ** len(slots)
+    if total > COLORING_GUARD:
+        raise TooLarge(f"{r}^C({M},{k}) = {total} colorings exceed the 2^30 guard")
     slot_index = {s: i for i, s in enumerate(slots)}
-    candidates = [
-        [slot_index[u] for u in itertools.combinations(t, k)]
-        for t in itertools.combinations(range(M), n)
-    ]
+    candidates = [[slot_index[u] for u in itertools.combinations(t, k)] for t in tuples]
     for numeral in range(total):
         colors = _digits(numeral, r, len(slots))
         for subs in candidates:
@@ -125,6 +117,13 @@ def arrow_check(M: int, n: int, k: int, r: int) -> bool:
         else:
             return False
     return True
+
+
+def arrow_check(M: int, n: int, k: int, r: int) -> bool:
+    """Exhaustive check that every r-coloring of the k-tuples over M admits a
+    monochromatic increasing n-tuple."""
+    _validate_arrow_args(M, n, k, r)
+    return _every_coloring_hits(M, k, r, itertools.combinations(range(M), n))
 
 
 def monochromatic_witness(c: Coloring, M: int, n: int) -> tuple[tuple[int, ...], int] | None:
@@ -141,15 +140,11 @@ def monochromatic_witness(c: Coloring, M: int, n: int) -> tuple[tuple[int, ...],
     return None
 
 
-def _relatively_large_candidates(M: int, n: int, k: int,
-                                 slot_index: dict[tuple[int, ...], int]) -> list[list[int]]:
-    # Tuples t with length p >= n, values < M, t(0) = p; k-subtuples as slot lists.
-    candidates = []
+def _relatively_large(M: int, n: int) -> Iterator[tuple[int, ...]]:
+    # Tuples t with length p >= n, values < M, t(0) = p.
     for p in range(n, M):  # t(0) = p forces p < M
         for rest in itertools.combinations(range(p + 1, M), p - 1):
-            t = (p,) + rest
-            candidates.append([slot_index[u] for u in itertools.combinations(t, k)])
-    return candidates
+            yield (p,) + rest
 
 
 def arrow_star_check(M: int, n: int, k: int, r: int) -> bool:
@@ -157,18 +152,7 @@ def arrow_star_check(M: int, n: int, k: int, r: int) -> bool:
     monochromatic increasing tuple whose length is at least n and equals its
     first entry."""
     _validate_arrow_args(M, n, k, r)
-    slots, total = _guarded_coloring_count(M, k, r)
-    slot_index = {s: i for i, s in enumerate(slots)}
-    candidates = _relatively_large_candidates(M, n, k, slot_index)
-    for numeral in range(total):
-        colors = _digits(numeral, r, len(slots))
-        for subs in candidates:
-            first = colors[subs[0]]
-            if all(colors[s] == first for s in subs[1:]):
-                break
-        else:
-            return False
-    return True
+    return _every_coloring_hits(M, k, r, _relatively_large(M, n))
 
 
 def almost_full_witness(a_member: Callable[[int], bool], zeta: NatStream,

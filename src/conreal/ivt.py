@@ -15,25 +15,21 @@ apartness witnesses at enumerated rational midpoints.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .coding import pair, unpair
 from .errors import FuelExhausted, PreconditionFailed
-from .real import (Apartness, CReal, Direction, RationalInterval, rho0, rho1,
-                   rho2, try_apart, verify_lt)
-from .streams import FugitiveSpec
+from .real import (Apartness, CReal, Direction, RationalInterval, half_pow,
+                   rho0, rho1, rho2, try_apart, verify_lt)
+from .streams import FugitiveSpec, _memo
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_FUEL = 128
-
-
-def _half_pow(p: int) -> Fraction:
-    return Fraction(1, 1 << p) if p >= 0 else Fraction(1 << -p)
 
 
 def _clamp01(iv: RationalInterval) -> RationalInterval:
@@ -51,7 +47,6 @@ class ContinuousMap:
         self.enclose = enclose
         self.modulus = modulus
         self._points: dict[Fraction, CReal] = {}
-        self._lock = threading.Lock()
 
     def apply(self, x: CReal) -> CReal:
         """The image f(x) as a constructive real.
@@ -75,17 +70,12 @@ class ContinuousMap:
         return CReal.from_steps(raw(0), step)
 
     def at(self, q) -> CReal:
-        """The value at a rational point, cached per point."""
+        """The value at a rational point, cached per point: every call with
+        an equal point returns the same real, the first one stored."""
         q = Fraction(q)
         if not _ZERO <= q <= _ONE:
             raise ValueError("point outside [0, 1]")
-        with self._lock:
-            cached = self._points.get(q)
-            if cached is not None:
-                return cached
-        value = self.apply(CReal(lambda n, q=q: RationalInterval(q, q)))
-        with self._lock:
-            return self._points.setdefault(q, value)
+        return _memo(self._points, q, lambda q: self.apply(CReal(lambda n: RationalInterval(q, q))))
 
 
 @dataclass(frozen=True)
@@ -107,13 +97,8 @@ class PiecewiseLinearSpec:
 
 
 def _ceil_log2(q: Fraction) -> int:
-    # Smallest s >= 0 with 2^s >= q.
-    s = 0
-    v = Fraction(1)
-    while v < q:
-        v *= 2
-        s += 1
-    return s
+    # Smallest s >= 0 with 2^s >= q, which is 2^s >= ceil(q).
+    return (math.ceil(q) - 1).bit_length() if q > 1 else 0
 
 
 def pwl(spec: PiecewiseLinearSpec, node_fuel: int = 96) -> ContinuousMap:
@@ -208,7 +193,7 @@ def distance_bound(f: ContinuousMap, x: CReal, y: CReal, q: int, fuel: int,
 def certified_within(f: ContinuousMap, x: CReal, y: CReal, p: int, fuel: int,
                      attempts: int = 6) -> bool:
     """Try inspection precisions q = p+1, p+2, ... for a bound below 2^-p."""
-    target = _half_pow(p)
+    target = half_pow(p)
     for q in range(p + 1, p + 1 + attempts):
         try:
             if distance_bound(f, x, y, q, fuel) < target:
@@ -234,7 +219,7 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     if not (at0.lo <= y_iv.hi and y_iv.lo <= at1.hi):
         raise PreconditionFailed("need f(0) <= y <= f(1) in the enclosure sense")
 
-    eps = _half_pow(p + 1)
+    eps = half_pow(p + 1)
 
     def step(prev: RationalInterval, _n: int) -> RationalInterval:
         lo, hi = prev
@@ -289,9 +274,16 @@ def _certify_at_depth(f: ContinuousMap, x: CReal, y: CReal, avail: int,
     if bound >= 1:
         return None, bound
     p = 0
-    while p + 1 < q + 16 and bound < _half_pow(p + 1):
+    while p + 1 < q + 16 and bound < half_pow(p + 1):
         p += 1
     return p, bound
+
+
+def _verify_apart(z: CReal, y: CReal, w: Apartness) -> bool:
+    """Check a witness of z # y, in the direction it claims, against the raw intervals."""
+    if w.direction is Direction.LESS:
+        return verify_lt(z, y, w.witness)
+    return verify_lt(y, z, w.witness)
 
 
 def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
@@ -312,12 +304,7 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
         q, w = oracle(a, b)
         if not (a < q < b):
             raise ValueError(f"oracle point {q} outside the middle third ({a}, {b})")
-        z = f.at(q)
-        if w.direction is Direction.LESS:
-            ok = verify_lt(z, y, w.witness)
-        else:
-            ok = verify_lt(y, z, w.witness)
-        if not ok:
+        if not _verify_apart(f.at(q), y, w):
             raise ValueError("oracle witness failed verification")
         if w.direction is Direction.LESS:
             return RationalInterval(q, hi)  # f(q) < y: x lies right of q
@@ -363,12 +350,7 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
         lo, hi = prev
         m = (lo + hi) / 2
         w = apart_at(rational_index(m))
-        z = f.at(m)
-        if w.direction is Direction.LESS:
-            ok = verify_lt(z, y, w.witness)
-        else:
-            ok = verify_lt(y, z, w.witness)
-        if not ok:
+        if not _verify_apart(f.at(m), y, w):
             raise ValueError("apartness witness failed verification")
         if w.direction is Direction.LESS:
             return RationalInterval(m, hi)

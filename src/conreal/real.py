@@ -12,13 +12,12 @@ operation here.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import FuelExhausted
-from .streams import FugitiveSpec, NatStream, fugitive_least
+from .streams import FugitiveSpec, NatStream, _in_order, _memo, fugitive_least
 
 
 class RationalInterval(NamedTuple):
@@ -46,34 +45,36 @@ def _point(q: Fraction) -> RationalInterval:
     return RationalInterval(q, q)
 
 
+def half_pow(p: int) -> Fraction:
+    """2^-p as an exact fraction, for any integer p."""
+    return Fraction(1, 1 << p) if p >= 0 else Fraction(1 << -p)
+
+
 class CReal:
     """A constructive real: a memoized index -> RationalInterval stream.
 
     Library constructors guarantee the shrinking and dwindling invariants;
     a caller-supplied generator is trusted to do the same (approx raises
-    FuelExhausted when a malformed real never narrows).
+    FuelExhausted when a malformed real never narrows).  It must also be
+    pure: reads take no lock, so the generator may run more than once for an
+    index when threads race on it, but the first interval stored wins and
+    every read returns it.
     """
 
     def __init__(self, generate: Callable[[int], RationalInterval]):
         self._generate = generate
         self._cache: dict[int, RationalInterval] = {}
-        self._lock = threading.Lock()
 
     def interval(self, n: int) -> RationalInterval:
         if n < 0:
             raise IndexError("interval indices are naturals")
-        with self._lock:
-            if n in self._cache:
-                return self._cache[n]
-        iv = self._generate(n)
-        with self._lock:
-            return self._cache.setdefault(n, iv)
+        return _memo(self._cache, n, self._generate)
 
     def approx(self, p: int, fuel: int) -> RationalInterval:
         """First interval (scanning indices 0..fuel) of width <= 2^-p."""
         if fuel < 1:
             raise ValueError("fuel must be >= 1")
-        bound = Fraction(1, 1 << p) if p >= 0 else Fraction(1 << -p)
+        bound = half_pow(p)
         for n in range(fuel + 1):
             iv = self.interval(n)
             if iv.width <= bound:
@@ -89,16 +90,7 @@ class CReal:
     def from_steps(cls, first: RationalInterval,
                    step: Callable[[RationalInterval, int], RationalInterval]) -> "CReal":
         """Real built sequentially: interval 0 is ``first``, interval n+1 is step(interval n, n)."""
-        built = [first]
-        lock = threading.Lock()
-
-        def gen(n: int) -> RationalInterval:
-            with lock:
-                while len(built) <= n:
-                    built.append(step(built[-1], len(built) - 1))
-                return built[n]
-
-        return cls(gen)
+        return cls(_in_order(first, step))
 
     # Arithmetic: componentwise interval formulas.
 

@@ -11,36 +11,61 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+
+def _memo(cache: dict, key, compute: Callable):
+    """The cached value at key, computing and storing it on a miss.
+
+    No lock: compute runs outside any lock (it may read other memoized
+    objects), and ``dict.setdefault`` is atomic under CPython, so when two
+    threads race on one key both get the value stored first.
+    """
+    value = cache.get(key)
+    if value is None:
+        value = cache.setdefault(key, compute(key))
+    return value
+
+
+def _in_order(first, step: Callable) -> Callable[[int], object]:
+    """Index -> term of the sequence first, step(first, 0), step(term 1, 1), ...
+
+    Terms are built in order under one lock, so each step runs once even when
+    threads race; a step that raises leaves the terms built so far in place.
+    """
+    built = [first]
+    lock = threading.Lock()
+
+    def term(n: int):
+        with lock:
+            while len(built) <= n:
+                built.append(step(built[-1], len(built) - 1))
+            return built[n]
+
+    return term
 
 
 class NatStream:
     """A total, lazily evaluated, memoized infinite sequence of naturals.
 
     The generator must be pure: repeated evaluation at the same index has to
-    produce the same value (the cache makes the first answer authoritative,
-    so an impure generator is undefined behavior).  Reads are thread-safe;
-    cache writes are idempotent.
+    produce the same value.  Reads are thread-safe without a lock: the
+    generator may run more than once for an index when threads race on it,
+    but the first value stored wins and every read returns it.
     """
 
     def __init__(self, generate: Callable[[int], int]):
         self._generate = generate
         self._cache: dict[int, int] = {}
-        self._lock = threading.Lock()
 
     def __getitem__(self, n: int) -> int:
         if n < 0:
             raise IndexError("stream indices are naturals")
-        with self._lock:
-            if n in self._cache:
-                return self._cache[n]
-        # Compute outside the lock: generators may read other streams.
-        value = self._generate(n)
+        value = _memo(self._cache, n, self._generate)
         if value < 0:
             raise ValueError("stream produced a negative value")
-        with self._lock:
-            return self._cache.setdefault(n, value)
+        return value
 
     def prefix(self, m: int) -> list[int]:
         """First m values as a list."""
@@ -85,16 +110,17 @@ def pi_digits() -> NatStream:
     """
     gen = _pi_spigot()
     next(gen)  # drop the leading 3
-    buf: list[int] = []
-    lock = threading.Lock()
+    return NatStream(_in_order(next(gen), lambda _digit, _n: next(gen)))
 
-    def digit(n: int) -> int:
-        with lock:
-            while len(buf) <= n:
-                buf.append(next(gen))
-            return buf[n]
 
-    return NatStream(digit)
+class _Frontier:
+    """How far the scans of one fugitive spec have read: indices below
+    ``clear`` do not fire, and ``fired`` is the least firing index once read."""
+
+    def __init__(self):
+        self.clear = 0
+        self.fired: int | None = None
+        self.lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -102,6 +128,8 @@ class FugitiveSpec:
     """A fugitive number: the least index j with ``indicator[j] != 0``, if any."""
 
     indicator: NatStream
+    _frontier: _Frontier = field(default_factory=_Frontier, init=False, repr=False,
+                                 compare=False)
 
 
 class FugitiveCompare(enum.Enum):
@@ -122,22 +150,28 @@ def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> Fugitiv
     return FugitiveSpec(NatStream(hit))
 
 
+def fugitive_least(f: FugitiveSpec, n: int) -> int | None:
+    """Least firing index among 0..n, or None if none fires there.
+
+    The spec's frontier carries the scan over from earlier calls, so each
+    indicator index is read at most once per spec, in increasing order, and
+    never past n or the firing index.
+    """
+    front = f._frontier
+    with front.lock:
+        while front.fired is None and front.clear <= n:
+            if f.indicator[front.clear] != 0:
+                front.fired = front.clear
+            else:
+                front.clear += 1
+        return front.fired if front.fired is not None and front.fired <= n else None
+
+
 def fugitive_compare(f: FugitiveSpec, n: int) -> FugitiveCompare:
     """AT_MOST iff some j <= n fires; GREATER iff none does.  Reads indices 0..n only."""
-    for j in range(n + 1):
-        if f.indicator[j] != 0:
-            return FugitiveCompare.AT_MOST
-    return FugitiveCompare.GREATER
-
-
-def fugitive_least(f: FugitiveSpec, n: int) -> int | None:
-    """Least firing index among 0..n, or None if none fires there."""
-    for j in range(n + 1):
-        if f.indicator[j] != 0:
-            return j
-    return None
+    return FugitiveCompare.GREATER if fugitive_least(f, n) is None else FugitiveCompare.AT_MOST
 
 
 def fugitive_equal(f: FugitiveSpec, n: int) -> bool:
     """True iff n is the least firing index."""
-    return f.indicator[n] != 0 and all(f.indicator[j] == 0 for j in range(n))
+    return fugitive_least(f, n) == n

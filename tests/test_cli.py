@@ -95,3 +95,20 @@ def test_json_shape():
 def test_help_exits_zero():
     code, _, _ = _invoke(["--help"])
     assert code == 0
+
+
+def test_negative_precision_certificates():
+    # 2^-p for p < 0 is 2^|p|; the certificates print it like any other bound.
+    code, out, err = _invoke(["eval", "1/3", "-p", "-5"])
+    assert (code, err) == (0, "")
+    assert out == "-2/3 .. 4/3\n"
+    code, out, err = _invoke(["ivt", "--map", "id", "--y", "1/3", "-p", "-1"])
+    assert (code, err) == (0, "")
+    assert out.endswith("certified: |f(x) - y| < 2/1\n")
+
+
+def test_seed_flag_rejected():
+    code, out, err = _invoke(["pi", "--digits", "5", "--seed", "1"])
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, NatStream,
                      PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
@@ -10,6 +12,8 @@ from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, NatStream,
                      ivt_countable_exceptions, ivt_locally_nonconstant,
                      middle_third_oracle, pattern_indicator, pi_digits, pwl,
                      rational_at, rational_index, sqrt2, try_apart, zero)
+
+from conreal.ivt import _ceil_log2
 
 half = Fraction(1, 2)
 
@@ -278,3 +282,17 @@ def test_approx_ivt_malformed_map_exhausts():
         lambda p: p)
     with pytest.raises(FuelExhausted):
         approx_ivt(stuck, CReal.from_rational(half), 4, fuel=16)
+
+
+def _ceil_log2_loop(q):
+    # Reference: the doubling loop the closed form replaced.
+    s, v = 0, Fraction(1)
+    while v < q:
+        v *= 2
+        s += 1
+    return s
+
+
+@given(st.fractions(min_value=-4, max_value=1 << 70, max_denominator=1 << 40))
+def test_ceil_log2_matches_doubling_loop(q):
+    assert _ceil_log2(q) == _ceil_log2_loop(q)

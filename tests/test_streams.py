@@ -1,10 +1,19 @@
+import itertools
 import random
+import sys
+import threading
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conreal import (FugitiveCompare, FugitiveSpec, NatStream, encode,
-                     fugitive_compare, fugitive_equal, fugitive_least,
-                     pattern_indicator, pi_digits, prefix_of_stream)
+from conftest import random_indicator
+from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
+                     RationalInterval, encode, fugitive_compare,
+                     fugitive_equal, fugitive_least, identity_map,
+                     pattern_indicator, pi_digits, prefix_of_stream, rho0)
 
 
 def test_constant():
@@ -124,3 +133,82 @@ def test_concurrent_reads_are_consistent():
         t.join()
     expected = [i * 7 + 1 for i in range(100)]
     assert all(r == expected for r in results)
+
+
+class _CountingStream(NatStream):
+    """A NatStream that counts the reads of each index."""
+
+    def __init__(self, generate):
+        super().__init__(generate)
+        self.reads = Counter()
+
+    def __getitem__(self, n):
+        self.reads[n] += 1
+        return super().__getitem__(n)
+
+
+def _linear_least(f, n):
+    # Reference: the plain scan of indices 0..n.
+    return next((j for j in range(n + 1) if f.indicator[j] != 0), None)
+
+
+@given(st.integers(0, 2 ** 32), st.lists(st.integers(0, 40), max_size=30))
+def test_fugitive_scans_match_linear_scan(seed, queries):
+    spec = random_indicator(random.Random(seed))
+    for n in queries:
+        least = _linear_least(spec, n)
+        assert fugitive_least(spec, n) == least
+        expected = FugitiveCompare.GREATER if least is None else FugitiveCompare.AT_MOST
+        assert fugitive_compare(spec, n) is expected
+        assert fugitive_equal(spec, n) == (least == n)
+
+
+@pytest.mark.parametrize("fires_at,read", [(None, 201), (50, 51)])
+def test_rho0_reads_each_indicator_index_once(fires_at, read):
+    indicator = _CountingStream(lambda j: 1 if j == fires_at else 0)
+    x = rho0(FugitiveSpec(indicator))
+    for n in range(201):
+        x.interval(n)
+    assert set(indicator.reads) == set(range(read))  # never past the firing index
+    assert max(indicator.reads.values()) == 1
+
+
+def test_racing_threads_see_the_first_write():
+    # Impure generators make a lost first write visible: a later value differs.
+    counter = itertools.count()
+    stream = NatStream(lambda n: next(counter))
+    real = CReal(lambda n: RationalInterval(Fraction(-1, n + 1), Fraction(1, n + 1)))
+    f = identity_map()
+    indicator = _CountingStream(lambda j: 1 if j == 150 else 0)
+    spec = FugitiveSpec(indicator)
+    threads_n = 8
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker():
+        barrier.wait()
+        seen.append(([stream[i] for i in range(200)],
+                     [real.interval(i) for i in range(200)],
+                     f.at(Fraction(1, 3)),
+                     [fugitive_least(spec, n) for n in range(200)]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == threads_n
+    values, intervals, point, leasts = seen[0]
+    for other_values, other_intervals, other_point, other_leasts in seen[1:]:
+        assert other_values == values
+        assert all(a is b for a, b in zip(other_intervals, intervals))
+        assert other_point is point
+        assert other_leasts == leasts
+    assert leasts == [None] * 150 + [150] * 50
+    assert max(indicator.reads.values()) == 1
