@@ -21,7 +21,7 @@ from .errors import FuelExhausted, PreconditionFailed, TooLarge
 from .ivt import (ContinuousMap, approx_ivt, enumerated_witnesses, f0, f1, f2,
                   identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle)
-from .real import CReal, RationalInterval, half_pow, rho0, rho1, rho2, sqrt2
+from .real import CReal, RationalInterval, half_pow, half_pow_text, rho0, rho1, rho2, sqrt2
 from .streams import NatStream, fugitive_least, pattern_indicator, pi_digits
 
 
@@ -377,8 +377,8 @@ def _cmd_ivt(args, out: TextIO, err: TextIO) -> int:
         x, certified_p = result.x, result.certified_precision
 
     if certified_p is None or certified_p < p:
-        reached = "none" if certified_p is None else f"2^-{certified_p}"
-        print(f"error: certified only {reached}, wanted 2^-{p}", file=err)
+        reached = "none" if certified_p is None else half_pow_text(certified_p)
+        print(f"error: certified only {reached}, wanted {half_pow_text(p)}", file=err)
         return 3
 
     xi = x.approx(p, fuel)

@@ -107,13 +107,15 @@ def pwl(spec: PiecewiseLinearSpec, node_fuel: int = 96) -> ContinuousMap:
     Enclosures evaluate the endpoints of each covered piece by linear
     interpolation over node approximations at precision p+2 and take the
     hull; on a linear piece the endpoint hull is an exact image enclosure.
+    Each node approximation is computed once per precision for each map.
     The modulus comes from a slope bound over all pieces.
     """
     bps = spec.breakpoints
     values = spec.values
+    node_ivs: dict[tuple[int, int], RationalInterval] = {}
 
     def node_iv(i: int, p: int) -> RationalInterval:
-        return values[i].approx(p, node_fuel)
+        return _memo(node_ivs, (i, p), lambda key: values[i].approx(p, node_fuel))
 
     def eval_point(t: Fraction, p: int) -> RationalInterval:
         # Rightmost piece starting at or before t.

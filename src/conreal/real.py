@@ -50,6 +50,11 @@ def half_pow(p: int) -> Fraction:
     return Fraction(1, 1 << p) if p >= 0 else Fraction(1 << -p)
 
 
+def half_pow_text(p: int) -> str:
+    """2^-p as messages print it: ``2^-p`` for p >= 0, ``2^|p|`` for p < 0."""
+    return f"2^-{p}" if p >= 0 else f"2^{-p}"
+
+
 class CReal:
     """A constructive real: a memoized index -> RationalInterval stream.
 
@@ -79,7 +84,7 @@ class CReal:
             iv = self.interval(n)
             if iv.width <= bound:
                 return iv
-        raise FuelExhausted(f"no interval of width <= 2^-{p} within {fuel} indices")
+        raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
 
     @classmethod
     def from_rational(cls, q) -> "CReal":

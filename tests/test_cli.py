@@ -107,6 +107,20 @@ def test_negative_precision_certificates():
     assert out.endswith("certified: |f(x) - y| < 2/1\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "1000000 * sqrt2", "-p", "-1", "--fuel", "1"],
+     "error: no interval of width <= 2^1 within 1 indices\n"),
+    (["ivt", "--map", "id", "--y", "2", "-p", "-1", "--mode", "lnc"],
+     "error: certified only none, wanted 2^1\n"),
+])
+def test_negative_precision_messages(argv, message):
+    # 2^-p for p < 0 prints as 2^|p|, never as 2^--|p|.
+    code, out, err = _invoke(argv)
+    assert (code, out) == (3, "")
+    assert "--" not in err
+    assert err == message
+
+
 def test_seed_flag_rejected():
     code, out, err = _invoke(["pi", "--digits", "5", "--seed", "1"])
     assert code == 2

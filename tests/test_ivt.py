@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,98 @@ def test_pwl_modulus_honesty_random():
                 b = min(a + step * Fraction(rng.randint(0, 7), 8), Fraction(1))
                 va, vb = _interpolate(spec_nodes, a), _interpolate(spec_nodes, b)
                 assert abs(va - vb) <= Fraction(1, 2 ** p)
+
+
+class _CountingReal(CReal):
+    def __init__(self, generate):
+        super().__init__(generate)
+        self.reads = 0
+
+    def interval(self, n):
+        self.reads += 1
+        return super().interval(n)
+
+
+def test_pwl_reads_each_node_once_per_precision():
+    nodes = tuple(_CountingReal.from_rational(q) for q in (0, Fraction(1, 3), 1))
+    f = pwl(PiecewiseLinearSpec((Fraction(0), half, Fraction(1)), nodes))
+    point = RationalInterval(Fraction(1, 5), Fraction(3, 4))
+    first = f.enclose(point, 12)
+    reads = [node.reads for node in nodes]
+    assert all(reads)
+    for _ in range(49):
+        assert f.enclose(point, 12) == first
+    assert [node.reads for node in nodes] == reads
+
+
+def _random_rational_nodes(rng):
+    count = rng.randint(2, 5)
+    cuts = sorted(rng.sample(range(1, 16), count - 2)) if count > 2 else []
+    bps = [Fraction(0)] + [Fraction(c, 16) for c in cuts] + [Fraction(1)]
+    return [(t, Fraction(rng.randint(-8, 8), rng.randint(1, 8))) for t in bps]
+
+
+def _random_input(rng):
+    a, b = sorted(Fraction(rng.randint(0, 64), 64) for _ in range(2))
+    return RationalInterval(a, b)
+
+
+def test_pwl_memo_matches_fresh_map_random():
+    rng = random.Random(19)
+    for _ in range(20):
+        nodes = _random_rational_nodes(rng)
+        f, _ = _rational_pwl(nodes)
+        for p in [3, 9, 3, 17, 9, 0, 17, 3] + [rng.randint(0, 24) for _ in range(8)]:
+            iv = _random_input(rng)
+            fresh, _ = _rational_pwl(nodes)
+            assert f.enclose(iv, p) == fresh.enclose(iv, p)
+
+
+def test_pwl_stuck_node_raises_every_time():
+    stuck = CReal(lambda n: RationalInterval(Fraction(0), Fraction(1)))
+    f = pwl(PiecewiseLinearSpec((Fraction(0), Fraction(1)), (zero(), stuck)))
+    messages = set()
+    for _ in range(3):
+        for p in (4, 6):
+            with pytest.raises(FuelExhausted) as caught:
+                f.enclose(_point(half), p)
+            messages.add((p, str(caught.value)))
+    assert messages == {(4, "no interval of width <= 2^-6 within 96 indices"),
+                        (6, "no interval of width <= 2^-8 within 96 indices")}
+
+
+def test_pwl_racing_enclosures_match_serial_run():
+    def build():
+        return f0(_spike(6))
+
+    rng = random.Random(23)
+    queries = [(_random_input(rng), rng.choice((2, 5, 8, 11, 14))) for _ in range(60)]
+    serial = build()
+    expected = [serial.enclose(iv, p) for iv, p in queries]
+    shared = build()
+    threads_n = 6
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker(offset):
+        barrier.wait()
+        order = queries[offset:] + queries[:offset]
+        got = [shared.enclose(iv, p) for iv, p in order]
+        seen.append(got[len(queries) - offset:] + got[:len(queries) - offset])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(10 * k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == threads_n
+    assert all(got == expected for got in seen)
 
 
 def test_f0_plateau_value():
