@@ -10,6 +10,7 @@ error channel prefixed ``error:``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -20,7 +21,7 @@ from . import coding, combinatorics, fans
 from .errors import FuelExhausted, PreconditionFailed, TooLarge
 from .ivt import (ContinuousMap, approx_ivt, enumerated_witnesses, f0, f1, f2,
                   identity_map, ivt_countable_exceptions,
-                  ivt_locally_nonconstant, middle_third_oracle)
+                  ivt_locally_nonconstant, middle_third_oracle, require_range)
 from .real import CReal, RationalInterval, half_pow, half_pow_text, rho0, rho1, rho2, sqrt2
 from .streams import NatStream, fugitive_least, pattern_indicator, pi_digits
 
@@ -377,6 +378,7 @@ def _cmd_ivt(args, out: TextIO, err: TextIO) -> int:
         x, certified_p = result.x, result.certified_precision
 
     if certified_p is None or certified_p < p:
+        require_range(f, y, p, fuel)  # a target outside the range is a usage error, as in approx mode
         reached = "none" if certified_p is None else half_pow_text(certified_p)
         print(f"error: certified only {reached}, wanted {half_pow_text(p)}", file=err)
         return 3
@@ -396,7 +398,9 @@ def _cmd_ivt(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args leaves the parser unchanged.
     parser = _Parser(prog="conreal", description="constructive reals and friends")
     # Global flags, accepted before or after the subcommand.
     common = _Parser(add_help=False)
@@ -461,7 +465,7 @@ def _build_parser() -> _Parser:
                         "(each continues with its last value)")
     p.set_defaults(fn=_cmd_dickson)
 
-    p = sub.add_parser("ramsey", parents=[common], help="finite Ramsey checkers by exhaustive enumeration")
+    p = sub.add_parser("ramsey", parents=[common], help="finite Ramsey checkers by exhaustive search")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

@@ -2,9 +2,11 @@
 
 Finite "sets" are strictly increasing tuples of naturals throughout.  All
 scan orders are pinned: Dickson pairs go by increasing second index, tuples
-are lexicographic, almost-full candidates go by length then lexicographic
-order, and colorings are enumerated as base-r numerals whose i-th least
-significant digit colors the i-th k-tuple in lexicographic order.
+are lexicographic, and almost-full candidates go by length then lexicographic
+order.  The Ramsey checkers search colorings depth first: the k-tuples are
+colored one at a time in lexicographic order, each with colors 0..r-1 in
+turn, and a branch is cut as soon as a candidate tuple whose k-subtuples are
+all colored is monochromatic, since every coloring extending it hits.
 """
 
 from __future__ import annotations
@@ -67,11 +69,23 @@ def dickson_witness(inst: DicksonInstance, fuel: int) -> tuple[int, int] | None:
     dominance in every sequence.  None only ever means insufficient fuel."""
     if fuel < 2:
         raise ValueError("fuel must be >= 2")
-    for j in range(1, fuel):
-        for i in range(j):
-            if all(s[i] <= s[j] for s in inst.sequences):
-                return i, j
+    rows: list[tuple[int, ...]] = []
+    # Indices of the <=-minimal rows so far: no other row so far is <= them,
+    # coordinatewise.  No row so far is <= a later one (the search would have
+    # stopped there), so <= among them is a strict order, and some earlier row
+    # is <= row j exactly when a minimal one is.
+    minimal: list[int] = []
+    for j in range(fuel):
+        row = tuple(s[j] for s in inst.sequences)
+        if any(_le(rows[m], row) for m in minimal):
+            return next(i for i in range(j) if _le(rows[i], row)), j
+        minimal = [m for m in minimal if not _le(row, rows[m])] + [j]
+        rows.append(row)
     return None
+
+
+def _le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -90,32 +104,36 @@ def _validate_arrow_args(M: int, n: int, k: int, r: int) -> None:
         raise ValueError("need r >= 1")
 
 
-def _digits(numeral: int, r: int, width: int) -> list[int]:
-    colors = []
-    for _ in range(width):
-        numeral, d = divmod(numeral, r)
-        colors.append(d)
-    return colors
-
-
 def _every_coloring_hits(M: int, k: int, r: int, tuples: Iterable[tuple[int, ...]]) -> bool:
-    # True iff every r-coloring of the k-tuples over M (by increasing numeral)
-    # makes some tuple of ``tuples`` monochromatic.  The guard runs before
-    # ``tuples`` is read.
+    # True iff every r-coloring of the k-tuples over M makes some tuple of
+    # ``tuples`` monochromatic.  The guard runs before ``tuples`` is read.
     slots = list(itertools.combinations(range(M), k))
     total = r ** len(slots)
     if total > COLORING_GUARD:
         raise TooLarge(f"{r}^C({M},{k}) = {total} colorings exceed the 2^30 guard")
     slot_index = {s: i for i, s in enumerate(slots)}
-    candidates = [[slot_index[u] for u in itertools.combinations(t, k)] for t in tuples]
-    for numeral in range(total):
-        colors = _digits(numeral, r, len(slots))
-        for subs in candidates:
-            first = colors[subs[0]]
-            if all(colors[s] == first for s in subs[1:]):
-                break
-        else:
+    # Each candidate is filed under its largest slot: the slot whose color closes it.
+    closing: list[list[list[int]]] = [[] for _ in slots]
+    for t in tuples:
+        subs = [slot_index[u] for u in itertools.combinations(t, k)]
+        closing[max(subs)].append(subs)
+    # Depth-first over partial colorings of slots 0..s, colors tried in increasing
+    # order.  A color that closes a monochromatic candidate is skipped, since every
+    # completion of that branch hits; getting past the last slot means a coloring
+    # avoids every candidate.
+    colors = [-1] * len(slots)
+    s = 0
+    while s >= 0:
+        if s == len(slots):
             return False
+        color = colors[s] + 1
+        if color == r:
+            colors[s] = -1
+            s -= 1
+            continue
+        colors[s] = color
+        if not any(all(colors[u] == color for u in subs) for subs in closing[s]):
+            s += 1
     return True
 
 

@@ -205,6 +205,17 @@ def certified_within(f: ContinuousMap, x: CReal, y: CReal, p: int, fuel: int,
     return False
 
 
+def require_range(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> None:
+    """Raise PreconditionFailed unless f(0) <= y <= f(1) can hold, judged from
+    enclosures of f(0), f(1) and y at precision p + 4."""
+    guard = p + 4
+    y_iv = y.approx(guard, fuel)
+    at0 = f.enclose(RationalInterval(_ZERO, _ZERO), guard)
+    at1 = f.enclose(RationalInterval(_ONE, _ONE), guard)
+    if not (at0.lo <= y_iv.hi and y_iv.lo <= at1.hi):
+        raise PreconditionFailed("need f(0) <= y <= f(1) in the enclosure sense")
+
+
 def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> CReal:
     """A point x with certified |f(x) - y| < 2^-p, for f(0) <= y <= f(1).
 
@@ -214,13 +225,7 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     of modulus(p+1) + 2.  The returned real keeps bisecting lazily beyond
     that depth.
     """
-    guard = p + 4
-    y_iv = y.approx(guard, fuel)
-    at0 = f.enclose(RationalInterval(_ZERO, _ZERO), guard)
-    at1 = f.enclose(RationalInterval(_ONE, _ONE), guard)
-    if not (at0.lo <= y_iv.hi and y_iv.lo <= at1.hi):
-        raise PreconditionFailed("need f(0) <= y <= f(1) in the enclosure sense")
-
+    require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
 
     def step(prev: RationalInterval, _n: int) -> RationalInterval:

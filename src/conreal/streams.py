@@ -91,22 +91,83 @@ class NatStream:
         return cls(lambda i: values[i] if i < len(values) else rest)
 
 
-def _pi_spigot():
-    # Unbounded streaming spigot (lazy linear-fraction style); yields 3,1,4,1,5,...
-    q, r, t, k, n, l = 1, 0, 1, 1, 3, 3
+_PI_TERMS = ((48, 18), (32, 57), (-20, 239))
+"""Gauss's formula pi = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239), as (coefficient, x)."""
+
+_STR_CHUNK = 4000
+"""Decimal digits per ``str`` call, under the 4300-digit limit Python 3.11 puts on int to str."""
+
+
+def _atan_inv_scaled(x: int, scale: int) -> tuple[int, int]:
+    """(A, terms) with |scale * atan(1/x) - A| < terms + 1.
+
+    A sums the floored Taylor terms scale // x^(2k+1) // (2k+1) with alternating
+    signs; each floor loses less than 1, and the series stops at the first term
+    whose power scale // x^(2k+1) is 0, so the dropped alternating tail is below 1.
+    """
+    total, power, k, x2 = 0, scale // x, 0, x * x
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x2
+        k += 1
+    return total, k
+
+
+def _pi_floor(size: int) -> int:
+    """floor(pi * 10^size), proved digit for digit.
+
+    pi * 10^(size + guard) is known to within an explicit error E; the result
+    is released only when both ends of that interval agree after dropping the
+    guard digits, otherwise the guard is widened and pi computed again.
+    """
+    guard = 20
     while True:
-        if 4 * q + r - t < n * t:
-            yield n
-            q, r, n, l = 10 * q, 10 * (r - n * t), (10 * (3 * q + r)) // t - 10 * n, l
-        else:
-            q, r, t, k, n, l = q * k, (2 * q + r) * l, t * l, k + 1, (q * (7 * k + 2) + r * l) // (t * l), l + 2
+        scale = 10 ** (size + guard)
+        value, error = 0, 0
+        for coeff, x in _PI_TERMS:
+            part, terms = _atan_inv_scaled(x, scale)
+            value += coeff * part
+            error += abs(coeff) * (terms + 1)
+        shift = 10 ** guard
+        low, high = (value - error) // shift, (value + error) // shift
+        if low == high:
+            return low
+        guard *= 2
+
+
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _decimal_digits(n: int, width: int) -> list[int]:
+    """The last ``width`` decimal digits of n, most significant first, leading zeros kept."""
+    chunks = []
+    while width > 0:
+        size = min(width, _STR_CHUNK)
+        n, low = divmod(n, 10 ** size)
+        chunks.append(str(low).zfill(size))
+        width -= size
+    return list("".join(reversed(chunks)).encode().translate(_DIGIT_VALUES))
+
+
+def _pi_spigot():
+    # Yields 3, 1, 4, 1, 5, ...: the digits of floor(pi * 10^size) for size
+    # 64, 128, 256, ..., each batch yielding only the digits past the last one.
+    emitted, size = 0, 64
+    while True:
+        width = size + 1 - emitted  # floor(pi * 10^size) has size + 1 digits
+        yield from _decimal_digits(_pi_floor(size) % 10 ** width, width)
+        emitted, size = size + 1, 2 * size
 
 
 def pi_digits() -> NatStream:
     """Decimal digits of pi after the point: index 0 is 1, index 1 is 4, ...
 
-    Backed by an unbounded spigot, so any index is reachable without fixing
-    a precision up front.
+    Digits come in batches: the first 64, then as many again each time the
+    reader passes the end, so any index is reachable without fixing a
+    precision up front.  Each batch is floor(pi * 10^size) computed by
+    Gauss's arctangent formula in integer arithmetic with an explicit error
+    bound and released only when the bound proves every digit of it.
     """
     gen = _pi_spigot()
     next(gen)  # drop the leading 3

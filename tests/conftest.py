@@ -1,7 +1,8 @@
 """Shared test oracles and generators.
 
 The pi oracle is an independent fixed-precision Machin computation (the
-library stream uses an unbounded spigot, so the two methods cross-check).
+library stream uses Gauss's arctangent formula in doubling batches, so the
+two methods cross-check).
 The expression-tree generator produces random constructive reals together
 with exact dwindling-rate and magnitude bounds derived from the tree shape.
 """
@@ -21,15 +22,29 @@ def machin_pi_digits(n: int) -> list[int]:
     scale = 10 ** (n + 10)
 
     def atan_inv(x: int) -> int:
-        total, term, k = 0, scale // x, 0
-        while term:
+        # power is scale // x^(2k+1): floor(floor(a / b) / c) == floor(a / (b * c)).
+        total, power, k = 0, scale // x, 0
+        while power // (2 * k + 1):
+            term = power // (2 * k + 1)
             total += term if k % 2 == 0 else -term
             k += 1
-            term = scale // (x ** (2 * k + 1)) // (2 * k + 1)
+            power //= x * x
         return total
 
     pi = 16 * atan_inv(5) - 4 * atan_inv(239)
-    return [int(c) for c in str(pi)[1:n + 1]]
+    return [int(c) for c in _decimal(pi)[1:n + 1]]
+
+
+def _decimal(n: int) -> str:
+    """str(n) for a natural n of any length: Python 3.11 refuses str() of an
+    int over 4300 digits, so this converts 4000 digits at a time."""
+    chunk = 10 ** 4000
+    parts = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(str(low).zfill(4000))
+    parts.append(str(n))
+    return "".join(reversed(parts))
 
 
 @pytest.fixture(scope="session")

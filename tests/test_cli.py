@@ -25,6 +25,15 @@ def test_golden(name, argv, expected_code):
     assert out1 == (GOLDEN / f"{name}.txt").read_text()
 
 
+def test_golden_cases_share_one_parser():
+    # Every case forward, then backward, in one process: the parser built for
+    # the first call serves all the others and keeps no state between them.
+    for name, argv, expected_code in CASES + CASES[::-1]:
+        code, out, _ = _invoke(argv)
+        assert code == expected_code, name
+        assert out == (GOLDEN / f"{name}.txt").read_text(), name
+
+
 def test_unknown_flag_rejected():
     code, out, err = _invoke(["eval", "1/2", "-p", "4", "--bogus"])
     assert code == 2
@@ -110,7 +119,8 @@ def test_negative_precision_certificates():
 @pytest.mark.parametrize("argv,message", [
     (["eval", "1000000 * sqrt2", "-p", "-1", "--fuel", "1"],
      "error: no interval of width <= 2^1 within 1 indices\n"),
-    (["ivt", "--map", "id", "--y", "2", "-p", "-1", "--mode", "lnc"],
+    # Depth 0 leaves x = [0, 1], too wide to certify anything.
+    (["ivt", "--map", "id", "--y", "1/2", "-p", "-1", "--mode", "lnc", "--depth", "0"],
      "error: certified only none, wanted 2^1\n"),
 ])
 def test_negative_precision_messages(argv, message):
@@ -126,3 +136,11 @@ def test_seed_flag_rejected():
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("mode", ["approx", "lnc", "countable"])
+def test_ivt_target_outside_range(mode):
+    # y = 2 lies above f(1) = 1: every mode rejects it as a usage error.
+    code, out, err = _invoke(["ivt", "--map", "id", "--y", "2", "-p", "4", "--mode", mode])
+    assert (code, out) == (2, "")
+    assert err == "error: need f(0) <= y <= f(1) in the enclosure sense\n"

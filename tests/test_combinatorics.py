@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conreal import (Coloring, DicksonInstance, NatStream, TooLarge,
                      almost_full_witness, arrow_check, arrow_star_check,
@@ -81,6 +83,13 @@ def test_dickson_against_oracle():
         i, j = found
         assert i < j
         assert all(s[i] <= s[j] for s in inst.sequences)
+
+
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=30), min_size=1, max_size=4),
+       st.integers(2, 40))
+def test_dickson_matches_brute_force(lists, fuel):
+    inst = DicksonInstance(_streams(*lists))
+    assert dickson_witness(inst, fuel) == _dickson_oracle(lists, fuel)
 
 
 def test_arrow_boundary():
@@ -237,3 +246,43 @@ def test_monochromatic_witness_matches_counterexample_status():
             for t in itertools.combinations(range(M), n)
         )
         assert (found is not None) == brute
+
+
+def _enumerate_colorings(M, n, k, r, star):
+    """The former checker: every coloring in turn, as the base-r numeral whose
+    i-th least significant digit colors the i-th k-tuple."""
+    slots = list(itertools.combinations(range(M), k))
+    index = {s: i for i, s in enumerate(slots)}
+    if star:
+        tuples = [(p,) + rest for p in range(n, M)
+                  for rest in itertools.combinations(range(p + 1, M), p - 1)]
+    else:
+        tuples = list(itertools.combinations(range(M), n))
+    candidates = [[index[u] for u in itertools.combinations(t, k)] for t in tuples]
+    for numeral in range(r ** len(slots)):
+        colors = [numeral // r ** i % r for i in range(len(slots))]
+        if not any(len({colors[s] for s in subs}) == 1 for subs in candidates):
+            return False
+    return True
+
+
+def test_ramsey_search_matches_enumeration():
+    cases = 0
+    for M in range(1, 13):
+        for k in range(1, M + 1):
+            for r in range(1, 5):
+                if r ** math.comb(M, k) > 2 ** 12:
+                    continue
+                for n in range(k, M + 1):
+                    for star, check in ((False, arrow_check), (True, arrow_star_check)):
+                        assert check(M, n, k, r) is _enumerate_colorings(M, n, k, r, star), \
+                            (M, n, k, r, star)
+                        cases += 1
+    assert cases == 1156
+
+
+def test_ramsey_search_beyond_enumeration():
+    assert arrow_check(7, 3, 2, 2) is True
+    assert arrow_star_check(8, 3, 2, 2) is False
+    # One color and 3160 slots: the search walks every slot without recursing.
+    assert arrow_check(80, 3, 2, 1) is True

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_indicator
+from conftest import machin_pi_digits, random_indicator
 from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
                      RationalInterval, encode, fugitive_compare,
                      fugitive_equal, fugitive_least, identity_map,
                      pattern_indicator, pi_digits, prefix_of_stream, rho0)
+from conreal.streams import _decimal_digits
 
 
 def test_constant():
@@ -49,6 +50,51 @@ def test_pi_digits_match_machin_oracle(pi_oracle_120):
     assert [d[i] for i in range(50)] == pi_oracle_120[:50]
     assert d[0] == 1 and d[1] == 4
     assert all(0 <= d[i] <= 9 for i in range(50))
+
+
+def test_pi_digits_past_the_str_limit():
+    # Index 8192 opens the batch of 16384 digits, whose new block of 8192
+    # digits is longer than the 4300 Python 3.11 lets str() convert at once;
+    # 8600 digits also cross the first chunk boundary inside that block.
+    limit = sys.get_int_max_str_digits()
+    d = pi_digits()
+    assert [d[i] for i in range(8600)] == machin_pi_digits(8600)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_decimal_digits_keep_leading_zeros():
+    assert _decimal_digits(5, 3) == [0, 0, 5]
+    assert _decimal_digits(1234, 2) == [3, 4]
+    assert _decimal_digits(10 ** 4000, 8001) == [0] * 4000 + [1] + [0] * 4000
+
+
+def test_racing_threads_share_one_pi_stream():
+    d = pi_digits()
+    threads_n = 8
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker(offset):
+        barrier.wait()
+        # Each thread starts at its own index, so batches are built under contention.
+        order = list(range(offset * 90, 700)) + list(range(offset * 90))
+        seen.append({i: d[i] for i in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == threads_n
+    expected = machin_pi_digits(700)
+    for digits in seen:
+        assert [digits[i] for i in range(700)] == expected
 
 
 def test_pattern_indicator_first_nine(pi_oracle_120):
