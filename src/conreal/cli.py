@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Callable, TextIO
 
 from . import coding, combinatorics, fans
-from .errors import FuelExhausted, PreconditionFailed, TooLarge
-from .ivt import (ContinuousMap, approx_ivt, enumerated_witnesses, f0, f1, f2,
-                  identity_map, ivt_countable_exceptions,
+from .errors import FuelExhausted
+from .ivt import (ContinuousMap, _thirds_depth, approx_ivt, enumerated_witnesses, f0, f1,
+                  f2, identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle, require_range)
 from .real import CReal, RationalInterval, half_pow, half_pow_text, rho0, rho1, rho2, sqrt2
 from .streams import NatStream, fugitive_least, pattern_indicator, pi_digits
@@ -51,6 +51,9 @@ class _Parser(argparse.ArgumentParser):
 # rho0(D,L) / rho1(D,L) / rho2(D,L) over the pi digit stream.
 
 _TOKEN = re.compile(r"\s*(\d+|[-+*/(),]|[A-Za-z_][A-Za-z_0-9]*)")
+# At most this many '(', 'abs(', unary '-' and binary operators in one
+# expression: this bounds the nesting of the parser and of its real alike.
+_EXPR_SIZE = 200
 
 
 class _ExprParser:
@@ -58,6 +61,7 @@ class _ExprParser:
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.digits = digits
+        self.size = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
@@ -81,6 +85,13 @@ class _ExprParser:
         self.pos += 1
         return tok
 
+    def _take(self) -> str:
+        """The next token, counted as one unit of expression size."""
+        self.size += 1
+        if self.size > _EXPR_SIZE:
+            raise _UsageError(f"expression too large: over {_EXPR_SIZE} operators and parentheses")
+        return self._next()
+
     def _expect(self, tok: str) -> None:
         got = self._next()
         if got != tok:
@@ -95,7 +106,7 @@ class _ExprParser:
     def _expr(self) -> CReal:
         value = self._term()
         while self._peek() in ("+", "-"):
-            op = self._next()
+            op = self._take()
             rhs = self._term()
             value = value + rhs if op == "+" else value - rhs
         return value
@@ -103,13 +114,13 @@ class _ExprParser:
     def _term(self) -> CReal:
         value = self._factor()
         while self._peek() == "*":
-            self._next()
+            self._take()
             value = value * self._factor()
         return value
 
     def _factor(self) -> CReal:
         if self._peek() == "-":
-            self._next()
+            self._take()
             return -self._factor()
         return self._atom()
 
@@ -120,7 +131,7 @@ class _ExprParser:
         return int(tok)
 
     def _atom(self) -> CReal:
-        tok = self._next()
+        tok = self._take() if self._peek() in ("(", "abs") else self._next()
         if tok.isdigit():
             num = int(tok)
             if self._peek() == "/":
@@ -282,26 +293,22 @@ def _cmd_subbar(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _parse_game_predicate(text: str) -> tuple[str, int | None]:
+def _parse_game_predicate(text: str, first: str) -> Callable[[int, int], bool]:
+    """C as a test on a play (a, b) whose first move a is the one named ``first``."""
     if text == "none":
-        return "none", None
+        return lambda a, b: False
     m = re.fullmatch(r"([ni])=(\d+)", text)
     if not m:
         raise _UsageError(f"unknown game predicate '{text}' (use n=K, i=K or none)")
-    return m.group(1), int(m.group(2))
+    var, value = m.group(1), int(m.group(2))
+    return lambda a, b: (a if var == first else b) == value
 
 
 def _cmd_game(args, out: TextIO, err: TextIO) -> int:
-    var, value = _parse_game_predicate(args.c)
+    in_c = _parse_game_predicate(args.c, "n" if args.mode == "omega2" else "i")
     if args.mode == "omega2":
         if args.bound is None:
             raise _UsageError("--bound is required for --mode omega2")
-
-        def in_c(n: int, i: int) -> bool:
-            if var == "none":
-                return False
-            return (n if var == "n" else i) == value
-
         outcome = fans.solve_omega2(fans.GameSpecOmega2(in_c, args.bound))
         inputs = {"mode": "omega2", "c": args.c, "bound": args.bound}
         if isinstance(outcome, fans.WinningMove):
@@ -315,13 +322,7 @@ def _cmd_game(args, out: TextIO, err: TextIO) -> int:
 
     if args.p0 is None or args.p1 is None:
         raise _UsageError("--p0 and --p1 are required for --mode 2omega")
-
-    def in_c2(i: int, n: int) -> bool:
-        if var == "none":
-            return False
-        return (i if var == "i" else n) == value
-
-    answer = fans.answer_strategy_2omega(fans.GameSpec2Omega(in_c2), args.p0, args.p1)
+    answer = fans.answer_strategy_2omega(fans.GameSpec2Omega(in_c), args.p0, args.p1)
     inputs = {"mode": "2omega", "c": args.c, "p0": args.p0, "p1": args.p1}
     if answer is None:
         _emit(out, args, "game", inputs, None, None, "no answer")
@@ -348,14 +349,6 @@ def _parse_map(text: str) -> ContinuousMap:
         raise _UsageError("f2 takes four parameters D,L,D2,L2")
     return f2(pattern_indicator(digits, params[0], params[1]),
               pattern_indicator(digits, params[2], params[3]))
-
-
-def _thirds_depth(target: int) -> int:
-    # Smallest d with (2/3)^d <= 2^-target.
-    d = 0
-    while 3 ** d < (1 << (d + target)):
-        d += 1
-    return d
 
 
 def _cmd_ivt(args, out: TextIO, err: TextIO) -> int:
@@ -489,7 +482,7 @@ def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> 
     except FuelExhausted as e:
         print(f"error: {e}", file=err)
         return 3
-    except (_UsageError, PreconditionFailed, TooLarge, ValueError) as e:
+    except ValueError as e:  # usage errors, failed preconditions and size guards alike
         print(f"error: {e}", file=err)
         return 2
 

@@ -23,15 +23,14 @@ from .streams import NatStream
 COLORING_GUARD = 1 << 30
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _least_divisor(n: int) -> int:
+    """The least divisor d > 1 of n >= 2; n itself exactly when n is prime."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
 
 
 def euclid_extend(qs: Sequence[int]) -> int:
@@ -42,15 +41,9 @@ def euclid_extend(qs: Sequence[int]) -> int:
     if not qs:
         raise ValueError("need at least one prime")
     for q in qs:
-        if not _is_prime(q):
+        if q < 2 or _least_divisor(q) != q:
             raise ValueError(f"{q} is not prime")
-    c = math.lcm(*qs) + 1
-    d = 2
-    while d * d <= c:
-        if c % d == 0:
-            return d
-        d += 1
-    return c
+    return _least_divisor(math.lcm(*qs) + 1)
 
 
 @dataclass(frozen=True)

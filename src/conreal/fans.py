@@ -35,34 +35,32 @@ class NotBarWithinDepth:
         return encode(list(self.path))
 
 
-class _Uncovered(Exception):
-    def __init__(self, path: list[int]):
-        self.path = path
-
-
 def finite_subbar(bar: DecidableBar) -> list[int] | NotBarWithinDepth:
     """Minimal bar elements covering every binary sequence of length max_depth.
 
     Depth-first, left branch first: an element of the bar stops the descent
     (so returned codes are pairwise incompatible, in lexicographic order),
-    and the first uncovered full-length path aborts the search.
+    and the first uncovered full-length path aborts the search.  One path
+    is kept; after an element its trailing 1s go and its last 0 becomes 1.
     """
     if bar.max_depth < 0:
         raise ValueError("max_depth must be a natural")
     member = bar.member
-
-    def visit(path: list[int]) -> list[int]:
+    elements: list[int] = []
+    path: list[int] = []
+    while True:
         code = encode(path)
         if member(code):
-            return [code]
-        if len(path) == bar.max_depth:
-            raise _Uncovered(path)
-        return visit(path + [0]) + visit(path + [1])
-
-    try:
-        return visit([])
-    except _Uncovered as u:
-        return NotBarWithinDepth(tuple(u.path))
+            elements.append(code)
+            while path and path[-1] == 1:
+                path.pop()
+            if not path:
+                return elements
+            path[-1] = 1
+        elif len(path) == bar.max_depth:
+            return NotBarWithinDepth(tuple(path))
+        else:
+            path.append(0)
 
 
 @dataclass(frozen=True)

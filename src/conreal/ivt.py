@@ -192,11 +192,10 @@ def distance_bound(f: ContinuousMap, x: CReal, y: CReal, q: int, fuel: int,
     return max(img.hi - yi.lo, yi.hi - img.lo)
 
 
-def certified_within(f: ContinuousMap, x: CReal, y: CReal, p: int, fuel: int,
-                     attempts: int = 6) -> bool:
-    """Try inspection precisions q = p+1, p+2, ... for a bound below 2^-p."""
+def certified_within(f: ContinuousMap, x: CReal, y: CReal, p: int, fuel: int) -> bool:
+    """Try inspection precisions q = p+1, ..., p+6 for a bound below 2^-p."""
     target = half_pow(p)
-    for q in range(p + 1, p + 1 + attempts):
+    for q in range(p + 1, p + 7):
         try:
             if distance_bound(f, x, y, q, fuel) < target:
                 return True
@@ -216,6 +215,31 @@ def require_range(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) 
         raise PreconditionFailed("need f(0) <= y <= f(1) in the enclosure sense")
 
 
+def _bisection(pick: Callable[[Fraction, Fraction], tuple[Fraction, bool]], depth: int) -> CReal:
+    """The point of [0, 1] that all three procedures build: ``pick(lo, hi)``
+    names a point q of the current interval and whether f(q) lies below y;
+    the next interval is [q, hi] if it does, else [lo, q].  ``depth`` steps
+    are forced eagerly; the returned real takes later steps lazily."""
+    def step(prev: RationalInterval, _n: int) -> RationalInterval:
+        lo, hi = prev
+        q, below = pick(lo, hi)
+        return RationalInterval(q, hi) if below else RationalInterval(lo, q)
+
+    x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
+    x.interval(depth)
+    return x
+
+
+def _below(f: ContinuousMap, q: Fraction, y: CReal, w: Apartness, source: str) -> bool:
+    """Whether f(q) < y, as the witness w of f(q) # y claims; w is first checked
+    against the raw intervals in the direction it claims."""
+    z = f.at(q)
+    below = w.direction is Direction.LESS
+    if not (verify_lt(z, y, w.witness) if below else verify_lt(y, z, w.witness)):
+        raise ValueError(f"{source} witness failed verification")
+    return below
+
+
 def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> CReal:
     """A point x with certified |f(x) - y| < 2^-p, for f(0) <= y <= f(1).
 
@@ -228,24 +252,17 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
 
-    def step(prev: RationalInterval, _n: int) -> RationalInterval:
-        lo, hi = prev
+    def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
         m = (lo + hi) / 2
         point = RationalInterval(m, m)
         for level in range(fuel + 1):
             s = f.enclose(point, level)
             yl = y.interval(level)
             if s.width < eps and yl.width < eps:
-                break
-        else:
-            raise FuelExhausted("enclosures did not narrow; malformed map or real")
-        if s.hi < yl.lo + eps:
-            return RationalInterval(m, hi)
-        return RationalInterval(lo, m)
+                return m, s.hi < yl.lo + eps
+        raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
-    x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
-    depth = f.modulus(p + 1) + 2
-    x.interval(depth)
+    x = _bisection(pick, f.modulus(p + 1) + 2)
     if not certified_within(f, x, y, p, fuel):
         raise FuelExhausted("result could not be certified at the requested precision")
     return x
@@ -280,17 +297,8 @@ def _certify_at_depth(f: ContinuousMap, x: CReal, y: CReal, avail: int,
         return None, None
     if bound >= 1:
         return None, bound
-    p = 0
-    while p + 1 < q + 16 and bound < half_pow(p + 1):
-        p += 1
-    return p, bound
-
-
-def _verify_apart(z: CReal, y: CReal, w: Apartness) -> bool:
-    """Check a witness of z # y, in the direction it claims, against the raw intervals."""
-    if w.direction is Direction.LESS:
-        return verify_lt(z, y, w.witness)
-    return verify_lt(y, z, w.witness)
+    # The largest p <= q + 15 with bound < 2^-p.
+    return (q + 15 if bound == 0 else min(q + 15, _ceil_log2(1 / bound) - 1)), bound
 
 
 def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
@@ -304,25 +312,26 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
     error.  ``depth`` rounds are forced eagerly and determine the certified
     precision; the returned real keeps consulting the oracle lazily.
     """
-    def step(prev: RationalInterval, _n: int) -> RationalInterval:
-        lo, hi = prev
+    def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
         a = (2 * lo + hi) / 3
         b = (lo + 2 * hi) / 3
         q, w = oracle(a, b)
         if not (a < q < b):
             raise ValueError(f"oracle point {q} outside the middle third ({a}, {b})")
-        if not _verify_apart(f.at(q), y, w):
-            raise ValueError("oracle witness failed verification")
-        if w.direction is Direction.LESS:
-            return RationalInterval(q, hi)  # f(q) < y: x lies right of q
-        return RationalInterval(lo, q)
+        return q, _below(f, q, y, w, "oracle")
 
-    x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
-    x.interval(depth)
+    x = _bisection(pick, depth)
     # Largest m with 2^-m >= (2/3)^depth.
     avail = (3 ** depth // (1 << depth)).bit_length() - 1
-    precision, bound = _certify_at_depth(f, x, y, avail, x_fuel=max(depth, 1), fuel=fuel)
-    return IvtResult(x, precision, bound)
+    return IvtResult(x, *_certify_at_depth(f, x, y, avail, x_fuel=max(depth, 1), fuel=fuel))
+
+
+def _thirds_depth(target: int) -> int:
+    # Smallest d with (2/3)^d <= 2^-target.
+    d = 0
+    while 3 ** d < (1 << (d + target)):
+        d += 1
+    return d
 
 
 # The fixed enumeration of rationals in [0, 1]: index n maps through unpair to
@@ -353,20 +362,12 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
     is re-verified, then the half keeping the crossing is selected.  Width at
     step n is exactly 2^-n.
     """
-    def step(prev: RationalInterval, _n: int) -> RationalInterval:
-        lo, hi = prev
+    def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
         m = (lo + hi) / 2
-        w = apart_at(rational_index(m))
-        if not _verify_apart(f.at(m), y, w):
-            raise ValueError("apartness witness failed verification")
-        if w.direction is Direction.LESS:
-            return RationalInterval(m, hi)
-        return RationalInterval(lo, m)
+        return m, _below(f, m, y, apart_at(rational_index(m)), "apartness")
 
-    x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
-    x.interval(depth)
-    precision, bound = _certify_at_depth(f, x, y, depth, x_fuel=max(depth, 1), fuel=fuel)
-    return IvtResult(x, precision, bound)
+    x = _bisection(pick, depth)
+    return IvtResult(x, *_certify_at_depth(f, x, y, depth, x_fuel=max(depth, 1), fuel=fuel))
 
 
 # Convenience oracle builders (the procedures re-verify whatever these claim).

@@ -12,6 +12,7 @@ operation here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -39,10 +40,6 @@ def interval(lo, hi) -> RationalInterval:
     if lo > hi:
         raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
     return RationalInterval(lo, hi)
-
-
-def _point(q: Fraction) -> RationalInterval:
-    return RationalInterval(q, q)
 
 
 def half_pow(p: int) -> Fraction:
@@ -210,15 +207,14 @@ def cotrans_split(x: CReal, y: CReal, w: LtWitness, z: CReal) -> Split:
     return Split(SplitSide.RIGHT_IS_LESS, LtWitness(n))
 
 
-def diagonal(xs: Callable[[int], CReal],
-             step_budget: Callable[[int], int] | None = None) -> CReal:
+def diagonal(xs: Callable[[int], CReal]) -> CReal:
     """A real in (0, 1) apart from every real in the sequence.
 
     Starts from (0, 1); at step n the real of index n is inspected at its
     first interval narrower than 3^-(n+1) and the construction takes the
     lower or upper third of its current interval, whichever avoids it.
-    Widths are exactly 3^-n.  The per-step inspection budget defaults to
-    4*(n+2) indices; a real that never narrows that far is malformed and
+    Widths are exactly 3^-n.  The inspection budget at step n is 4*(n+2)
+    indices; a real that never narrows that far is malformed and
     raises instead of hanging.
     """
     def step(prev: RationalInterval, n: int) -> RationalInterval:
@@ -227,7 +223,7 @@ def diagonal(xs: Callable[[int], CReal],
         two_thirds = (lo + 2 * hi) / 3
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
-        budget = 4 * (n + 2) if step_budget is None else step_budget(n)
+        budget = 4 * (n + 2)
         for m in range(budget + 1):
             iv = xn.interval(m)
             if iv.width < target:
@@ -243,15 +239,12 @@ def diagonal(xs: Callable[[int], CReal],
 
 
 def sqrt2() -> CReal:
-    """The square root of 2 by dyadic bisection of q^2 - 2 on [1, 2]; width 2^-n."""
-    def step(prev: RationalInterval, _n: int) -> RationalInterval:
-        lo, hi = prev
-        mid = (lo + hi) / 2
-        if mid * mid <= 2:
-            return RationalInterval(mid, hi)
-        return RationalInterval(lo, mid)
-
-    return CReal.from_steps(RationalInterval(Fraction(1), Fraction(2)), step)
+    """The square root of 2: interval n is [a/2^n, (a+1)/2^n] with a = isqrt(2 * 4^n),
+    the n-th interval of the dyadic bisection of q^2 - 2 on [1, 2]; width 2^-n."""
+    def gen(n: int) -> RationalInterval:
+        a = math.isqrt(2 << 2 * n)
+        return RationalInterval(Fraction(a, 1 << n), Fraction(a + 1, 1 << n))
+    return CReal(gen)
 
 
 def sqrt2_irrationality_witness(m: int, n: int) -> int:
@@ -265,27 +258,27 @@ def sqrt2_irrationality_witness(m: int, n: int) -> int:
 
 # Oscillating reals driven by a fugitive number.
 
-def rho0(f: FugitiveSpec) -> CReal:
-    """Oscillates above zero: (-2^-n, 2^-n) before the fugitive k, then pinned to 2^-k."""
+def _pinned(f: FugitiveSpec, value: Callable[[int], Fraction]) -> CReal:
+    """(-2^-n, 2^-n) while the fugitive is unseen at n, then the point value(k)
+    once the fugitive k is found."""
     def gen(n: int) -> RationalInterval:
         k = fugitive_least(f, n)
         if k is None:
             h = Fraction(1, 1 << n)
             return RationalInterval(-h, h)
-        return _point(Fraction(1, 1 << k))
+        v = value(k)
+        return RationalInterval(v, v)
     return CReal(gen)
+
+
+def rho0(f: FugitiveSpec) -> CReal:
+    """Oscillates above zero: (-2^-n, 2^-n) before the fugitive k, then pinned to 2^-k."""
+    return _pinned(f, lambda k: Fraction(1, 1 << k))
 
 
 def rho1(f: FugitiveSpec) -> CReal:
     """Oscillates around zero: pinned to +2^-k for even k, -2^-k for odd k."""
-    def gen(n: int) -> RationalInterval:
-        k = fugitive_least(f, n)
-        if k is None:
-            h = Fraction(1, 1 << n)
-            return RationalInterval(-h, h)
-        v = Fraction(1, 1 << k)
-        return _point(v if k % 2 == 0 else -v)
-    return CReal(gen)
+    return _pinned(f, lambda k: Fraction(1 if k % 2 == 0 else -1, 1 << k))
 
 
 def rho2(f: FugitiveSpec) -> CReal:

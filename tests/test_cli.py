@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -144,3 +145,34 @@ def test_ivt_target_outside_range(mode):
     code, out, err = _invoke(["ivt", "--map", "id", "--y", "2", "-p", "4", "--mode", mode])
     assert (code, out) == (2, "")
     assert err == "error: need f(0) <= y <= f(1) in the enclosure sense\n"
+
+
+def test_subbar_deep_uncovered_path():
+    # The walk keeps one path instead of recursing, so depth 1200 answers.
+    code, out, err = _invoke(["subbar", "--spec", "has1@1200", "--depth", "1200"])
+    assert (code, err) == (0, "")
+    assert out == "not a bar within depth 1200: [" + ",".join(["0"] * 1200) + "]\n"
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 300 + "1" + ")" * 300,
+    " + ".join(["1"] * 500),
+    "abs(" * 201 + "1" + ")" * 201,
+    "(" + "-" * 200 + "1)",
+])
+def test_eval_expression_over_size_budget(expr):
+    code, out, err = _invoke(["eval", expr, "-p", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: expression too large: over 200 operators and parentheses\n"
+
+
+@pytest.mark.parametrize("expr,value", [
+    ("(-" * 75 + "1/3" + ")" * 75, Fraction(-1, 3)),  # 150 units
+    (" + ".join(["1/3"] * 150), Fraction(50)),         # 149 units
+    ("(" * 200 + "1" + ")" * 200, Fraction(1)),        # the budget exactly
+])
+def test_eval_expression_within_size_budget(expr, value):
+    code, out, err = _invoke(["eval", expr, "-p", "8"])
+    assert (code, err) == (0, "")
+    lo, hi = (Fraction(end) for end in out.strip().split(" .. "))
+    assert lo <= value <= hi and hi - lo <= Fraction(1, 256)

@@ -1,0 +1,380 @@
+"""The library against the earlier code it replaced, kept here as references.
+
+Each reference is the former implementation, written over public names:
+the three step bodies of the intermediate-value procedures, the certified
+precision loop, the game predicates of the CLI, the recursive subbar walk
+and the bisection that defined sqrt2.  The new code must give the same
+intervals, answers, call orders and exceptions.
+"""
+
+import io
+import random
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, IvtResult,
+                     PiecewiseLinearSpec, RationalInterval, approx_ivt, certified_within,
+                     decode, distance_bound, encode, enumerated_witnesses, fans,
+                     ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle,
+                     pwl, rational_index, sqrt2, verify_lt)
+from conreal.cli import run
+from conreal.ivt import _certify_at_depth, require_range
+from conreal.real import half_pow
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+# --- references -------------------------------------------------------------------
+
+def _old_verify_apart(z, y, w):
+    if w.direction is Direction.LESS:
+        return verify_lt(z, y, w.witness)
+    return verify_lt(y, z, w.witness)
+
+
+def _old_approx_ivt(f, y, p, fuel):
+    require_range(f, y, p, fuel)
+    eps = half_pow(p + 1)
+
+    def step(prev, _n):
+        lo, hi = prev
+        m = (lo + hi) / 2
+        point = RationalInterval(m, m)
+        for level in range(fuel + 1):
+            s = f.enclose(point, level)
+            yl = y.interval(level)
+            if s.width < eps and yl.width < eps:
+                break
+        else:
+            raise FuelExhausted("enclosures did not narrow; malformed map or real")
+        if s.hi < yl.lo + eps:
+            return RationalInterval(m, hi)
+        return RationalInterval(lo, m)
+
+    x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
+    depth = f.modulus(p + 1) + 2
+    x.interval(depth)
+    if not certified_within(f, x, y, p, fuel):
+        raise FuelExhausted("result could not be certified at the requested precision")
+    return x
+
+
+def _old_precision(q, bound):
+    p = 0
+    while p + 1 < q + 16 and bound < half_pow(p + 1):
+        p += 1
+    return p
+
+
+def _old_certify_at_depth(f, x, y, avail, x_fuel, fuel):
+    q = 0
+    while f.modulus(q + 1) <= avail:
+        q += 1
+    if q == 0:
+        return None, None
+    try:
+        bound = distance_bound(f, x, y, q, fuel, x_fuel=x_fuel)
+    except FuelExhausted:
+        return None, None
+    if bound >= 1:
+        return None, bound
+    return _old_precision(q, bound), bound
+
+
+def _old_lnc(f, y, oracle, depth, fuel):
+    def step(prev, _n):
+        lo, hi = prev
+        a = (2 * lo + hi) / 3
+        b = (lo + 2 * hi) / 3
+        q, w = oracle(a, b)
+        if not (a < q < b):
+            raise ValueError(f"oracle point {q} outside the middle third ({a}, {b})")
+        if not _old_verify_apart(f.at(q), y, w):
+            raise ValueError("oracle witness failed verification")
+        if w.direction is Direction.LESS:
+            return RationalInterval(q, hi)
+        return RationalInterval(lo, q)
+
+    x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
+    x.interval(depth)
+    avail = (3 ** depth // (1 << depth)).bit_length() - 1
+    return IvtResult(x, *_old_certify_at_depth(f, x, y, avail, max(depth, 1), fuel))
+
+
+def _old_countable(f, y, apart_at, depth, fuel):
+    def step(prev, _n):
+        lo, hi = prev
+        m = (lo + hi) / 2
+        w = apart_at(rational_index(m))
+        if not _old_verify_apart(f.at(m), y, w):
+            raise ValueError("apartness witness failed verification")
+        if w.direction is Direction.LESS:
+            return RationalInterval(m, hi)
+        return RationalInterval(lo, m)
+
+    x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
+    x.interval(depth)
+    return IvtResult(x, *_old_certify_at_depth(f, x, y, depth, max(depth, 1), fuel))
+
+
+def _old_game_predicates(c):
+    if c == "none":
+        var, value = "none", None
+    else:
+        var, value = c[0], int(c[2:])
+
+    def in_c(n, i):
+        if var == "none":
+            return False
+        return (n if var == "n" else i) == value
+
+    def in_c2(i, n):
+        if var == "none":
+            return False
+        return (i if var == "i" else n) == value
+
+    return in_c, in_c2
+
+
+class _OldUncovered(Exception):
+    def __init__(self, path):
+        self.path = path
+
+
+def _old_finite_subbar(bar):
+    def visit(path):
+        code = encode(path)
+        if bar.member(code):
+            return [code]
+        if len(path) == bar.max_depth:
+            raise _OldUncovered(path)
+        return visit(path + [0]) + visit(path + [1])
+
+    try:
+        return visit([])
+    except _OldUncovered as u:
+        return fans.NotBarWithinDepth(tuple(u.path))
+
+
+def _bisection_sqrt2():
+    def step(prev, _n):
+        lo, hi = prev
+        mid = (lo + hi) / 2
+        if mid * mid <= 2:
+            return RationalInterval(mid, hi)
+        return RationalInterval(lo, mid)
+
+    return CReal.from_steps(RationalInterval(Fraction(1), Fraction(2)), step)
+
+
+# --- intermediate-value procedures -------------------------------------------------
+
+def _random_case(rng):
+    """Nodes and a target of a random rational piecewise-linear map; the target
+    lies outside [f(0), f(1)] now and then."""
+    inner = sorted({Fraction(rng.randint(1, 11), 12) for _ in range(rng.randint(0, 3))})
+    bps = [_ZERO] + inner + [_ONE]
+    vals = [Fraction(rng.randint(0, 8), 16)]
+    vals += [Fraction(rng.randint(0, 16), 16) for _ in inner]
+    vals += [Fraction(rng.randint(8, 16), 16)]
+    y = Fraction(rng.randint(-1, 17), rng.choice([16, 7, 5]))
+    return list(zip(bps, vals)), y
+
+
+def _build(nodes, y):
+    """A fresh map and target, so that no two runs share a cache."""
+    spec = PiecewiseLinearSpec(tuple(t for t, _ in nodes),
+                               tuple(CReal.from_rational(v) for _, v in nodes))
+    return pwl(spec), CReal.from_rational(y)
+
+
+def _flipped(w):
+    other = Direction.GREATER if w.direction is Direction.LESS else Direction.LESS
+    return Apartness(other, w.witness)
+
+
+def _lying_oracle(f, y, fuel):
+    honest = middle_third_oracle(f, y, fuel)
+
+    def oracle(a, b):
+        q, w = honest(a, b)
+        return q, _flipped(w)
+    return oracle
+
+
+def _edge_oracle(f, y, fuel):
+    return lambda a, b: (a, middle_third_oracle(f, y, fuel)(a, b)[1])
+
+
+def _lying_witnesses(f, y, fuel):
+    honest = enumerated_witnesses(f, y, fuel)
+    return lambda i: _flipped(honest(i))
+
+
+def _outcome(run_procedure, depth):
+    """Intervals 0..depth of the constructed point and the certificate, or the
+    exception raised, as a comparable value."""
+    try:
+        result = run_procedure()
+    except (ValueError, FuelExhausted) as e:
+        return type(e), str(e)
+    if isinstance(result, IvtResult):
+        return ([result.x.interval(n) for n in range(depth + 1)],
+                result.certified_precision, result.bound)
+    return [result.interval(n) for n in range(depth + 1)]
+
+
+def _compare(new, old, variants, cases):
+    """Run ``new`` and ``old`` on fresh copies of each case and variant and
+    return the kinds of outcome seen: "ok" or the first words of the error."""
+    kinds = set()
+    for nodes, target, depth, args in cases:
+        for variant in variants:
+            outcomes = []
+            for procedure in (new, old):
+                f, y = _build(nodes, target)
+                outcomes.append(_outcome(lambda: procedure(f, y, variant, depth, *args), depth))
+            assert outcomes[0] == outcomes[1], (nodes, target, depth, args, variant)
+            out = outcomes[0]
+            kinds.add(" ".join(out[1].split()[:3]) if isinstance(out[0], type) else "ok")
+    return kinds
+
+
+def _cases(seed, draw_depth):
+    rng = random.Random(seed)
+    for _ in range(40):
+        nodes, target = _random_case(rng)
+        depth, args = draw_depth(rng, nodes)
+        yield nodes, target, depth, args
+
+
+def _approx_case(rng, nodes):
+    p, fuel = rng.randint(1, 10), rng.choice([12, 40])
+    return _build(nodes, 0)[0].modulus(p + 1) + 2, (p, fuel)
+
+
+def _bisection_case(rng, _nodes):
+    return rng.randint(0, 14), (rng.choice([12, 40]),)
+
+
+def test_approx_ivt_matches_reference():
+    def new(f, y, _variant, _depth, p, fuel):
+        return approx_ivt(f, y, p, fuel)
+
+    def old(f, y, _variant, _depth, p, fuel):
+        return _old_approx_ivt(f, y, p, fuel)
+
+    kinds = _compare(new, old, [None], _cases(601, _approx_case))
+    assert {"ok", "need f(0) <="} <= kinds
+
+
+def test_locally_nonconstant_matches_reference():
+    def run_with(procedure):
+        def go(f, y, make_oracle, depth, fuel):
+            return procedure(f, y, make_oracle(f, y, fuel), depth, fuel)
+        return go
+
+    kinds = _compare(run_with(ivt_locally_nonconstant), run_with(_old_lnc),
+                     [middle_third_oracle, _lying_oracle, _edge_oracle],
+                     _cases(602, _bisection_case))
+    assert {"ok", "oracle witness failed", "no apartness witness"} <= kinds
+    assert any(kind.startswith("oracle point") for kind in kinds)
+
+
+def test_countable_exceptions_matches_reference():
+    def run_with(procedure):
+        def go(f, y, make_witnesses, depth, fuel):
+            return procedure(f, y, make_witnesses(f, y, fuel), depth, fuel)
+        return go
+
+    kinds = _compare(run_with(ivt_countable_exceptions), run_with(_old_countable),
+                     [enumerated_witnesses, _lying_witnesses], _cases(603, _bisection_case))
+    assert {"ok", "apartness witness failed", "no apartness witness"} <= kinds
+
+
+_precision_cases = st.tuples(
+    st.integers(1, 300),
+    st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=1 << 70),
+              st.integers(0, 320).map(lambda k: half_pow(k)),
+              st.just(Fraction(0))))
+
+
+@given(_precision_cases)
+def test_certified_precision_closed_form_matches_loop(case):
+    # A stub map whose distance bound at any inspection precision is exactly
+    # ``bound`` and whose modulus is the identity, so q equals avail.
+    q, bound = case
+    point = CReal(lambda n: RationalInterval(_ZERO, _ZERO))
+    f = ContinuousMap(lambda iv, p: RationalInterval(_ZERO, bound), lambda p: p)
+    got = _certify_at_depth(f, point, point, q, x_fuel=1)
+    if bound >= 1:
+        assert got == (None, bound)
+    else:
+        assert got == (_old_precision(q, bound), bound)
+
+
+# --- the CLI's game predicates -----------------------------------------------------
+
+def _game_plain(argv):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == 0
+    return out.getvalue()
+
+
+def test_game_predicate_matches_old_closures():
+    predicates = ["none"] + [f"{v}={k}" for v in "ni" for k in range(4)]
+    for c in predicates:
+        in_c, in_c2 = _old_game_predicates(c)
+        for bound in range(5):
+            outcome = fans.solve_omega2(fans.GameSpecOmega2(in_c, bound))
+            if isinstance(outcome, fans.WinningMove):
+                expected = f"winning move: {outcome.move}\n"
+            else:
+                expected = "counter strategy: [" + ",".join(map(str, outcome.moves)) + "]\n"
+            argv = ["game", "--mode", "omega2", "--c", c, "--bound", str(bound)]
+            assert _game_plain(argv) == expected, argv
+        for p0 in range(4):
+            for p1 in range(4):
+                answer = fans.answer_strategy_2omega(fans.GameSpec2Omega(in_c2), p0, p1)
+                expected = "no answer\n" if answer is None else f"answer: {answer}\n"
+                argv = ["game", "--mode", "2omega", "--c", c, "--p0", str(p0), "--p1", str(p1)]
+                assert _game_plain(argv) == expected, argv
+
+
+# --- the subbar walk ----------------------------------------------------------------
+
+def _random_cut(rng, path, depth):
+    """Prefixes that cover the subtree below ``path``, but for a rare gap."""
+    if len(path) == depth or rng.random() < 0.25:
+        return set() if rng.random() < 0.03 else {path}
+    return _random_cut(rng, path + (0,), depth) | _random_cut(rng, path + (1,), depth)
+
+
+def test_finite_subbar_matches_recursive_walk():
+    rng = random.Random(604)
+    outcomes_seen = set()
+    for _ in range(300):
+        depth = rng.randint(0, 8)
+        prefixes = _random_cut(rng, (), depth)
+        outcomes = []
+        for walk in (fans.finite_subbar, _old_finite_subbar):
+            visits = []
+
+            def member(code, visits=visits):
+                visits.append(code)
+                return tuple(decode(code)) in prefixes
+
+            outcomes.append((walk(fans.DecidableBar(member, depth)), visits))
+        assert outcomes[0] == outcomes[1], (depth, prefixes)
+        outcomes_seen.add(type(outcomes[0][0]))
+    assert outcomes_seen == {list, fans.NotBarWithinDepth}
+
+
+# --- sqrt2 ------------------------------------------------------------------------
+
+def test_sqrt2_closed_form_matches_bisection():
+    closed, bisection = sqrt2(), _bisection_sqrt2()
+    for n in range(2000):
+        assert closed.interval(n) == bisection.interval(n), n
