@@ -5,7 +5,9 @@ extractor searches the binary tree up to a cutoff depth: a node is covered
 when it is in the bar or both children are; a covered root yields the
 minimal bar elements actually used, an uncovered root yields an explicit
 counterexample path.  The bounded cutoff is essential: an unbounded
-decidable bar has no computable depth bound in general.
+decidable bar has no computable depth bound in general.  A search is
+also bounded in work: each member test costs its path length + 1, and a
+search that needs more than 2^22 in all is rejected with ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .coding import encode
+from .errors import TooLarge
+
+_WORK_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -42,13 +47,19 @@ def finite_subbar(bar: DecidableBar) -> list[int] | NotBarWithinDepth:
     (so returned codes are pairwise incompatible, in lexicographic order),
     and the first uncovered full-length path aborts the search.  One path
     is kept; after an element its trailing 1s go and its last 0 becomes 1.
+    Raises TooLarge before the member test that would exceed the work budget.
     """
     if bar.max_depth < 0:
         raise ValueError("max_depth must be a natural")
     member = bar.member
     elements: list[int] = []
     path: list[int] = []
+    work = 0
     while True:
+        work += len(path) + 1
+        if work > _WORK_BUDGET:
+            raise TooLarge(f"subbar search exceeds its budget of {_WORK_BUDGET} path entries "
+                           "(each member test counts its path length + 1)")
         code = encode(path)
         if member(code):
             elements.append(code)

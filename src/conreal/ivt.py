@@ -107,7 +107,8 @@ def pwl(spec: PiecewiseLinearSpec, node_fuel: int = 96) -> ContinuousMap:
     Enclosures evaluate the endpoints of each covered piece by linear
     interpolation over node approximations at precision p+2 and take the
     hull; on a linear piece the endpoint hull is an exact image enclosure.
-    Each node approximation is computed once per precision for each map.
+    A point interval is evaluated once.  Each node approximation is
+    computed once per precision for each map.
     The modulus comes from a slope bound over all pieces.
     """
     bps = spec.breakpoints
@@ -124,13 +125,14 @@ def pwl(spec: PiecewiseLinearSpec, node_fuel: int = 96) -> ContinuousMap:
             i += 1
         lam = (t - bps[i]) / (bps[i + 1] - bps[i])
         a, b = node_iv(i, p), node_iv(i + 1, p)
-        return RationalInterval((1 - lam) * a.lo + lam * b.lo,
-                                (1 - lam) * a.hi + lam * b.hi)
+        return RationalInterval(a.lo + lam * (b.lo - a.lo), a.hi + lam * (b.hi - a.hi))
 
     def enclose(iv: RationalInterval, p: int) -> RationalInterval:
         if not (_ZERO <= iv.lo <= iv.hi <= _ONE):
             raise ValueError("enclose input must lie within [0, 1]")
-        points = [iv.lo] + [t for t in bps if iv.lo < t < iv.hi] + [iv.hi]
+        points = [iv.lo] + [t for t in bps if iv.lo < t < iv.hi]
+        if iv.hi != iv.lo:
+            points.append(iv.hi)
         parts = [eval_point(t, p + 2) for t in points]
         return RationalInterval(min(part.lo for part in parts),
                                 max(part.hi for part in parts))
@@ -244,9 +246,11 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     """A point x with certified |f(x) - y| < 2^-p, for f(0) <= y <= f(1).
 
     Bisection: at each midpoint m the enclosure of f(m) and the current
-    approximation of y are narrowed below 2^-(p+1) and the half keeping
-    the crossing is selected; the uniform modulus gives an a-priori depth
-    of modulus(p+1) + 2.  The returned real keeps bisecting lazily beyond
+    approximation of y are narrowed below 2^-(p+1), at the least level
+    where both are, and the half keeping the crossing is selected; y's
+    interval is read first and f is enclosed only at levels where y is
+    already narrow.  The uniform modulus gives an a-priori depth of
+    modulus(p+1) + 2.  The returned real keeps bisecting lazily beyond
     that depth.
     """
     require_range(f, y, p, fuel)
@@ -256,10 +260,11 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
         m = (lo + hi) / 2
         point = RationalInterval(m, m)
         for level in range(fuel + 1):
-            s = f.enclose(point, level)
             yl = y.interval(level)
-            if s.width < eps and yl.width < eps:
-                return m, s.hi < yl.lo + eps
+            if yl.width < eps:
+                s = f.enclose(point, level)
+                if s.width < eps:
+                    return m, s.hi < yl.lo + eps
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
     x = _bisection(pick, f.modulus(p + 1) + 2)

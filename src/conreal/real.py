@@ -66,6 +66,8 @@ class CReal:
     def __init__(self, generate: Callable[[int], RationalInterval]):
         self._generate = generate
         self._cache: dict[int, RationalInterval] = {}
+        # (p, n): every interval below index n is wider than 2^-p and is cached.
+        self._scanned = (0, 0)
 
     def interval(self, n: int) -> RationalInterval:
         if n < 0:
@@ -73,13 +75,23 @@ class CReal:
         return _memo(self._cache, n, self._generate)
 
     def approx(self, p: int, fuel: int) -> RationalInterval:
-        """First interval (scanning indices 0..fuel) of width <= 2^-p."""
+        """First interval (among indices 0..fuel) of width <= 2^-p.
+
+        The scan starts at the least index n found by the last successful
+        call, when that call asked for a precision at most p: the intervals
+        below n are wider than the old bound, hence wider than 2^-p, and
+        they are cached, so skipping them skips no answer and no exception.
+        This holds for any generator, nested or not.  The (precision, index)
+        pair is replaced as one tuple, so racing threads only see true facts.
+        """
         if fuel < 1:
             raise ValueError("fuel must be >= 1")
         bound = half_pow(p)
-        for n in range(fuel + 1):
+        last_p, last_n = self._scanned
+        for n in range(last_n if p >= last_p else 0, fuel + 1):
             iv = self.interval(n)
             if iv.width <= bound:
+                self._scanned = (p, n)
                 return iv
         raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
 

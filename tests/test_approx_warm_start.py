@@ -1,0 +1,160 @@
+"""CReal.approx starts its scan at the least index of its last successful call.
+
+Every answer must equal a fresh linear scan from index 0: the same interval,
+or the same exception with the same message, whatever the order of the
+precisions, the fuel, and whether the generator is nested or raises.
+"""
+
+import sys
+import threading
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conreal import (CReal, FugitiveSpec, FuelExhausted, NatStream, RationalInterval, f0,
+                     rho1, sqrt2)
+from conreal.real import half_pow, half_pow_text
+
+
+class _Broken(Exception):
+    pass
+
+
+def _generator(exps, raise_from):
+    """Interval n sits at n/7 (so the stream is not nested) with width 2^-e,
+    e = exps[n mod len(exps)], a negative e giving a wide interval; indices
+    at or past ``raise_from`` raise."""
+    def generate(n):
+        if raise_from is not None and n >= raise_from:
+            raise _Broken(f"no interval at index {n}")
+        lo = Fraction(n, 7)
+        return RationalInterval(lo, lo + half_pow(exps[n % len(exps)]))
+    return generate
+
+
+def _linear(generate, p, fuel):
+    """The scan from index 0 that approx made before it kept its place."""
+    for n in range(fuel + 1):
+        iv = generate(n)
+        if iv.width <= half_pow(p):
+            return iv
+    raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (FuelExhausted, _Broken) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exps=st.lists(st.integers(-3, 10), min_size=1, max_size=20),
+       raise_from=st.none() | st.integers(0, 30),
+       calls=st.lists(st.tuples(st.integers(-4, 12), st.integers(1, 30)), min_size=1, max_size=14))
+def test_approx_matches_linear_scan(exps, raise_from, calls):
+    generate = _generator(exps, raise_from)
+    shared = CReal(generate)
+    for p, fuel in calls:
+        assert _outcome(lambda: shared.approx(p, fuel)) == _outcome(lambda: _linear(generate, p, fuel))
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(-2, 40), st.integers(1, 50)), min_size=1, max_size=14))
+def test_approx_on_library_reals_matches_linear_scan(calls):
+    for make in (sqrt2, lambda: sqrt2() * CReal.from_rational(Fraction(5, 3)),
+                 lambda: CReal.from_rational(Fraction(2, 7)) + rho1(_spike(5))):
+        shared, fresh = make(), make()
+        for p, fuel in calls:
+            assert (_outcome(lambda: shared.approx(p, fuel))
+                    == _outcome(lambda: _linear(fresh.interval, p, fuel)))
+
+
+class _Counting(CReal):
+    def __init__(self, generate):
+        super().__init__(generate)
+        self.reads = 0
+
+    def interval(self, n):
+        self.reads += 1
+        return super().interval(n)
+
+
+def test_rising_precisions_read_linearly_many_intervals():
+    x = _Counting(lambda n: RationalInterval(Fraction(0), Fraction(1, 1 << n)))
+    for p in range(61):
+        assert x.approx(p, 64) == RationalInterval(Fraction(0), Fraction(1, 1 << p))
+    # One read at p = 0, then the last answer and the next index: 121.
+    # A scan from 0 at every precision reads 1 + 2 + ... + 61 = 1891.
+    assert x.reads <= 3 * 61
+
+
+def test_fuel_below_remembered_index_exhausts_with_the_same_message():
+    x = _Counting(lambda n: RationalInterval(Fraction(0), Fraction(1, 1 << n)))
+    x.approx(30, 64)
+    reads = x.reads
+    try:
+        x.approx(31, 20)
+    except FuelExhausted as e:
+        assert str(e) == "no interval of width <= 2^-31 within 20 indices"
+    else:
+        raise AssertionError("fuel 20 cannot reach index 31")
+    assert x.reads == reads
+
+
+def _spike(position):
+    return FugitiveSpec(NatStream.from_function(lambda j, p=position: 1 if j == p else 0))
+
+
+def _build():
+    real = sqrt2() * CReal.from_rational(Fraction(3, 5)) + rho1(_spike(9))
+    return real, f0(_spike(7))
+
+
+def _queries():
+    out = []
+    for k in range(48):
+        p = (k * 17) % 41 - 3
+        out.append(("approx", p, 8 + (k * 13) % 40))
+        t = Fraction((k * 5) % 16, 16)
+        out.append(("enclose", RationalInterval(t, t) if k % 3 else
+                    RationalInterval(t / 2, (t + 1) / 2), (k * 7) % 18))
+    return out
+
+
+def _answer(real, f, query):
+    kind, a, b = query
+    if kind == "approx":
+        return _outcome(lambda: real.approx(a, b))
+    return _outcome(lambda: f.enclose(a, b))
+
+
+def test_racing_threads_match_serial_run():
+    queries = _queries()
+    serial_real, serial_f = _build()
+    expected = [_answer(serial_real, serial_f, q) for q in queries]
+    assert any(isinstance(e, tuple) and e[0] is FuelExhausted for e in expected)
+    real, f = _build()
+    threads_n = 6
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker(offset):
+        barrier.wait()
+        order = list(range(offset, len(queries))) + list(range(offset))
+        got = {i: _answer(real, f, queries[i]) for i in order}
+        seen.append([got[i] for i in range(len(queries))])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(15 * k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [expected] * threads_n

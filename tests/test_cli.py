@@ -154,6 +154,14 @@ def test_subbar_deep_uncovered_path():
     assert out == "not a bar within depth 1200: [" + ",".join(["0"] * 1200) + "]\n"
 
 
+def test_subbar_over_work_budget():
+    # 2^3000 bar elements: the search stops at its work budget with exit 2.
+    code, out, err = _invoke(["subbar", "--spec", "len=3000", "--depth", "3000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: subbar search exceeds its budget of 4194304 path entries "
+                   "(each member test counts its path length + 1)\n")
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 300 + "1" + ")" * 300,
     " + ".join(["1"] * 500),

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conreal import (CounterStrategyPrefix, DecidableBar, GameSpec2Omega,
-                     GameSpecOmega2, NotBarWithinDepth, WinningMove,
-                     answer_strategy_2omega, decode, encode, finite_subbar,
+                     GameSpecOmega2, NotBarWithinDepth, TooLarge, WinningMove,
+                     answer_strategy_2omega, decode, encode, fans, finite_subbar,
                      is_prefix, solve_omega2)
 
 
@@ -116,3 +116,31 @@ def test_answer_strategy_examples():
 def test_bad_depth():
     with pytest.raises(ValueError):
         finite_subbar(DecidableBar(lambda code: True, -1))
+
+
+def test_work_budget_boundary(monkeypatch):
+    # A bar with no elements walks straight down: the k-th member test counts
+    # k, so depth d costs (d+1)(d+2)/2, which is 105 at depth 13.
+    monkeypatch.setattr(fans, "_WORK_BUDGET", 105)
+    calls = []
+
+    def member(code):
+        calls.append(code)
+        return False
+
+    assert finite_subbar(DecidableBar(member, 13)) == NotBarWithinDepth((0,) * 13)
+    calls.clear()
+    with pytest.raises(TooLarge, match="budget of 105 path entries"):
+        finite_subbar(DecidableBar(member, 14))
+    assert len(calls) == 14
+
+
+def test_work_budget_of_a_full_bar(monkeypatch):
+    # Every sequence of length K is in the bar: K * 2^(K+1) + 1 in all.
+    k = 6
+    bar = _bar_from_predicate(lambda s: len(s) == k, k)
+    monkeypatch.setattr(fans, "_WORK_BUDGET", k * 2 ** (k + 1) + 1)
+    assert len(finite_subbar(bar)) == 2 ** k
+    monkeypatch.setattr(fans, "_WORK_BUDGET", k * 2 ** (k + 1))
+    with pytest.raises(TooLarge):
+        finite_subbar(bar)

@@ -2,8 +2,8 @@
 
 Each reference is the former implementation, written over public names:
 the three step bodies of the intermediate-value procedures, the certified
-precision loop, the game predicates of the CLI, the recursive subbar walk
-and the bisection that defined sqrt2.  The new code must give the same
+precision loop, the game predicates of the CLI, the recursive subbar walk,
+the bisection that defined sqrt2 and the two-term interpolation of pwl.  The new code must give the same
 intervals, answers, call orders and exceptions.
 """
 
@@ -11,14 +11,15 @@ import io
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, IvtResult,
-                     PiecewiseLinearSpec, RationalInterval, approx_ivt, certified_within,
-                     decode, distance_bound, encode, enumerated_witnesses, fans,
-                     ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle,
-                     pwl, rational_index, sqrt2, verify_lt)
+from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
+                     IvtResult, NatStream, PiecewiseLinearSpec, RationalInterval, approx_ivt,
+                     certified_within, decode, distance_bound, encode, enumerated_witnesses,
+                     fans, identity_map, ivt_countable_exceptions, ivt_locally_nonconstant,
+                     middle_third_oracle, pwl, rational_index, rho1, sqrt2, verify_lt)
 from conreal.cli import run
 from conreal.ivt import _certify_at_depth, require_range
 from conreal.real import half_pow
@@ -378,3 +379,124 @@ def test_sqrt2_closed_form_matches_bisection():
     closed, bisection = sqrt2(), _bisection_sqrt2()
     for n in range(2000):
         assert closed.interval(n) == bisection.interval(n), n
+
+
+# --- the approx_ivt level search and pwl enclosures ------------------------------
+
+def _spike(position):
+    return FugitiveSpec(NatStream.from_function(lambda j, p=position: 1 if j == p else 0))
+
+
+def _slow(v):
+    """v as a real that narrows three times slower than from_rational."""
+    return CReal(lambda n: RationalInterval(v - half_pow(n // 3), v + half_pow(n // 3)))
+
+
+_TARGETS = {
+    "sqrt2": lambda t, k: sqrt2() * CReal.from_rational(t * Fraction(5, 7)),
+    "rho": lambda t, k: CReal.from_rational(t) + rho1(_spike(k)),
+    "point": lambda t, k: CReal(lambda n: RationalInterval(t, t)),
+}
+
+
+def test_approx_ivt_matches_reference_on_irrational_targets():
+    # Slow nodes and point targets make y narrow before the map does.  Targets
+    # run from f(0) to f(1), which the scaling by 5/7 sqrt2 or rho may leave.
+    rng = random.Random(605)
+    kinds = set()
+    for _ in range(30):
+        nodes, _target = _random_case(rng)
+        target = nodes[0][1] + (nodes[-1][1] - nodes[0][1]) * Fraction(rng.randint(0, 14), 14)
+        p, fuel, k = rng.randint(1, 8), rng.choice([12, 40]), rng.randint(0, 12)
+        for name, make_y in _TARGETS.items():
+            for node in (CReal.from_rational, _slow):
+                def build():
+                    spec = PiecewiseLinearSpec(tuple(t for t, _ in nodes),
+                                               tuple(node(v) for _, v in nodes))
+                    return pwl(spec), make_y(target, k)
+
+                depth = build()[0].modulus(p + 1) + 2
+                outcomes = [_outcome(lambda: procedure(*build(), p, fuel), depth)
+                            for procedure in (approx_ivt, _old_approx_ivt)]
+                assert outcomes[0] == outcomes[1], (nodes, target, name, node, p, fuel, k)
+                out = outcomes[0]
+                kinds.add(" ".join(out[1].split()[:3]) if isinstance(out[0], type) else "ok")
+    assert {"ok", "need f(0) <=", "no interval of"} <= kinds
+
+
+def _counting(f):
+    calls = []
+
+    def enclose(iv, p):
+        calls.append(p)
+        return f.enclose(iv, p)
+    return ContinuousMap(enclose, f.modulus), calls
+
+
+@pytest.mark.parametrize("procedure, per_step", [(approx_ivt, 1), (_old_approx_ivt, 14)])
+def test_level_search_encloses_once_per_step(procedure, per_step):
+    # For a rational y the width 2^(1-n) of y binds, so the least level is
+    # p + 3; the linear search enclosed at every level 0..p+3 on the way.
+    nodes = [(_ZERO, Fraction(1, 8)), (Fraction(1, 3), Fraction(3, 4)), (_ONE, Fraction(7, 8))]
+    f, calls = _counting(_build(nodes, 0)[0])
+    y = CReal.from_rational(Fraction(3, 7))
+    p = 10
+    x = procedure(f, y, p, 128)
+    depth = f.modulus(p + 1) + 2
+    before = len(calls)
+    x.interval(depth + 20)
+    assert len(calls) - before == 20 * per_step
+    assert calls[-1] == p + 3
+
+
+def _old_enclose(spec, iv, p, node_fuel=96):
+    bps, values = spec.breakpoints, spec.values
+
+    def eval_point(t, q):
+        i = 0
+        while i + 2 < len(bps) and bps[i + 1] <= t:
+            i += 1
+        lam = (t - bps[i]) / (bps[i + 1] - bps[i])
+        a, b = values[i].approx(q, node_fuel), values[i + 1].approx(q, node_fuel)
+        return RationalInterval((1 - lam) * a.lo + lam * b.lo, (1 - lam) * a.hi + lam * b.hi)
+
+    points = [iv.lo] + [t for t in bps if iv.lo < t < iv.hi] + [iv.hi]
+    parts = [eval_point(t, p + 2) for t in points]
+    return RationalInterval(min(part.lo for part in parts), max(part.hi for part in parts))
+
+
+def test_pwl_enclose_matches_two_term_interpolation():
+    rng = random.Random(606)
+    for _ in range(60):
+        nodes, _target = _random_case(rng)
+        spec = PiecewiseLinearSpec(tuple(t for t, _ in nodes),
+                                   tuple(CReal.from_rational(v) for _, v in nodes))
+        f = pwl(spec)
+        inputs = [RationalInterval(t, t) for t, _ in nodes]
+        for _ in range(8):
+            a, b = sorted(Fraction(rng.randint(0, 48), 48) for _ in range(2))
+            inputs += [RationalInterval(a, a), RationalInterval(a, b)]
+        for iv in inputs:
+            p = rng.randint(-2, 14)
+            assert f.enclose(iv, p) == _old_enclose(spec, iv, p), (nodes, iv, p)
+
+
+def test_enclose_raising_only_where_y_is_wide_now_answers():
+    # The one behaviour change of the y-first search: levels where y is still
+    # wider than 2^-(p+1) are never enclosed, so a map that raises only there
+    # no longer aborts approx_ivt.
+    def flaky():
+        base = identity_map()
+
+        def enclose(iv, level):
+            if level < 3:
+                raise FuelExhausted("map not ready below level 3")
+            return base.enclose(iv, level)
+        return ContinuousMap(enclose, base.modulus)
+
+    y = CReal.from_rational(Fraction(1, 3))
+    f = flaky()
+    x = approx_ivt(f, y, 4)
+    assert certified_within(f, x, y, 4, 64)
+    with pytest.raises(FuelExhausted, match="map not ready below level 3"):
+        _old_approx_ivt(flaky(), y, 4, 128)
