@@ -61,12 +61,20 @@ class CReal:
     pure: reads take no lock, so the generator may run more than once for an
     index when threads race on it, but the first interval stored wins and
     every read returns it.
+
+    Reals from ``from_rational``, ``sqrt2``, ``rho0/1/2`` (a ``NatStream`` is
+    total by contract) and ``+ - * abs neg`` of such reals are *direct*: total
+    index formulas, so scans gallop and may read ahead up to the fuel.  Others
+    (``from_steps`` reals, caller generators) are scanned one index at a time,
+    as a read past the answer may raise.  Answers are least indices either way.
     """
+
+    _direct = False
 
     def __init__(self, generate: Callable[[int], RationalInterval]):
         self._generate = generate
         self._cache: dict[int, RationalInterval] = {}
-        # (p, n): every interval below index n is wider than 2^-p and is cached.
+        # (p, n): every interval below index n is wider than 2^-p (and cached, unless direct).
         self._scanned = (0, 0)
 
     def interval(self, n: int) -> RationalInterval:
@@ -77,28 +85,29 @@ class CReal:
     def approx(self, p: int, fuel: int) -> RationalInterval:
         """First interval (among indices 0..fuel) of width <= 2^-p.
 
-        The scan starts at the least index n found by the last successful
+        The search starts at the least index n found by the last successful
         call, when that call asked for a precision at most p: the intervals
-        below n are wider than the old bound, hence wider than 2^-p, and
-        they are cached, so skipping them skips no answer and no exception.
-        This holds for any generator, nested or not.  The (precision, index)
-        pair is replaced as one tuple, so racing threads only see true facts.
+        below n are wider than the old bound, hence wider than 2^-p, so
+        skipping them skips no answer.  Nor an exception: a real that is not
+        direct has them all cached, and those a direct real left unread are
+        total formulas.  The (precision, index) pair is replaced as one
+        tuple, so racing threads only see true facts.
         """
         if fuel < 1:
             raise ValueError("fuel must be >= 1")
         bound = half_pow(p)
         last_p, last_n = self._scanned
-        for n in range(last_n if p >= last_p else 0, fuel + 1):
-            iv = self.interval(n)
-            if iv.width <= bound:
-                self._scanned = (p, n)
-                return iv
-        raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
+        n = _first_index(lambda n: self.interval(n).width <= bound,
+                         last_n if p >= last_p else 0, fuel, self._direct)
+        if n is None:
+            raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
+        self._scanned = (p, n)
+        return self._cache[n]  # read by the search
 
     @classmethod
     def from_rational(cls, q) -> "CReal":
         q = Fraction(q)
-        return cls(lambda n: RationalInterval(q - Fraction(1, 1 << n), q + Fraction(1, 1 << n)))
+        return _mark_direct(cls(lambda n: RationalInterval(q - (h := Fraction(1, 1 << n)), q + h)))
 
     @classmethod
     def from_steps(cls, first: RationalInterval,
@@ -112,13 +121,13 @@ class CReal:
         def gen(n: int) -> RationalInterval:
             a, b = self.interval(n), other.interval(n)
             return RationalInterval(a.lo + b.lo, a.hi + b.hi)
-        return CReal(gen)
+        return _mark_direct(CReal(gen), self, other)
 
     def __neg__(self) -> "CReal":
         def gen(n: int) -> RationalInterval:
             a = self.interval(n)
             return RationalInterval(-a.hi, -a.lo)
-        return CReal(gen)
+        return _mark_direct(CReal(gen), self)
 
     def __sub__(self, other: "CReal") -> "CReal":
         return self + (-other)
@@ -128,7 +137,7 @@ class CReal:
             a, b = self.interval(n), other.interval(n)
             products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
             return RationalInterval(min(products), max(products))
-        return CReal(gen)
+        return _mark_direct(CReal(gen), self, other)
 
     def __abs__(self) -> "CReal":
         def gen(n: int) -> RationalInterval:
@@ -136,7 +145,32 @@ class CReal:
             lo = max(Fraction(0), a.lo, -a.hi)
             hi = max(abs(a.lo), abs(a.hi))
             return RationalInterval(lo, hi)
-        return CReal(gen)
+        return _mark_direct(CReal(gen), self)
+
+
+def _mark_direct(real: CReal, *parts: CReal) -> CReal:
+    """Set real's direct bit: true when all its parts are direct, or it has none."""
+    real._direct = all(part._direct for part in parts)
+    return real
+
+
+def _first_index(pred: Callable[[int], bool], lo: int, hi: int | None,
+                 gallop: bool) -> int | None:
+    """Least n in lo..hi (hi None: no end) with pred(n), or None; nothing read if
+    lo > hi.  Reads lo, lo+1, lo+2, ... in order, or with gallop (for a pred that
+    stays true once true) lo, lo+1, lo+3, lo+7, ... capped at hi, then bisects the
+    last gap: O(log(n - lo)) reads, Bentley and Yao's unbounded search."""
+    below, n, step = lo - 1, lo, 1  # pred is false at every index in lo..below
+    while hi is None or n <= hi:
+        if pred(n):
+            while n - below > 1:
+                mid = (below + n) // 2
+                below, n = (below, mid) if pred(mid) else (mid, n)
+            return n
+        below, n, step = n, n + step, 2 * step if gallop else 1
+        if hi is not None and below < hi < n:
+            n = hi
+    return None
 
 
 def zero() -> CReal:
@@ -169,22 +203,22 @@ def verify_lt(x: CReal, y: CReal, w: LtWitness) -> bool:
 
 
 def try_lt(x: CReal, y: CReal, fuel: int) -> LtWitness | None:
-    """Scan indices 0..fuel for a proof of x < y; None means unknown, not refuted."""
-    for n in range(fuel + 1):
-        if x.interval(n).hi < y.interval(n).lo:
-            return LtWitness(n)
-    return None
+    """The least index in 0..fuel that proves x < y; None means unknown, not refuted."""
+    n = _first_index(lambda n: x.interval(n).hi < y.interval(n).lo, 0, fuel,
+                     x._direct and y._direct)
+    return None if n is None else LtWitness(n)
 
 
 def try_apart(x: CReal, y: CReal, fuel: int) -> Apartness | None:
-    """Scan indices 0..fuel for a proof of x < y or y < x."""
-    for n in range(fuel + 1):
+    """The least index in 0..fuel that proves x < y or y < x, and which one it proves."""
+    def apart(n: int) -> bool:
         a, b = x.interval(n), y.interval(n)
-        if a.hi < b.lo:
-            return Apartness(Direction.LESS, LtWitness(n))
-        if b.hi < a.lo:
-            return Apartness(Direction.GREATER, LtWitness(n))
-    return None
+        return a.hi < b.lo or b.hi < a.lo
+    n = _first_index(apart, 0, fuel, x._direct and y._direct)
+    if n is None:
+        return None
+    less = x.interval(n).hi < y.interval(n).lo
+    return Apartness(Direction.LESS if less else Direction.GREATER, LtWitness(n))
 
 
 class SplitSide(enum.Enum):
@@ -201,9 +235,9 @@ class Split:
 def cotrans_split(x: CReal, y: CReal, w: LtWitness, z: CReal) -> Split:
     """Given a witness of x < y, decide x < z or z < y.  Total: no fuel needed.
 
-    Scans z from the witness index until z's interval is narrower than the
-    witnessed gap; dwindling guarantees termination.  The returned witness
-    certifies the chosen side at the reached index.
+    Finds the least index from the witness index on where z's interval is
+    narrower than the witnessed gap; dwindling guarantees termination.  The
+    returned witness certifies the chosen side at that index.
     """
     n0 = w.index
     x_hi = x.interval(n0).hi
@@ -211,9 +245,7 @@ def cotrans_split(x: CReal, y: CReal, w: LtWitness, z: CReal) -> Split:
     if not x_hi < y_lo:
         raise ValueError("supplied witness does not certify x < y")
     gap = y_lo - x_hi
-    n = n0
-    while z.interval(n).width >= gap:
-        n += 1
+    n = _first_index(lambda n: z.interval(n).width < gap, n0, None, z._direct)
     if x_hi < z.interval(n).lo:
         return Split(SplitSide.LEFT_IS_LESS, LtWitness(n))
     return Split(SplitSide.RIGHT_IS_LESS, LtWitness(n))
@@ -223,8 +255,9 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
     """A real in (0, 1) apart from every real in the sequence.
 
     Starts from (0, 1); at step n the real of index n is inspected at its
-    first interval narrower than 3^-(n+1) and the construction takes the
-    lower or upper third of its current interval, whichever avoids it.
+    least index whose interval is narrower than 3^-(n+1) (galloping when that
+    real is direct), and the construction takes the lower or upper third of
+    its current interval, whichever avoids it.
     Widths are exactly 3^-n.  The inspection budget at step n is 4*(n+2)
     indices; a real that never narrows that far is malformed and
     raises instead of hanging.
@@ -236,14 +269,11 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
         budget = 4 * (n + 2)
-        for m in range(budget + 1):
-            iv = xn.interval(m)
-            if iv.width < target:
-                break
-        else:
+        m = _first_index(lambda m: xn.interval(m).width < target, 0, budget, xn._direct)
+        if m is None:
             raise FuelExhausted(
                 f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")
-        if one_third < iv.lo:
+        if one_third < xn.interval(m).lo:
             return RationalInterval(lo, one_third)
         return RationalInterval(two_thirds, hi)
 
@@ -256,7 +286,7 @@ def sqrt2() -> CReal:
     def gen(n: int) -> RationalInterval:
         a = math.isqrt(2 << 2 * n)
         return RationalInterval(Fraction(a, 1 << n), Fraction(a + 1, 1 << n))
-    return CReal(gen)
+    return _mark_direct(CReal(gen))
 
 
 def sqrt2_irrationality_witness(m: int, n: int) -> int:
@@ -280,7 +310,7 @@ def _pinned(f: FugitiveSpec, value: Callable[[int], Fraction]) -> CReal:
             return RationalInterval(-h, h)
         v = value(k)
         return RationalInterval(v, v)
-    return CReal(gen)
+    return _mark_direct(CReal(gen))
 
 
 def rho0(f: FugitiveSpec) -> CReal:

@@ -1,0 +1,223 @@
+"""One search behind every real-number scan: the least index where a predicate holds.
+
+Direct reals (library formulas) are searched by galloping, every other real
+one index at a time.  Either way each answer, witness and error must be the
+one a linear scan from the start gives.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conreal import (Apartness, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
+                     NatStream, RationalInterval, Split, SplitSide, cantor_point,
+                     cotrans_split, diagonal, identity_map, rho0, rho1, sqrt2, try_apart,
+                     try_lt)
+from conreal.real import _first_index, half_pow, half_pow_text
+
+
+def _search(threshold, lo, hi, gallop):
+    """_first_index over "n >= threshold" (None: never true); returns (answer, indices read)."""
+    reads = []
+
+    def pred(n):
+        reads.append(n)
+        return threshold is not None and n >= threshold
+
+    return _first_index(pred, lo, hi, gallop), reads
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=st.integers(0, 300), span=st.integers(-3, 2000), offset=st.none() | st.integers(-5, 2100),
+       gallop=st.booleans())
+def test_first_index_finds_the_least_index(lo, span, offset, gallop):
+    hi = lo + span
+    threshold = None if offset is None else lo + offset
+    answer, reads = _search(threshold, lo, hi, gallop)
+    assert answer == next((n for n in range(lo, hi + 1)
+                           if threshold is not None and n >= threshold), None)
+    assert len(reads) == len(set(reads))
+    assert all(lo <= n <= hi for n in reads)
+    if not gallop:
+        assert reads == list(range(lo, (hi if answer is None else answer) + 1))
+    elif answer is not None:
+        assert len(reads) <= 2 * math.ceil(math.log2(answer - lo + 2)) + 2
+    elif hi >= lo:
+        assert len(reads) <= math.ceil(math.log2(hi - lo + 2)) + 1
+
+
+def test_first_index_edge_cases():
+    for gallop in (False, True):
+        assert _search(0, 5, 4, gallop) == (None, [])
+        assert _search(None, 3, 2, gallop) == (None, [])
+        assert _search(7, 7, 100, gallop) == (7, [7])
+        assert _search(0, 7, 7, gallop) == (7, [7])
+        assert _search(None, 7, 7, gallop) == (None, [7])
+    assert _search(None, 0, 20, True) == (None, [0, 1, 3, 7, 15, 20])
+    assert _search(12, 0, 20, True) == (12, [0, 1, 3, 7, 15, 11, 13, 12])
+    assert _search(1000, 0, None, True)[0] == 1000
+    assert _search(40, 3, None, False) == (40, list(range(3, 41)))
+
+
+# Random direct graphs: leaves, then operators over earlier nodes (shared subexpressions).
+
+_LEAVES = st.one_of(
+    st.tuples(st.just("q"), st.fractions(min_value=-4, max_value=4, max_denominator=9)),
+    st.tuples(st.just("sqrt2"), st.none()),
+    st.tuples(st.sampled_from(["rho0", "rho1"]), st.none() | st.integers(0, 24)))
+_OPS = st.tuples(st.sampled_from(["+", "-", "*", "abs", "neg"]), st.integers(0, 99), st.integers(0, 99))
+
+
+def _spike(position):
+    return FugitiveSpec(NatStream.from_function(
+        lambda j: 1 if position is not None and j == position else 0))
+
+
+def _build(leaves, ops):
+    nodes = []
+    for kind, arg in leaves:
+        if kind == "q":
+            nodes.append(CReal.from_rational(arg))
+        elif kind == "sqrt2":
+            nodes.append(sqrt2())
+        else:
+            nodes.append((rho0 if kind == "rho0" else rho1)(_spike(arg)))
+    for op, i, j in ops:
+        a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        nodes.append({"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+                      "abs": lambda: abs(a), "neg": lambda: -a}[op]())
+    return nodes
+
+
+def _outcome(call):
+    try:
+        return call()
+    except FuelExhausted as e:
+        return FuelExhausted, str(e)
+
+
+# Linear references: the scans the library made before it galloped.
+
+def _linear_approx(x, p, fuel):
+    for n in range(fuel + 1):
+        iv = x.interval(n)
+        if iv.width <= half_pow(p):
+            return iv
+    raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
+
+
+def _linear_lt(x, y, fuel):
+    for n in range(fuel + 1):
+        if x.interval(n).hi < y.interval(n).lo:
+            return LtWitness(n)
+    return None
+
+
+def _linear_apart(x, y, fuel):
+    for n in range(fuel + 1):
+        a, b = x.interval(n), y.interval(n)
+        if a.hi < b.lo:
+            return Apartness(Direction.LESS, LtWitness(n))
+        if b.hi < a.lo:
+            return Apartness(Direction.GREATER, LtWitness(n))
+    return None
+
+
+def _linear_split(x, y, w, z):
+    x_hi, y_lo = x.interval(w.index).hi, y.interval(w.index).lo
+    n = w.index
+    while z.interval(n).width >= y_lo - x_hi:
+        n += 1
+    side = SplitSide.LEFT_IS_LESS if x_hi < z.interval(n).lo else SplitSide.RIGHT_IS_LESS
+    return Split(side, LtWitness(n))
+
+
+def _linear_diagonal(xs):
+    def step(prev, n):
+        lo, hi = prev
+        one_third, two_thirds = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
+        xn, budget = xs(n), 4 * (n + 2)
+        for m in range(budget + 1):
+            iv = xn.interval(m)
+            if iv.width < Fraction(1, 3 ** (n + 1)):
+                break
+        else:
+            raise FuelExhausted(
+                f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")
+        return RationalInterval(lo, one_third) if one_third < iv.lo else RationalInterval(two_thirds, hi)
+    return CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
+
+
+_GRAPHS = dict(leaves=st.lists(_LEAVES, min_size=1, max_size=5),
+               ops=st.lists(_OPS, min_size=0, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_GRAPHS,
+       calls=st.lists(st.tuples(st.sampled_from(["approx", "lt", "apart", "split"]),
+                                st.integers(0, 99), st.integers(0, 99), st.integers(0, 99),
+                                st.integers(-3, 40), st.integers(1, 60)),
+                      min_size=1, max_size=10))
+def test_galloping_matches_linear_on_direct_graphs(leaves, ops, calls):
+    nodes, fresh = _build(leaves, ops), _build(leaves, ops)
+    assert all(node._direct for node in nodes)
+    k = len(nodes)
+    for kind, i, j, m, p, fuel in calls:
+        x, y, z = nodes[i % k], nodes[j % k], nodes[m % k]
+        rx, ry, rz = fresh[i % k], fresh[j % k], fresh[m % k]
+        if kind == "approx":
+            assert _outcome(lambda: x.approx(p, fuel)) == _outcome(lambda: _linear_approx(rx, p, fuel))
+        elif kind == "lt":
+            assert try_lt(x, y, fuel) == _linear_lt(rx, ry, fuel)
+        elif kind == "apart":
+            assert try_apart(x, y, fuel) == _linear_apart(rx, ry, fuel)
+        else:
+            w = _linear_lt(rx, ry, fuel)
+            if w is not None:
+                assert cotrans_split(x, y, w, z) == _linear_split(rx, ry, w, rz)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_GRAPHS)
+def test_diagonal_of_direct_reals_matches_the_linear_scan(leaves, ops):
+    nodes, fresh = _build(leaves, ops), _build(leaves, ops)
+    new = diagonal(lambda n: nodes[n % len(nodes)])
+    old = _linear_diagonal(lambda n: fresh[n % len(fresh)])
+    for n in range(21):
+        assert _outcome(lambda: new.interval(n)) == _outcome(lambda: old.interval(n))
+
+
+# Sequential reals: a read past the answer may raise, so they are scanned in order.
+
+def _bits():
+    return NatStream(lambda i: 2 if i == 12 else 0)
+
+
+def test_cantor_point_is_scanned_in_order():
+    x = cantor_point(_bits())
+    assert not x._direct
+    # Galloping would read interval 15, which reads bit 12 and raises.
+    assert x.approx(5, 60) == RationalInterval(Fraction(0), Fraction(512, 19683))
+    assert x._scanned == (5, 9)
+    assert try_apart(cantor_point(_bits()), CReal.from_rational(1), 60) == Apartness(
+        Direction.LESS, LtWitness(2))
+    with pytest.raises(ValueError, match="binary values, got 2 at index 12"):
+        x.interval(13)
+
+
+def test_sums_with_a_sequential_part_are_not_direct():
+    def shrinking_until_11(n):
+        if n >= 12:
+            raise ValueError(f"no interval at index {n}")
+        return RationalInterval(-half_pow(n), half_pow(n))
+
+    user = CReal(shrinking_until_11)
+    total = CReal.from_rational(1) + user
+    assert not user._direct and not total._direct
+    assert total.approx(5, 60) == RationalInterval(1 - half_pow(6), 1 + half_pow(6))
+    point = identity_map().at(Fraction(1, 3))
+    assert not point._direct and not (sqrt2() * point)._direct
+    assert (sqrt2() * abs(-CReal.from_rational(2)) - rho1(_spike(3)))._direct
