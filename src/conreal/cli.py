@@ -163,8 +163,8 @@ class _ExprParser:
         raise _UsageError(f"unknown token '{tok}' in expression")
 
 
-def _parse_expr(text: str, digits: NatStream | None = None) -> CReal:
-    return _ExprParser(text, digits if digits is not None else pi_digits()).parse()
+def _parse_expr(text: str) -> CReal:
+    return _ExprParser(text, pi_digits()).parse()
 
 
 def _emit(out: TextIO, args, op: str, inputs: dict, result, certificate, plain: str) -> None:

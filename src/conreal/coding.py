@@ -16,18 +16,22 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .streams import NatStream
-
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19]
+from .streams import NatStream, _first_index, _in_order
 
 
-def _prime(i: int) -> int:
-    while len(_PRIMES) <= i:
-        c = _PRIMES[-1] + 2
-        while any(c % p == 0 for p in _PRIMES if p * p <= c):
-            c += 2
-        _PRIMES.append(c)
-    return _PRIMES[i]
+def _least_divisor(n: int) -> int:
+    """The least divisor d > 1 of n >= 2; n itself exactly when n is prime."""
+    d = 2
+    while d * d <= n:  # a modulo per step: kept by hand, a call per divisor would dominate
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+# p(i), the i-th prime: the least number above p(i-1) that is its own least divisor.
+_prime = _in_order(2, lambda last, _i: _first_index(lambda c: _least_divisor(c) == c,
+                                                    last + 1, None, False))
 
 
 def pair(m: int, n: int) -> int:

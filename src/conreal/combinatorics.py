@@ -16,21 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .coding import encode
+from .coding import _least_divisor, encode
 from .errors import TooLarge
 from .streams import NatStream
 
 COLORING_GUARD = 1 << 30
-
-
-def _least_divisor(n: int) -> int:
-    """The least divisor d > 1 of n >= 2; n itself exactly when n is prime."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def euclid_extend(qs: Sequence[int]) -> int:

@@ -17,6 +17,7 @@ from typing import Callable
 
 from .coding import encode
 from .errors import TooLarge
+from .streams import _first_index
 
 _WORK_BUDGET = 1 << 22
 
@@ -103,9 +104,9 @@ def solve_omega2(g: GameSpecOmega2) -> WinningMove | CounterStrategyPrefix:
     both (n,0) and (n,1) in C, or every n admits an escaping reply."""
     if g.n_bound < 0:
         raise ValueError("n_bound must be a natural")
-    for n in range(g.n_bound):
-        if g.in_c(n, 0) and g.in_c(n, 1):
-            return WinningMove(n)
+    n = _first_index(lambda n: g.in_c(n, 0) and g.in_c(n, 1), 0, g.n_bound - 1, False)
+    if n is not None:
+        return WinningMove(n)
     return CounterStrategyPrefix(tuple(0 if not g.in_c(n, 0) else 1 for n in range(g.n_bound)))
 
 

@@ -15,6 +15,7 @@ apartness witnesses at enumerated rational midpoints.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,12 +25,13 @@ from .coding import pair, unpair
 from .errors import FuelExhausted, PreconditionFailed
 from .real import (Apartness, CReal, Direction, RationalInterval, half_pow,
                    rho0, rho1, rho2, try_apart, verify_lt)
-from .streams import FugitiveSpec, _memo
+from .streams import FugitiveSpec, _first_index, _memo
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_FUEL = 128
+_NODE_FUEL = 96  # indices a pwl map may read to approximate a node value
 
 
 def _clamp01(iv: RationalInterval) -> RationalInterval:
@@ -101,7 +103,7 @@ def _ceil_log2(q: Fraction) -> int:
     return (math.ceil(q) - 1).bit_length() if q > 1 else 0
 
 
-def pwl(spec: PiecewiseLinearSpec, node_fuel: int = 96) -> ContinuousMap:
+def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     """The piecewise-linear map through the given nodes.
 
     Enclosures evaluate the endpoints of each covered piece by linear
@@ -116,13 +118,11 @@ def pwl(spec: PiecewiseLinearSpec, node_fuel: int = 96) -> ContinuousMap:
     node_ivs: dict[tuple[int, int], RationalInterval] = {}
 
     def node_iv(i: int, p: int) -> RationalInterval:
-        return _memo(node_ivs, (i, p), lambda key: values[i].approx(p, node_fuel))
+        return _memo(node_ivs, (i, p), lambda key: values[i].approx(p, _NODE_FUEL))
 
     def eval_point(t: Fraction, p: int) -> RationalInterval:
         # Rightmost piece starting at or before t.
-        i = 0
-        while i + 2 < len(bps) and bps[i + 1] <= t:
-            i += 1
+        i = bisect.bisect_right(bps, t, 1, len(bps) - 1) - 1
         lam = (t - bps[i]) / (bps[i + 1] - bps[i])
         a, b = node_iv(i, p), node_iv(i + 1, p)
         return RationalInterval(a.lo + lam * (b.lo - a.lo), a.hi + lam * (b.hi - a.hi))
@@ -137,17 +137,18 @@ def pwl(spec: PiecewiseLinearSpec, node_fuel: int = 96) -> ContinuousMap:
         return RationalInterval(min(part.lo for part in parts),
                                 max(part.hi for part in parts))
 
-    slope_exp: list[int | None] = [None]
+    slope: dict[None, int] = {}
+
+    def slope_exp(_key) -> int:
+        bound = Fraction(0)
+        for i in range(len(bps) - 1):
+            a, b = node_iv(i, 4), node_iv(i + 1, 4)
+            rise = max(abs(b.hi - a.lo), abs(a.hi - b.lo))
+            bound = max(bound, rise / (bps[i + 1] - bps[i]))
+        return _ceil_log2(bound)
 
     def modulus(p: int) -> int:
-        if slope_exp[0] is None:
-            bound = Fraction(0)
-            for i in range(len(bps) - 1):
-                a, b = node_iv(i, 4), node_iv(i + 1, 4)
-                rise = max(abs(b.hi - a.lo), abs(a.hi - b.lo))
-                bound = max(bound, rise / (bps[i + 1] - bps[i]))
-            slope_exp[0] = _ceil_log2(bound) if bound > 0 else 0
-        return p + slope_exp[0]
+        return p + _memo(slope, None, slope_exp)
 
     return ContinuousMap(enclose, modulus)
 
@@ -291,9 +292,7 @@ def _certify_at_depth(f: ContinuousMap, x: CReal, y: CReal, avail: int,
     # Deepest inspection precision whose modulus is honored by width 2^-avail;
     # x is read only up to x_fuel (the depth actually constructed), while y and
     # the enclosures may narrow freely.
-    q = 0
-    while f.modulus(q + 1) <= avail:
-        q += 1
+    q = _first_index(lambda q: f.modulus(q + 1) > avail, 0, None, False)
     if q == 0:
         return None, None
     try:
@@ -333,10 +332,7 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
 
 def _thirds_depth(target: int) -> int:
     # Smallest d with (2/3)^d <= 2^-target.
-    d = 0
-    while 3 ** d < (1 << (d + target)):
-        d += 1
-    return d
+    return _first_index(lambda d: 3 ** d >= 1 << (d + target), 0, None, False)
 
 
 # The fixed enumeration of rationals in [0, 1]: index n maps through unpair to

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import FuelExhausted
-from .streams import FugitiveSpec, NatStream, _in_order, _memo, fugitive_least
+from .streams import FugitiveSpec, NatStream, _first_index, _in_order, _memo, fugitive_least
 
 
 class RationalInterval(NamedTuple):
@@ -152,25 +152,6 @@ def _mark_direct(real: CReal, *parts: CReal) -> CReal:
     """Set real's direct bit: true when all its parts are direct, or it has none."""
     real._direct = all(part._direct for part in parts)
     return real
-
-
-def _first_index(pred: Callable[[int], bool], lo: int, hi: int | None,
-                 gallop: bool) -> int | None:
-    """Least n in lo..hi (hi None: no end) with pred(n), or None; nothing read if
-    lo > hi.  Reads lo, lo+1, lo+2, ... in order, or with gallop (for a pred that
-    stays true once true) lo, lo+1, lo+3, lo+7, ... capped at hi, then bisects the
-    last gap: O(log(n - lo)) reads, Bentley and Yao's unbounded search."""
-    below, n, step = lo - 1, lo, 1  # pred is false at every index in lo..below
-    while hi is None or n <= hi:
-        if pred(n):
-            while n - below > 1:
-                mid = (below + n) // 2
-                below, n = (below, mid) if pred(mid) else (mid, n)
-            return n
-        below, n, step = n, n + step, 2 * step if gallop else 1
-        if hi is not None and below < hi < n:
-            n = hi
-    return None
 
 
 def zero() -> CReal:

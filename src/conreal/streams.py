@@ -33,17 +33,43 @@ def _in_order(first, step: Callable) -> Callable[[int], object]:
 
     Terms are built in order under one lock, so each step runs once even when
     threads race; a step that raises leaves the terms built so far in place.
+    A term already built is read without the lock: the list only grows and
+    ``list.append`` is atomic under CPython, so an index below ``len(built)``
+    always names a finished term that no thread will change.
     """
     built = [first]
     lock = threading.Lock()
 
     def term(n: int):
+        if n < len(built):
+            return built[n]
         with lock:
             while len(built) <= n:
                 built.append(step(built[-1], len(built) - 1))
             return built[n]
 
     return term
+
+
+def _first_index(pred: Callable[[int], bool], lo: int, hi: int | None,
+                 gallop: bool) -> int | None:
+    """Least n in lo..hi (hi None: no end) with pred(n), or None; nothing read if
+    lo > hi.  Reads lo, lo+1, lo+2, ... in order, or with gallop (for a pred that
+    stays true once true) lo, lo+1, lo+3, lo+7, ... capped at hi, then bisects the
+    last gap: O(log(n - lo)) reads, Bentley and Yao's unbounded search."""
+    below, n, step = lo - 1, lo, 1  # pred is false at every index in lo..below
+    while hi is None or n <= hi:
+        if pred(n):
+            while n - below > 1:
+                mid = (below + n) // 2
+                below, n = (below, mid) if pred(mid) else (mid, n)
+            return n
+        below, n = n, n + step
+        if gallop:  # a step of 1 never passes hi
+            step *= 2
+            if hi is not None and below < hi < n:
+                n = hi
+    return None
 
 
 class NatStream:
@@ -220,11 +246,11 @@ def fugitive_least(f: FugitiveSpec, n: int) -> int | None:
     """
     front = f._frontier
     with front.lock:
-        while front.fired is None and front.clear <= n:
-            if f.indicator[front.clear] != 0:
-                front.fired = front.clear
-            else:
-                front.clear += 1
+        if front.fired is None and front.clear <= n:
+            # A value is true exactly when it is nonzero, that is, when the index fires.
+            front.fired = _first_index(f.indicator.__getitem__, front.clear, n, False)
+            if front.fired is None:
+                front.clear = n + 1
         return front.fired if front.fired is not None and front.fired <= n else None
 
 

@@ -1,11 +1,17 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conreal
 from conreal import (NatStream, concat, decode, encode, incompatible,
                      is_prefix, pair, prefix_of_stream, subsequence, unpair)
+from conreal.coding import _prime
 
 lists_of_naturals = st.lists(st.integers(min_value=0, max_value=6), max_size=8)
 
@@ -128,3 +134,56 @@ def test_subsequence():
     for n in range(4):
         for m in range(4):
             assert subsequence(identity, n)[m] == pair(m, n)
+
+
+def _sieve(limit):
+    """Primes below limit, by the sieve of Eratosthenes."""
+    marks = [True] * limit
+    marks[:2] = [False, False]
+    for p in range(2, int(limit ** 0.5) + 1):
+        if marks[p]:
+            marks[p * p::p] = [False] * len(marks[p * p::p])
+    return [p for p, prime in enumerate(marks) if prime]
+
+
+def test_prime_table_equals_a_sieve():
+    primes = _sieve(20000)
+    assert next((i for i in range(2000) if _prime(i) != primes[i]), None) is None
+
+
+# Four threads meet the prime table at first use in a fresh process.  Prints
+# whether every round trip held and the first 40 primes the table then holds.
+_RACE = """
+import json, sys, threading
+from conreal import coding
+xs = list(range(1, 41))
+barrier = threading.Barrier(4)
+held = []
+
+def work():
+    barrier.wait()
+    held.append(coding.decode(coding.encode(xs)) == xs)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+alive = any(t.is_alive() for t in threads)
+held.append(coding.decode(coding.encode(xs)) == xs)
+print(json.dumps({"alive": alive, "held": held, "primes": [coding._prime(i) for i in range(40)]}))
+"""
+
+
+def test_prime_table_is_built_once_under_racing_threads():
+    src = os.path.dirname(os.path.dirname(conreal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for _ in range(5):
+        run = subprocess.run([sys.executable, "-c", _RACE], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        report = json.loads(run.stdout)
+        assert not report["alive"]
+        assert report["held"] == [True] * 5
+        assert report["primes"] == _sieve(200)[:40]

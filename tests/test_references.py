@@ -3,7 +3,10 @@
 Each reference is the former implementation, written over public names:
 the three step bodies of the intermediate-value procedures, the certified
 precision loop, the game predicates of the CLI, the recursive subbar walk,
-the bisection that defined sqrt2 and the two-term interpolation of pwl.  The new code must give the same
+the bisection that defined sqrt2, the two-term interpolation of pwl, and the
+hand-written least-index loops that ``streams._first_index`` replaced (the
+thirds depth, the certification's q search, the omega2 move search, the
+fugitive frontier and pwl's piece lookup).  The new code must give the same
 intervals, answers, call orders and exceptions.
 """
 
@@ -18,10 +21,10 @@ from hypothesis import strategies as st
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
                      IvtResult, NatStream, PiecewiseLinearSpec, RationalInterval, approx_ivt,
                      certified_within, decode, distance_bound, encode, enumerated_witnesses,
-                     fans, identity_map, ivt_countable_exceptions, ivt_locally_nonconstant,
+                     fans, fugitive_least, identity_map, ivt_countable_exceptions, ivt_locally_nonconstant,
                      middle_third_oracle, pwl, rational_index, rho1, sqrt2, verify_lt)
 from conreal.cli import run
-from conreal.ivt import _certify_at_depth, require_range
+from conreal.ivt import _certify_at_depth, _thirds_depth, require_range
 from conreal.real import half_pow
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -500,3 +503,161 @@ def test_enclose_raising_only_where_y_is_wide_now_answers():
     assert certified_within(f, x, y, 4, 64)
     with pytest.raises(FuelExhausted, match="map not ready below level 3"):
         _old_approx_ivt(flaky(), y, 4, 128)
+
+
+# --- least-index loops now routed through streams._first_index ------------------
+
+def _old_thirds_depth(target):
+    d = 0
+    while 3 ** d < (1 << (d + target)):
+        d += 1
+    return d
+
+
+def _value_or_error(call):
+    try:
+        return call()
+    except (ValueError, FuelExhausted) as e:
+        return type(e), str(e)
+
+
+def test_thirds_depth_matches_loop():
+    for t in range(-3, 301):
+        assert _value_or_error(lambda: _thirds_depth(t)) == \
+            _value_or_error(lambda: _old_thirds_depth(t)), t
+
+
+def _recording_map(modulus, bound):
+    """A stub map whose distance bound is ``bound``; records every modulus call."""
+    calls = []
+
+    def recorded(p):
+        calls.append(p)
+        return modulus(p)
+    return ContinuousMap(lambda iv, p: RationalInterval(_ZERO, bound), recorded), calls
+
+
+_MODULI = [lambda p: p, lambda p: 2 * p + 3, lambda p: p - 2, lambda p: 3 * p - 5,
+           lambda p: p * p // 4, lambda p: (p // 3) * 3 + 1, lambda p: max(1, p * (p % 5))]
+
+
+def test_certify_at_depth_reads_the_modulus_as_the_loop_did():
+    rng = random.Random(611)
+    point = CReal(lambda n: RationalInterval(_ZERO, _ZERO))
+    for _ in range(300):
+        modulus = rng.choice(_MODULI)
+        bound = rng.choice([_ZERO, _ONE, Fraction(rng.randint(1, 99), 100),
+                            half_pow(rng.randint(0, 40))])
+        avail, x_fuel = rng.randint(-2, 40), rng.randint(1, 6)
+        got = []
+        for procedure in (_certify_at_depth, _old_certify_at_depth):
+            f, calls = _recording_map(modulus, bound)
+            got.append((procedure(f, point, point, avail, x_fuel, 64), calls))
+        assert got[0] == got[1], (avail, bound)
+
+
+def _old_solve_omega2(g):
+    if g.n_bound < 0:
+        raise ValueError("n_bound must be a natural")
+    for n in range(g.n_bound):
+        if g.in_c(n, 0) and g.in_c(n, 1):
+            return fans.WinningMove(n)
+    return fans.CounterStrategyPrefix(tuple(0 if not g.in_c(n, 0) else 1
+                                            for n in range(g.n_bound)))
+
+
+def test_solve_omega2_asks_in_c_as_the_loop_did():
+    rng = random.Random(612)
+    kinds = set()
+    for _ in range(400):
+        bound = rng.randint(-1, 8)
+        table = {(n, i): rng.random() < 0.6 for n in range(max(bound, 0)) for i in (0, 1)}
+        got = []
+        for solve in (fans.solve_omega2, _old_solve_omega2):
+            calls = []
+
+            def in_c(n, i, calls=calls):
+                calls.append((n, i))
+                return table[n, i]
+            got.append((_value_or_error(lambda: solve(fans.GameSpecOmega2(in_c, bound))),
+                        calls))
+        assert got[0] == got[1], (bound, table)
+        kinds.add(type(got[0][0]))
+    assert kinds == {fans.WinningMove, fans.CounterStrategyPrefix, tuple}
+
+
+class _RecordingStream(NatStream):
+    def __init__(self, generate, reads):
+        super().__init__(generate)
+        self._reads = reads
+
+    def __getitem__(self, n):
+        self._reads.append(n)
+        return super().__getitem__(n)
+
+
+def _old_fugitive_least(f, front, n):
+    while front["fired"] is None and front["clear"] <= n:
+        if f.indicator[front["clear"]] != 0:
+            front["fired"] = front["clear"]
+        else:
+            front["clear"] += 1
+    fired = front["fired"]
+    return fired if fired is not None and fired <= n else None
+
+
+def test_fugitive_least_reads_the_indicator_as_the_loop_did():
+    rng = random.Random(613)
+    for _ in range(300):
+        prefix = [rng.randint(0, 1) if rng.random() < 0.3 else 0
+                  for _ in range(rng.randint(1, 20))]
+        tail = rng.choice([0, 1])
+        queries = [rng.randint(-1, 25) for _ in range(rng.randint(1, 8))]
+        new_reads, old_reads = [], []
+
+        def value(i, prefix=prefix, tail=tail):
+            return prefix[i] if i < len(prefix) else tail
+        new = FugitiveSpec(_RecordingStream(value, new_reads))
+        old = FugitiveSpec(_RecordingStream(value, old_reads))
+        front = {"clear": 0, "fired": None}
+        answers = [(fugitive_least(new, n), _old_fugitive_least(old, front, n)) for n in queries]
+        assert all(a == b for a, b in answers), (prefix, tail, queries)
+        assert new_reads == old_reads, (prefix, tail, queries)
+
+
+class _LoggedReal(CReal):
+    """The rational v, logging every approx call as (tag, p, fuel)."""
+
+    def __init__(self, v, tag, log):
+        super().__init__(lambda n: RationalInterval(v - half_pow(n), v + half_pow(n)))
+        self._tag, self._log = tag, log
+
+    def approx(self, p, fuel):
+        self._log.append((self._tag, p, fuel))
+        return super().approx(p, fuel)
+
+
+def _old_eval_point(values, bps, t, q):
+    i = 0
+    while i + 2 < len(bps) and bps[i + 1] <= t:
+        i += 1
+    lam = (t - bps[i]) / (bps[i + 1] - bps[i])
+    a, b = values[i].approx(q, 96), values[i + 1].approx(q, 96)
+    return RationalInterval(a.lo + lam * (b.lo - a.lo), a.hi + lam * (b.hi - a.hi))
+
+
+def test_pwl_point_enclosures_pick_the_piece_the_loop_did():
+    rng = random.Random(614)
+    for _ in range(60):
+        nodes, _target = _random_case(rng)
+        bps = tuple(t for t, _ in nodes)
+        points = set(bps) | {Fraction(rng.randint(0, 60), 60) for _ in range(4)}
+        for t in sorted(points):
+            p = rng.randint(-2, 14)
+            new_log, old_log = [], []
+            f = pwl(PiecewiseLinearSpec(bps, tuple(_LoggedReal(v, k, new_log)
+                                                   for k, (_, v) in enumerate(nodes))))
+            old_values = [_LoggedReal(v, k, old_log) for k, (_, v) in enumerate(nodes)]
+            assert f.enclose(RationalInterval(t, t), p) == \
+                _old_eval_point(old_values, bps, t, p + 2), (nodes, t, p)
+            assert new_log == old_log, (nodes, t, p)
