@@ -23,11 +23,11 @@ from .ivt import (ContinuousMap, _thirds_depth, approx_ivt, enumerated_witnesses
                   f2, identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle, require_range)
 from .real import CReal, RationalInterval, half_pow, half_pow_text, rho0, rho1, rho2, sqrt2
-from .streams import NatStream, fugitive_least, pattern_indicator, pi_digits
+from .streams import NatStream, _decimal, fugitive_least, pattern_indicator, pi_digits
 
 
 def _fmt_frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
 def _fmt_interval(iv: RationalInterval) -> str:
@@ -169,8 +169,11 @@ def _parse_expr(text: str) -> CReal:
 
 def _emit(out: TextIO, args, op: str, inputs: dict, result, certificate, plain: str) -> None:
     if args.format == "json":
-        obj = {"op": op, "inputs": inputs, "result": result, "certificate": certificate}
-        print(json.dumps(obj, sort_keys=True), file=out)
+        # json writes an int with str, which may refuse it: the result, last
+        # of the sorted keys, is written apart, an int through _decimal.
+        head = json.dumps({"op": op, "inputs": inputs, "certificate": certificate}, sort_keys=True)
+        value = _decimal(result) if type(result) is int else json.dumps(result, sort_keys=True)
+        print(f'{head[:-1]}, "result": {value}}}', file=out)
     else:
         print(plain, file=out)
 
@@ -212,7 +215,7 @@ def _cmd_hunt(args, out: TextIO, err: TextIO) -> int:
 
 def _cmd_encode(args, out: TextIO, err: TextIO) -> int:
     code = coding.encode(args.values)
-    _emit(out, args, "encode", {"values": args.values}, code, None, str(code))
+    _emit(out, args, "encode", {"values": args.values}, code, None, _decimal(code))
     return 0
 
 
@@ -225,7 +228,7 @@ def _cmd_decode(args, out: TextIO, err: TextIO) -> int:
 def _cmd_euclid(args, out: TextIO, err: TextIO) -> int:
     q = combinatorics.euclid_extend(args.primes)
     _emit(out, args, "euclid", {"primes": args.primes}, q,
-          {"divides_none_of": args.primes}, str(q))
+          {"divides_none_of": args.primes}, _decimal(q))
     return 0
 
 

@@ -31,6 +31,7 @@ def _memo(cache: dict, key, compute: Callable):
 def _in_order(first, step: Callable) -> Callable[[int], object]:
     """Index -> term of the sequence first, step(first, 0), step(term 1, 1), ...
 
+    It builds only ``from_steps`` reals and the prime table; pi digits are read by index.
     Terms are built in order under one lock, so each step runs once even when
     threads race; a step that raises leaves the terms built so far in place.
     A term already built is read without the lock: the list only grows and
@@ -124,6 +125,17 @@ _STR_CHUNK = 4000
 """Decimal digits per ``str`` call, under the 4300-digit limit Python 3.11 puts on int to str."""
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size, where ``str`` alone refuses over 4300 digits."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []  # the low _STR_CHUNK digits while n may be too long: 2^(3k) < 10^k
+    while n.bit_length() > 3 * _STR_CHUNK:
+        n, low = divmod(n, 10 ** _STR_CHUNK)
+        chunks.append(str(low).zfill(_STR_CHUNK))
+    return str(n) + "".join(reversed(chunks))
+
+
 def _atan_inv_scaled(x: int, scale: int) -> tuple[int, int]:
     """(A, terms) with |scale * atan(1/x) - A| < terms + 1.
 
@@ -166,38 +178,25 @@ _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _decimal_digits(n: int, width: int) -> list[int]:
-    """The last ``width`` decimal digits of n, most significant first, leading zeros kept."""
-    chunks = []
-    while width > 0:
-        size = min(width, _STR_CHUNK)
-        n, low = divmod(n, 10 ** size)
-        chunks.append(str(low).zfill(size))
-        width -= size
-    return list("".join(reversed(chunks)).encode().translate(_DIGIT_VALUES))
-
-
-def _pi_spigot():
-    # Yields 3, 1, 4, 1, 5, ...: the digits of floor(pi * 10^size) for size
-    # 64, 128, 256, ..., each batch yielding only the digits past the last one.
-    emitted, size = 0, 64
-    while True:
-        width = size + 1 - emitted  # floor(pi * 10^size) has size + 1 digits
-        yield from _decimal_digits(_pi_floor(size) % 10 ** width, width)
-        emitted, size = size + 1, 2 * size
+    """The last ``width`` decimal digits of a natural n, most significant first, leading zeros kept."""
+    text = _decimal(n).zfill(width)
+    return list(text[len(text) - width:].encode().translate(_DIGIT_VALUES))
 
 
 def pi_digits() -> NatStream:
     """Decimal digits of pi after the point: index 0 is 1, index 1 is 4, ...
 
-    Digits come in batches: the first 64, then as many again each time the
-    reader passes the end, so any index is reachable without fixing a
-    precision up front.  Each batch is floor(pi * 10^size) computed by
-    Gauss's arctangent formula in integer arithmetic with an explicit error
-    bound and released only when the bound proves every digit of it.
+    Digit n is read from floor(pi * 10^size) for the least size in 64, 128,
+    256, ... above n, so no precision is fixed up front and no earlier index
+    is read.  Each batch is computed once per stream by Gauss's arctangent
+    formula, with an explicit error bound that proves every digit of it.
     """
-    gen = _pi_spigot()
-    next(gen)  # drop the leading 3
-    return NatStream(_in_order(next(gen), lambda _digit, _n: next(gen)))
+    batches: dict[int, list[int]] = {}
+
+    def batch(size: int) -> list[int]:
+        return _decimal_digits(_pi_floor(size), size + 1)  # the leading 3, then size digits
+
+    return NatStream(lambda n: _memo(batches, 64 << (n // 64).bit_length(), batch)[n + 1])
 
 
 class _Frontier:

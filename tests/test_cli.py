@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from cli_cases import CASES
 from conreal.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def _invoke(argv):
@@ -24,6 +28,39 @@ def test_golden(name, argv, expected_code):
     assert code1 == code2 == expected_code
     assert out1 == out2  # byte-identical across runs
     assert out1 == (GOLDEN / f"{name}.txt").read_text()
+
+
+def _python(args, **env):
+    """Run ``python args`` on the package sources; the completed process."""
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env})
+
+
+@pytest.mark.parametrize("name,argv,expected_code", CASES, ids=[c[0] for c in CASES])
+def test_entry_point_golden(name, argv, expected_code):
+    proc = _python(["-m", "conreal.cli", *argv])
+    assert proc.returncode == expected_code
+    assert proc.stdout == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "15000"],
+    ["encode", "100000", "--format", "json"],
+    ["euclid", "2", "3", "--format", "json"],
+    ["eval", "1/3", "-p", "15000", "--fuel", "20000"],
+    ["eval", "1/3 - 1", "-p", "15000", "--fuel", "20000", "--format", "json"],
+], ids=["encode", "encode_json", "euclid_json", "eval", "eval_json"])
+def test_integers_past_the_str_limit(argv):
+    # Python 3.11+ refuses str() of an int over 4300 digits.  The reference
+    # is the same command with plain str for every integer, in a process
+    # where that limit is lifted (earlier Pythons have no limit to lift).
+    code, out, err = _invoke(argv)
+    reference = _python(["-c", "import sys, conreal.cli as cli; cli._decimal = str; "
+                               "sys.exit(cli.run(sys.argv[1:]))", *argv],
+                        PYTHONINTMAXSTRDIGITS="0")
+    assert reference.returncode == 0, reference.stderr
+    assert (code, err) == (0, "")
+    assert out.encode() == reference.stdout
 
 
 def test_golden_cases_share_one_parser():

@@ -14,7 +14,8 @@ from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
                      RationalInterval, encode, fugitive_compare,
                      fugitive_equal, fugitive_least, identity_map,
                      pattern_indicator, pi_digits, prefix_of_stream, rho0)
-from conreal.streams import _decimal_digits
+from conreal import streams
+from conreal.streams import _decimal, _decimal_digits
 
 
 def test_constant():
@@ -66,6 +67,55 @@ def test_decimal_digits_keep_leading_zeros():
     assert _decimal_digits(5, 3) == [0, 0, 5]
     assert _decimal_digits(1234, 2) == [3, 4]
     assert _decimal_digits(10 ** 4000, 8001) == [0] * 4000 + [1] + [0] * 4000
+
+
+def test_decimal_writes_ints_past_the_str_limit():
+    # Expected strings built without str() of a long int: 9001 and 12002
+    # digits span several chunks, and zero chunks must keep their width.
+    assert _decimal(10 ** 9000 + 7) == "1" + "0" * 8999 + "7"
+    assert _decimal(-(10 ** 12001) - 10 ** 4000) == "-1" + "0" * 8000 + "1" + "0" * 4000
+    assert _decimal(-123) == "-123" and _decimal(0) == "0"
+
+
+def _count_pi_batches(monkeypatch) -> list[int]:
+    """The sizes _pi_floor is called with from here on, in call order."""
+    sizes = []
+    pi_floor = streams._pi_floor
+
+    def counted(size):
+        sizes.append(size)
+        return pi_floor(size)
+
+    monkeypatch.setattr(streams, "_pi_floor", counted)
+    return sizes
+
+
+def test_pi_digit_is_read_from_its_batch_alone(monkeypatch):
+    sizes = _count_pi_batches(monkeypatch)
+    assert pi_digits()[1000] == machin_pi_digits(1001)[1000]
+    assert sizes == [1024]
+
+
+def test_pi_batches_read_in_order_are_each_computed_once(monkeypatch):
+    sizes = _count_pi_batches(monkeypatch)
+    d = pi_digits()
+    assert [d[i] for i in range(1024)] == machin_pi_digits(1024)
+    assert sizes == [64, 128, 256, 512, 1024]
+
+
+def test_each_pi_stream_computes_its_own_batches(monkeypatch):
+    sizes = _count_pi_batches(monkeypatch)
+    first, second = pi_digits(), pi_digits()
+    assert first[4] == second[4] == 9
+    assert sizes == [64, 64]  # no cache shared between streams
+
+
+def test_pi_digits_at_batch_edges_in_shuffled_order():
+    edges = [i for k in range(6, 14) for i in (2 ** k - 1, 2 ** k)] + [2 ** 14 - 1]
+    random.Random(7).shuffle(edges)
+    d = pi_digits()
+    expected = machin_pi_digits(2 ** 14)
+    assert [d[i] for i in edges] == [expected[i] for i in edges]
 
 
 def test_racing_threads_share_one_pi_stream():
