@@ -23,7 +23,7 @@ from typing import Callable
 
 from .coding import pair, unpair
 from .errors import FuelExhausted, PreconditionFailed
-from .real import (Apartness, CReal, Direction, RationalInterval, half_pow,
+from .real import (Apartness, CReal, Direction, RationalInterval, _mark_direct, half_pow,
                    rho0, rho1, rho2, try_apart, verify_lt)
 from .streams import FugitiveSpec, _first_index, _memo
 
@@ -31,7 +31,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_FUEL = 128
-_NODE_FUEL = 96  # indices a pwl map may read to approximate a node value
+_NODE_FUEL = 96  # caps reads of non-direct node reals only
 
 
 def _clamp01(iv: RationalInterval) -> RationalInterval:
@@ -42,12 +42,17 @@ def _clamp01(iv: RationalInterval) -> RationalInterval:
 
 
 class ContinuousMap:
-    """A continuous function on [0, 1] given by enclosures plus a modulus."""
+    """A continuous function on [0, 1] given by enclosures plus a modulus.
+
+    ``nodes`` are the node reals of a ``pwl`` map, whose point enclosures are
+    nested in the precision; a map built by hand has none.
+    """
 
     def __init__(self, enclose: Callable[[RationalInterval, int], RationalInterval],
-                 modulus: Callable[[int], int]):
+                 modulus: Callable[[int], int], nodes: tuple[CReal, ...] | None = None):
         self.enclose = enclose
         self.modulus = modulus
+        self._nodes = nodes
         self._points: dict[Fraction, CReal] = {}
 
     def apply(self, x: CReal) -> CReal:
@@ -73,11 +78,26 @@ class ContinuousMap:
 
     def at(self, q) -> CReal:
         """The value at a rational point, cached per point: every call with
-        an equal point returns the same real, the first one stored."""
+        an equal point returns the same real, the first one stored.
+
+        On a map with nodes, interval n is the raw enclosure of [q, q] at
+        precision n, and the real is direct when every node is.  It equals
+        ``apply``'s running intersection: a node approximation at a finer
+        precision comes from a later index of a nested real, and interpolation
+        with lam in [0, 1] is monotone in both node ends, so each enclosure
+        already lies inside the one before.
+        """
         q = Fraction(q)
         if not _ZERO <= q <= _ONE:
             raise ValueError("point outside [0, 1]")
-        return _memo(self._points, q, lambda q: self.apply(CReal(lambda n: RationalInterval(q, q))))
+        return _memo(self._points, q, self._point_value)
+
+    def _point_value(self, q: Fraction) -> CReal:
+        point = RationalInterval(q, q)
+        if self._nodes is None:
+            return self.apply(CReal(lambda n: point))
+        enclose = self.enclose
+        return _mark_direct(CReal(lambda n: enclose(point, n)), *self._nodes)
 
 
 @dataclass(frozen=True)
@@ -110,15 +130,17 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     interpolation over node approximations at precision p+2 and take the
     hull; on a linear piece the endpoint hull is an exact image enclosure.
     A point interval is evaluated once.  Each node approximation is
-    computed once per precision for each map.
+    computed once per precision for each map; a direct node is read with no
+    index cap, since a total, dwindling formula always has a least index.
     The modulus comes from a slope bound over all pieces.
     """
     bps = spec.breakpoints
     values = spec.values
     node_ivs: dict[tuple[int, int], RationalInterval] = {}
+    fuels = [None if value._direct else _NODE_FUEL for value in values]
 
     def node_iv(i: int, p: int) -> RationalInterval:
-        return _memo(node_ivs, (i, p), lambda key: values[i].approx(p, _NODE_FUEL))
+        return _memo(node_ivs, (i, p), lambda key: values[i].approx(p, fuels[i]))
 
     def eval_point(t: Fraction, p: int) -> RationalInterval:
         # Rightmost piece starting at or before t.
@@ -150,7 +172,7 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     def modulus(p: int) -> int:
         return p + _memo(slope, None, slope_exp)
 
-    return ContinuousMap(enclose, modulus)
+    return ContinuousMap(enclose, modulus, values)
 
 
 def identity_map() -> ContinuousMap:

@@ -63,8 +63,9 @@ class CReal:
     every read returns it.
 
     Reals from ``from_rational``, ``sqrt2``, ``rho0/1/2`` (a ``NatStream`` is
-    total by contract) and ``+ - * abs neg`` of such reals are *direct*: total
-    index formulas, so scans gallop and may read ahead up to the fuel.  Others
+    total by contract), ``pwl`` point values ``f.at(q)`` whose nodes are direct
+    and ``+ - * abs neg`` of such reals are *direct*: total index formulas, so
+    scans gallop and may read ahead up to the fuel.  Others
     (``from_steps`` reals, caller generators) are scanned one index at a time,
     as a read past the answer may raise.  Answers are least indices either way.
     """
@@ -82,8 +83,9 @@ class CReal:
             raise IndexError("interval indices are naturals")
         return _memo(self._cache, n, self._generate)
 
-    def approx(self, p: int, fuel: int) -> RationalInterval:
-        """First interval (among indices 0..fuel) of width <= 2^-p.
+    def approx(self, p: int, fuel: int | None) -> RationalInterval:
+        """First interval (among indices 0..fuel; fuel None: no end, for direct
+        reals only) of width <= 2^-p.
 
         The search starts at the least index n found by the last successful
         call, when that call asked for a precision at most p: the intervals
@@ -93,7 +95,7 @@ class CReal:
         total formulas.  The (precision, index) pair is replaced as one
         tuple, so racing threads only see true facts.
         """
-        if fuel < 1:
+        if fuel is not None and fuel < 1:
             raise ValueError("fuel must be >= 1")
         bound = half_pow(p)
         last_p, last_n = self._scanned

@@ -184,6 +184,20 @@ def test_ivt_target_outside_range(mode):
     assert err == "error: need f(0) <= y <= f(1) in the enclosure sense\n"
 
 
+@pytest.mark.parametrize("argv,fuels,message", [
+    (["ivt", "--map", "f0:9,99", "--y", "1/2", "-p", "8", "--mode", "lnc"], (64, 94, 120, 200),
+     "error: no apartness witness found in the middle third\n"),
+    (["ivt", "--map", "id", "--y", "1/4", "-p", "8", "--mode", "countable"], (64, 120, 200),
+     "error: no apartness witness at rational index 13 (q = 1/4)\n"),
+])
+def test_ivt_unresolved_message_is_the_same_at_every_fuel(argv, fuels, message):
+    # Direct node reals are read with no cap of their own, so a large --fuel
+    # fails where the search did, not at a hidden node budget.
+    for fuel in fuels:
+        code, out, err = _invoke(argv + ["--fuel", str(fuel)])
+        assert (code, out, err) == (3, "", message)
+
+
 def test_subbar_deep_uncovered_path():
     # The walk keeps one path instead of recursing, so depth 1200 answers.
     code, out, err = _invoke(["subbar", "--spec", "has1@1200", "--depth", "1200"])

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conreal import (Apartness, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
-                     NatStream, RationalInterval, Split, SplitSide, cantor_point,
+from conreal import (Apartness, ContinuousMap, CReal, Direction, FugitiveSpec, FuelExhausted,
+                     LtWitness, NatStream, RationalInterval, Split, SplitSide, cantor_point,
                      cotrans_split, diagonal, identity_map, rho0, rho1, sqrt2, try_apart,
                      try_lt)
 from conreal.real import _first_index, half_pow, half_pow_text
@@ -218,6 +218,12 @@ def test_sums_with_a_sequential_part_are_not_direct():
     total = CReal.from_rational(1) + user
     assert not user._direct and not total._direct
     assert total.approx(5, 60) == RationalInterval(1 - half_pow(6), 1 + half_pow(6))
-    point = identity_map().at(Fraction(1, 3))
+    # A map built by hand has no nodes: its point values are running intersections.
+    by_hand = ContinuousMap(lambda iv, p: RationalInterval(iv.lo - half_pow(p), iv.hi + half_pow(p)),
+                            lambda p: p)
+    point = by_hand.at(Fraction(1, 3))
     assert not point._direct and not (sqrt2() * point)._direct
+    # A pwl point value is the raw enclosure, direct when every node is.
+    point = identity_map().at(Fraction(1, 3))
+    assert point._direct and (sqrt2() * point)._direct
     assert (sqrt2() * abs(-CReal.from_rational(2)) - rho1(_spike(3)))._direct

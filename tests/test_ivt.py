@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, NatStream,
-                     PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
+from conreal import (Apartness, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
+                     NatStream, PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
                      approx_ivt, certified_within, distance_bound,
                      enumerated_witnesses, f0, f1, f2, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant,
@@ -180,6 +180,94 @@ def test_pwl_racing_enclosures_match_serial_run():
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=worker, args=(10 * k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == threads_n
+    assert all(got == expected for got in seen)
+
+
+# Point values of pwl maps: the raw enclosure, read directly.
+
+def _old_point_value(f, q):
+    """f(q) as apply's running intersection of enclosures, the path of a map with no nodes."""
+    q = Fraction(q)
+    return f.apply(CReal(lambda n: RationalInterval(q, q)))
+
+
+def _assert_point_values_match(f, points, rng):
+    for q in points:
+        new, old = f.at(q), _old_point_value(f, q)
+        levels = list(range(61))
+        rng.shuffle(levels)  # direct reads come in any order, as galloping makes them
+        got = {n: new.interval(n) for n in levels}
+        assert [got[n] for n in range(61)] == [old.interval(n) for n in range(61)]
+
+
+def test_pwl_point_values_equal_running_intersections_random():
+    rng = random.Random(29)
+    for _ in range(12):
+        nodes = _random_rational_nodes(rng)
+        f, _ = _rational_pwl(nodes)
+        bps = [t for t, _ in nodes]
+        middles = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        inner = [Fraction(rng.randint(0, 64), 64) for _ in range(2)]
+        assert f.at(half)._direct
+        _assert_point_values_match(f, bps + middles + inner, rng)
+
+
+@pytest.mark.parametrize("build,bps", [
+    (lambda s: f0(_spike(s)), (0, Fraction(1, 3), Fraction(2, 3), 1)),
+    (lambda s: f1(_spike(s)), (0, half, 1)),
+    (lambda s: f2(_spike(s), _spike(s + 1)),
+     (0, Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5), 1)),
+])
+@pytest.mark.parametrize("position", [0, 1, 6, 31, 64])
+def test_fugitive_map_point_values_equal_running_intersections(build, bps, position):
+    f = build(position)
+    middles = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    _assert_point_values_match(f, list(bps) + middles + [Fraction(7, 19)],
+                               random.Random(position))
+
+
+@pytest.mark.parametrize("fuel", [94, 128, 200])
+def test_pwl_point_value_reads_ahead_past_the_node_cap(fuel):
+    # The least witness is 71; galloping reads on toward the fuel, so nodes are
+    # read at precisions past 96, which a capped node read could not reach.
+    q = Fraction(1, 3)
+    y = CReal.from_rational(q + Fraction(1, 2 ** 70))
+    assert try_apart(identity_map().at(q), y, fuel) == Apartness(Direction.LESS, LtWitness(71))
+
+
+def test_pwl_racing_point_values_match_serial_run():
+    def build():
+        return f0(_spike(6))
+
+    rng = random.Random(31)
+    points = [Fraction(k, 12) for k in range(13)] + [Fraction(1, 7), Fraction(5, 9)]
+    queries = [(rng.choice(points), rng.randint(0, 40)) for _ in range(90)]
+    serial = build()
+    expected = [serial.at(q).interval(n) for q, n in queries]
+    shared = build()
+    assert shared.at(half)._direct
+    threads_n = 6
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker(offset):
+        barrier.wait()
+        order = queries[offset:] + queries[:offset]
+        got = [shared.at(q).interval(n) for q, n in order]
+        seen.append(got[len(queries) - offset:] + got[:len(queries) - offset])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(15 * k,)) for k in range(threads_n)]
         for t in threads:
             t.start()
         for t in threads:
