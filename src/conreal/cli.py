@@ -369,7 +369,7 @@ def _cmd_ivt(args, out: TextIO, err: TextIO) -> int:
         result = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, fuel), depth, fuel)
         x, certified_p = result.x, result.certified_precision
     else:
-        depth = args.depth if args.depth is not None else f.modulus(p + 1) + 2
+        depth = args.depth if args.depth is not None else max(f.modulus(p + 1) + 2, 0)
         result = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, fuel), depth, fuel)
         x, certified_p = result.x, result.certified_precision
 
@@ -435,7 +435,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--y", required=True)
     p.add_argument("-p", "--precision", type=int, required=True)
     p.add_argument("--mode", choices=("approx", "lnc", "countable"), default="approx")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=None,
+                   help="bisection steps for lnc and countable (approx mode ignores it)")
     p.set_defaults(fn=_cmd_ivt)
 
     p = sub.add_parser("subbar", parents=[common], help="extract a finite subbar or a counterexample path")

@@ -123,38 +123,50 @@ def _ceil_log2(q: Fraction) -> int:
     return (math.ceil(q) - 1).bit_length() if q > 1 else 0
 
 
+def _mix(u: int, v: int, x: Fraction, y: Fraction) -> Fraction:
+    """x + u/v (y - x), reduced once over the common denominator v x.den y.den."""
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    return Fraction((v - u) * xn * yd + u * yn * xd, v * xd * yd)
+
+
 def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     """The piecewise-linear map through the given nodes.
 
     Enclosures evaluate the endpoints of each covered piece by linear
     interpolation over node approximations at precision p+2 and take the
     hull; on a linear piece the endpoint hull is an exact image enclosure.
-    A point interval is evaluated once.  Each node approximation is
-    computed once per precision for each map; a direct node is read with no
+    A point interval gets its point's value, with no scan or hull.  Each
+    point's piece and place on it are found once per map, each node
+    approximation once per map and precision; a direct node is read with no
     index cap, since a total, dwindling formula always has a least index.
     The modulus comes from a slope bound over all pieces.
     """
     bps = spec.breakpoints
     values = spec.values
     node_ivs: dict[tuple[int, int], RationalInterval] = {}
+    pieces: dict[Fraction, tuple[int, int, int]] = {}
     fuels = [None if value._direct else _NODE_FUEL for value in values]
 
     def node_iv(i: int, p: int) -> RationalInterval:
         return _memo(node_ivs, (i, p), lambda key: values[i].approx(p, fuels[i]))
 
-    def eval_point(t: Fraction, p: int) -> RationalInterval:
-        # Rightmost piece starting at or before t.
+    def piece(t: Fraction) -> tuple[int, int, int]:
+        # Rightmost piece i starting at or before t, and t's place u/v on it.
         i = bisect.bisect_right(bps, t, 1, len(bps) - 1) - 1
         lam = (t - bps[i]) / (bps[i + 1] - bps[i])
+        return i, lam.numerator, lam.denominator
+
+    def eval_point(t: Fraction, p: int) -> RationalInterval:
+        i, u, v = _memo(pieces, t, piece)
         a, b = node_iv(i, p), node_iv(i + 1, p)
-        return RationalInterval(a.lo + lam * (b.lo - a.lo), a.hi + lam * (b.hi - a.hi))
+        return RationalInterval(_mix(u, v, a.lo, b.lo), _mix(u, v, a.hi, b.hi))
 
     def enclose(iv: RationalInterval, p: int) -> RationalInterval:
         if not (_ZERO <= iv.lo <= iv.hi <= _ONE):
             raise ValueError("enclose input must lie within [0, 1]")
-        points = [iv.lo] + [t for t in bps if iv.lo < t < iv.hi]
-        if iv.hi != iv.lo:
-            points.append(iv.hi)
+        if iv.lo == iv.hi:
+            return eval_point(iv.lo, p + 2)
+        points = [iv.lo] + [t for t in bps if iv.lo < t < iv.hi] + [iv.hi]
         parts = [eval_point(t, p + 2) for t in points]
         return RationalInterval(min(part.lo for part in parts),
                                 max(part.hi for part in parts))
@@ -250,6 +262,8 @@ def _bisection(pick: Callable[[Fraction, Fraction], tuple[Fraction, bool]], dept
         q, below = pick(lo, hi)
         return RationalInterval(q, hi) if below else RationalInterval(lo, q)
 
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
     x.interval(depth)
     return x
@@ -273,8 +287,8 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     where both are, and the half keeping the crossing is selected; y's
     interval is read first and f is enclosed only at levels where y is
     already narrow.  The uniform modulus gives an a-priori depth of
-    modulus(p+1) + 2.  The returned real keeps bisecting lazily beyond
-    that depth.
+    modulus(p+1) + 2, or 0 where that is negative.  The returned real keeps
+    bisecting lazily beyond that depth.
     """
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
@@ -290,7 +304,7 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
                     return m, s.hi < yl.lo + eps
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
-    x = _bisection(pick, f.modulus(p + 1) + 2)
+    x = _bisection(pick, max(f.modulus(p + 1) + 2, 0))
     if not certified_within(f, x, y, p, fuel):
         raise FuelExhausted("result could not be certified at the requested precision")
     return x

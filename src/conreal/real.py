@@ -47,6 +47,14 @@ def half_pow(p: int) -> Fraction:
     return Fraction(1, 1 << p) if p >= 0 else Fraction(1 << -p)
 
 
+def _narrow(iv: RationalInterval, p: int) -> bool:
+    """Whether iv.width <= 2^-p, by cross-multiplying: no Fraction is built."""
+    lo, hi = iv
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    diff, den = hn * ld - ln * hd, ld * hd  # width = diff / den
+    return diff << p <= den if p >= 0 else diff <= den << -p
+
+
 def half_pow_text(p: int) -> str:
     """2^-p as messages print it: ``2^-p`` for p >= 0, ``2^|p|`` for p < 0."""
     return f"2^-{p}" if p >= 0 else f"2^{-p}"
@@ -97,9 +105,8 @@ class CReal:
         """
         if fuel is not None and fuel < 1:
             raise ValueError("fuel must be >= 1")
-        bound = half_pow(p)
         last_p, last_n = self._scanned
-        n = _first_index(lambda n: self.interval(n).width <= bound,
+        n = _first_index(lambda n: _narrow(self.interval(n), p),
                          last_n if p >= last_p else 0, fuel, self._direct)
         if n is None:
             raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conreal import (CReal, FugitiveSpec, FuelExhausted, NatStream, RationalInterval, f0,
                      rho1, sqrt2)
-from conreal.real import half_pow, half_pow_text
+from conreal.real import _narrow, half_pow, half_pow_text
 
 
 class _Broken(Exception):
@@ -69,6 +69,26 @@ def test_approx_on_library_reals_matches_linear_scan(calls):
         for p, fuel in calls:
             assert (_outcome(lambda: shared.approx(p, fuel))
                     == _outcome(lambda: _linear(fresh.interval, p, fuel)))
+
+
+_endpoints = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=_endpoints, b=_endpoints, p=st.integers(-70, 300),
+       shape=st.sampled_from(["pair", "point", "edge"]), nudge=st.integers(-1, 1))
+def test_narrow_is_the_width_test(a, b, p, shape, nudge):
+    # Int and Fraction endpoints, zero width, negative ends, large denominators,
+    # and widths 2^-(p-1), 2^-p and 2^-(p+1) around the bound.
+    if shape == "pair":
+        lo, hi = sorted((a, b))
+    else:
+        lo, hi = a, a + (0 if shape == "point" else half_pow(p + nudge))
+    iv = RationalInterval(lo, hi)
+    assert _narrow(iv, p) == (iv.width <= half_pow(p))
 
 
 class _Counting(CReal):

@@ -169,6 +169,23 @@ def test_negative_precision_messages(argv, message):
     assert err == message
 
 
+@pytest.mark.parametrize("mode", ["lnc", "countable"])
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_ivt_negative_depth_is_a_usage_error(mode, fmt):
+    code, out, err = _invoke(["ivt", "--map", "id", "--y", "1/3", "-p", "5", "--mode", mode,
+                              "--depth", "-1", "--format", fmt])
+    assert (code, out, err) == (2, "", "error: depth must be >= 0\n")
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("approx", (0, "x in 0/1 .. 1/1\nf(x) - y in -7/3 .. 8/3\ncertified: |f(x) - y| < 32/1\n", "")),
+    ("countable", (3, "", "error: certified only none, wanted 2^5\n")),
+])
+def test_ivt_default_depth_is_never_negative(mode, expected):
+    # For id, modulus(p + 1) + 2 = p + 3 < 0 at p = -5: no steps are needed.
+    assert _invoke(["ivt", "--map", "id", "--y", "1/3", "-p", "-5", "--mode", mode]) == expected
+
+
 def test_seed_flag_rejected():
     code, out, err = _invoke(["pi", "--digits", "5", "--seed", "1"])
     assert code == 2

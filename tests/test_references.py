@@ -3,7 +3,8 @@
 Each reference is the former implementation, written over public names:
 the three step bodies of the intermediate-value procedures, the certified
 precision loop, the game predicates of the CLI, the recursive subbar walk,
-the bisection that defined sqrt2, the two-term interpolation of pwl, and the
+the bisection that defined sqrt2, the two-term interpolation of pwl, its
+enclosure with lam recomputed on every call, and the
 hand-written least-index loops that ``streams._first_index`` replaced (the
 thirds depth, the certification's q search, the omega2 move search, the
 fugitive frontier and pwl's piece lookup).  The new code must give the same
@@ -661,3 +662,54 @@ def test_pwl_point_enclosures_pick_the_piece_the_loop_did():
             assert f.enclose(RationalInterval(t, t), p) == \
                 _old_eval_point(old_values, bps, t, p + 2), (nodes, t, p)
             assert new_log == old_log, (nodes, t, p)
+
+
+def _old_pwl_enclose(values, bps, node_ivs, iv, p):
+    """The enclosure before points kept their piece: lam is recomputed on every
+    call, node approximations are memoized per (node, precision) as pwl does."""
+    def node_iv(k, q):
+        if (k, q) not in node_ivs:
+            node_ivs[k, q] = values[k].approx(q, 96)
+        return node_ivs[k, q]
+
+    def eval_point(t, q):
+        i = 0
+        while i + 2 < len(bps) and bps[i + 1] <= t:
+            i += 1
+        lam = (t - bps[i]) / (bps[i + 1] - bps[i])
+        a, b = node_iv(i, q), node_iv(i + 1, q)
+        return RationalInterval(a.lo + lam * (b.lo - a.lo), a.hi + lam * (b.hi - a.hi))
+
+    points = [iv.lo] + [t for t in bps if iv.lo < t < iv.hi]
+    if iv.hi != iv.lo:
+        points.append(iv.hi)
+    parts = [eval_point(t, p + 2) for t in points]
+    return RationalInterval(min(part.lo for part in parts), max(part.hi for part in parts))
+
+
+def test_pwl_enclose_matches_lam_recomputed_each_call():
+    # One map per case answers a shuffled run of queries: points asked again at
+    # other precisions (their piece comes from the cache), and subintervals
+    # spanning breakpoints.  Answers and the (tag, p, fuel) approx log match.
+    rng = random.Random(615)
+    spans = 0
+    for _ in range(60):
+        nodes, _target = _random_case(rng)
+        bps = tuple(t for t, _ in nodes)
+        new_log, old_log = [], []
+        f = pwl(PiecewiseLinearSpec(bps, tuple(_LoggedReal(v, k, new_log)
+                                               for k, (_, v) in enumerate(nodes))))
+        old_values = [_LoggedReal(v, k, old_log) for k, (_, v) in enumerate(nodes)]
+        old_nodes = {}
+        points = sorted(set(bps) | {Fraction(rng.randint(0, 48), 48) for _ in range(4)})
+        queries = [(RationalInterval(t, t), rng.randint(-2, 14)) for t in points for _ in range(3)]
+        for _ in range(6):
+            a, b = sorted(Fraction(rng.randint(0, 48), 48) for _ in range(2))
+            queries.append((RationalInterval(a, b), rng.randint(-2, 14)))
+            spans += any(a < t < b for t in bps)
+        rng.shuffle(queries)
+        for iv, p in queries:
+            assert f.enclose(iv, p) == _old_pwl_enclose(old_values, bps, old_nodes, iv, p), \
+                (nodes, iv, p)
+            assert new_log == old_log, (nodes, iv, p)
+    assert spans > 50
