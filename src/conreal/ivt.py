@@ -23,7 +23,7 @@ from typing import Callable
 
 from .coding import pair, unpair
 from .errors import FuelExhausted, PreconditionFailed
-from .real import (Apartness, CReal, Direction, RationalInterval, _mark_direct, half_pow,
+from .real import (Apartness, CReal, Direction, RationalInterval, _mark_direct, _narrower, half_pow,
                    rho0, rho1, rho2, try_apart, verify_lt)
 from .streams import FugitiveSpec, _first_index, _memo
 
@@ -298,9 +298,9 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
         point = RationalInterval(m, m)
         for level in range(fuel + 1):
             yl = y.interval(level)
-            if yl.width < eps:
+            if _narrower(yl, eps):
                 s = f.enclose(point, level)
-                if s.width < eps:
+                if _narrower(s, eps):
                     return m, s.hi < yl.lo + eps
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
@@ -367,7 +367,8 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
 
 
 def _thirds_depth(target: int) -> int:
-    # Smallest d with (2/3)^d <= 2^-target.
+    # Smallest d with (2/3)^d <= 2^-target; 0 when target <= 0.
+    target = max(target, 0)
     return _first_index(lambda d: 3 ** d >= 1 << (d + target), 0, None, False)
 
 

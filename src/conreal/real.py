@@ -47,12 +47,28 @@ def half_pow(p: int) -> Fraction:
     return Fraction(1, 1 << p) if p >= 0 else Fraction(1 << -p)
 
 
-def _narrow(iv: RationalInterval, p: int) -> bool:
-    """Whether iv.width <= 2^-p, by cross-multiplying: no Fraction is built."""
+def _width(iv: RationalInterval) -> tuple[int, int]:
+    """iv.width as an unreduced pair (diff, den) of integers, den > 0."""
     lo, hi = iv
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    diff, den = hn * ld - ln * hd, ld * hd  # width = diff / den
+    return hn * ld - ln * hd, ld * hd
+
+
+def _narrow(iv: RationalInterval, p: int) -> bool:
+    """Whether iv.width <= 2^-p, by cross-multiplying: no Fraction is built."""
+    diff, den = _width(iv)
     return diff << p <= den if p >= 0 else diff <= den << -p
+
+
+def _narrower(iv: RationalInterval, bound) -> bool:
+    """Whether iv.width < bound, by cross-multiplying: no Fraction is built."""
+    diff, den = _width(iv)
+    return diff * bound.denominator < bound.numerator * den
+
+
+def _lt(x, y) -> bool:
+    """x < y for rationals (Fraction or int), by cross-multiplying."""
+    return x.numerator * y.denominator < y.numerator * x.denominator
 
 
 def half_pow_text(p: int) -> str:
@@ -116,7 +132,10 @@ class CReal:
     @classmethod
     def from_rational(cls, q) -> "CReal":
         q = Fraction(q)
-        return _mark_direct(cls(lambda n: RationalInterval(q - (h := Fraction(1, 1 << n)), q + h)))
+        qn, qd = q.numerator, q.denominator
+        # q -+ 2^-n, one normalizing Fraction per end.
+        return _mark_direct(cls(lambda n: RationalInterval(Fraction((qn << n) - qd, qd << n),
+                                                            Fraction((qn << n) + qd, qd << n))))
 
     @classmethod
     def from_steps(cls, first: RationalInterval,
@@ -144,6 +163,9 @@ class CReal:
     def __mul__(self, other: "CReal") -> "CReal":
         def gen(n: int) -> RationalInterval:
             a, b = self.interval(n), other.interval(n)
+            if a.lo.numerator >= 0 and b.lo.numerator >= 0 and _lt(a.lo, a.hi) and _lt(b.lo, b.hi):
+                # lo*lo is the first least product and hi*hi the only greatest one.
+                return RationalInterval(a.lo * b.lo, a.hi * b.hi)
             products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
             return RationalInterval(min(products), max(products))
         return _mark_direct(CReal(gen), self, other)
@@ -189,12 +211,12 @@ class Apartness:
 
 def verify_lt(x: CReal, y: CReal, w: LtWitness) -> bool:
     """Check a witness against the raw intervals."""
-    return x.interval(w.index).hi < y.interval(w.index).lo
+    return _lt(x.interval(w.index).hi, y.interval(w.index).lo)
 
 
 def try_lt(x: CReal, y: CReal, fuel: int) -> LtWitness | None:
     """The least index in 0..fuel that proves x < y; None means unknown, not refuted."""
-    n = _first_index(lambda n: x.interval(n).hi < y.interval(n).lo, 0, fuel,
+    n = _first_index(lambda n: _lt(x.interval(n).hi, y.interval(n).lo), 0, fuel,
                      x._direct and y._direct)
     return None if n is None else LtWitness(n)
 
@@ -203,11 +225,11 @@ def try_apart(x: CReal, y: CReal, fuel: int) -> Apartness | None:
     """The least index in 0..fuel that proves x < y or y < x, and which one it proves."""
     def apart(n: int) -> bool:
         a, b = x.interval(n), y.interval(n)
-        return a.hi < b.lo or b.hi < a.lo
+        return _lt(a.hi, b.lo) or _lt(b.hi, a.lo)
     n = _first_index(apart, 0, fuel, x._direct and y._direct)
     if n is None:
         return None
-    less = x.interval(n).hi < y.interval(n).lo
+    less = _lt(x.interval(n).hi, y.interval(n).lo)
     return Apartness(Direction.LESS if less else Direction.GREATER, LtWitness(n))
 
 
@@ -235,7 +257,7 @@ def cotrans_split(x: CReal, y: CReal, w: LtWitness, z: CReal) -> Split:
     if not x_hi < y_lo:
         raise ValueError("supplied witness does not certify x < y")
     gap = y_lo - x_hi
-    n = _first_index(lambda n: z.interval(n).width < gap, n0, None, z._direct)
+    n = _first_index(lambda n: _narrower(z.interval(n), gap), n0, None, z._direct)
     if x_hi < z.interval(n).lo:
         return Split(SplitSide.LEFT_IS_LESS, LtWitness(n))
     return Split(SplitSide.RIGHT_IS_LESS, LtWitness(n))
@@ -259,7 +281,7 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
         budget = 4 * (n + 2)
-        m = _first_index(lambda m: xn.interval(m).width < target, 0, budget, xn._direct)
+        m = _first_index(lambda m: _narrower(xn.interval(m), target), 0, budget, xn._direct)
         if m is None:
             raise FuelExhausted(
                 f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")

@@ -180,9 +180,11 @@ def test_ivt_negative_depth_is_a_usage_error(mode, fmt):
 @pytest.mark.parametrize("mode, expected", [
     ("approx", (0, "x in 0/1 .. 1/1\nf(x) - y in -7/3 .. 8/3\ncertified: |f(x) - y| < 32/1\n", "")),
     ("countable", (3, "", "error: certified only none, wanted 2^5\n")),
+    ("lnc", (3, "", "error: certified only none, wanted 2^5\n")),
 ])
 def test_ivt_default_depth_is_never_negative(mode, expected):
-    # For id, modulus(p + 1) + 2 = p + 3 < 0 at p = -5: no steps are needed.
+    # For id, modulus(p + 1) + 2 = p + 3 < 0 at p = -5: no steps are needed; lnc
+    # takes _thirds_depth(p + 1) + 2 = 2 steps.
     assert _invoke(["ivt", "--map", "id", "--y", "1/3", "-p", "-5", "--mode", mode]) == expected
 
 

@@ -4,7 +4,9 @@ Each reference is the former implementation, written over public names:
 the three step bodies of the intermediate-value procedures, the certified
 precision loop, the game predicates of the CLI, the recursive subbar walk,
 the bisection that defined sqrt2, the two-term interpolation of pwl, its
-enclosure with lam recomputed on every call, and the
+enclosure with lam recomputed on every call, the Fraction expressions that
+real.py's integer kernels replaced (from_rational's ends, the four products
+of ``*``, the comparisons and width tests of the order scans), and the
 hand-written least-index loops that ``streams._first_index`` replaced (the
 thirds depth, the certification's q search, the omega2 move search, the
 fugitive frontier and pwl's piece lookup).  The new code must give the same
@@ -12,21 +14,23 @@ intervals, answers, call orders and exceptions.
 """
 
 import io
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
-                     IvtResult, NatStream, PiecewiseLinearSpec, RationalInterval, approx_ivt,
-                     certified_within, decode, distance_bound, encode, enumerated_witnesses,
-                     fans, fugitive_least, identity_map, ivt_countable_exceptions, ivt_locally_nonconstant,
-                     middle_third_oracle, pwl, rational_index, rho1, sqrt2, verify_lt)
+                     IvtResult, LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
+                     approx_ivt, certified_within, cotrans_split, decode, diagonal, distance_bound,
+                     encode, enumerated_witnesses, fans, fugitive_least, identity_map,
+                     ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle, pwl,
+                     rational_index, rho1, sqrt2, try_apart, try_lt, verify_lt)
 from conreal.cli import run
 from conreal.ivt import _certify_at_depth, _thirds_depth, require_range
-from conreal.real import half_pow
+from conreal.real import _lt, _narrower, half_pow
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -523,7 +527,10 @@ def _value_or_error(call):
 
 
 def test_thirds_depth_matches_loop():
-    for t in range(-3, 301):
+    # The loop raised "negative shift count" below 0; (2/3)^0 <= 2^-t there, so depth 0.
+    for t in range(-3, 0):
+        assert _thirds_depth(t) == 0, t
+    for t in range(0, 301):
         assert _value_or_error(lambda: _thirds_depth(t)) == \
             _value_or_error(lambda: _old_thirds_depth(t)), t
 
@@ -713,3 +720,223 @@ def test_pwl_enclose_matches_lam_recomputed_each_call():
                 (nodes, iv, p)
             assert new_log == old_log, (nodes, iv, p)
     assert spans > 50
+
+
+# --- integer kernels of real.py against the Fraction expressions they replaced -----
+
+def _old_from_rational(q, n):
+    h = Fraction(1, 1 << n)
+    return RationalInterval(q - h, q + h)
+
+
+def _old_mul(a, b):
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return RationalInterval(min(products), max(products))
+
+
+def _same(new, old):
+    """Equal rationals with the same numerator, denominator and type."""
+    return (new == old and type(new) is type(old)
+            and (new.numerator, new.denominator) == (old.numerator, old.denominator))
+
+
+def _same_interval(new, old):
+    return type(new) is type(old) and all(_same(u, v) for u, v in zip(new, old))
+
+
+_rationals = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200)))
+
+
+@st.composite
+def _intervals(draw):
+    """Negative, zero, point, straddling, nonnegative, ordered and reversed
+    intervals.  Both ends are Fractions, as library reals give, or both ints,
+    as a caller generator may return, or one of each."""
+    ends = draw(st.sampled_from(["fraction", "int", "mixed"]))
+    values = _rationals if ends == "fraction" else st.integers(-2 ** 80, 2 ** 80)
+    x, y = draw(values), draw(values)
+    a, b = abs(x), abs(y)
+    lo, hi = {
+        "negative": (-a - b, -a),
+        "zero": (0 * x, 0 * y),
+        "point": (x, x),
+        "straddling": (-a, b),
+        "nonnegative": (a, a + b),
+        "ordered": (min(x, y), max(x, y)),
+        "reversed": (max(x, y), min(x, y)),
+    }[draw(st.sampled_from(["negative", "zero", "point", "straddling", "nonnegative",
+                            "ordered", "reversed"]))]
+    if ends == "fraction":
+        lo, hi = Fraction(lo), Fraction(hi)
+    elif ends == "mixed":
+        lo, hi = draw(st.sampled_from([(Fraction(lo), hi), (lo, Fraction(hi))]))
+    return RationalInterval(lo, hi)
+
+
+@settings(max_examples=600, deadline=None)
+@given(x=_rationals, y=_rationals, pick=st.sampled_from(["other", "same", "same value"]))
+def test_lt_kernel_is_the_comparison(x, y, pick):
+    y = {"other": y, "same": x, "same value": Fraction(x)}[pick]
+    assert _lt(x, y) is (x < y)
+
+
+@settings(max_examples=600, deadline=None)
+@given(iv=_intervals(), bound=_rationals, at=st.sampled_from(["any", "width"]),
+       nudge=st.integers(-1, 1))
+def test_width_kernel_is_the_width_test(iv, bound, at, nudge):
+    if at == "width":
+        bound = iv.width + Fraction(nudge, 1 << 300)
+    assert _narrower(iv, bound) is (iv.width < bound)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(a=_intervals(), b=_intervals())
+def test_mul_matches_four_products(a, b):
+    # Through CReal.__mul__, so both its nonnegative fast path and the
+    # four products are compared; reversed intervals come from caller
+    # generators that break the nesting contract.
+    new = (CReal(lambda n: a) * CReal(lambda n: b)).interval(0)
+    assert _same_interval(new, _old_mul(a, b)), (a, b)
+
+
+@settings(max_examples=600, deadline=None)
+@given(q=_rationals, n=st.integers(0, 300))
+def test_from_rational_kernel_matches_fraction_sums(q, n):
+    assert _same_interval(CReal.from_rational(q).interval(n), _old_from_rational(Fraction(q), n))
+
+
+def _random_tree(rng, depth):
+    """A real as a tuple tree: rationals (negative, zero and positive, so that
+    intervals straddle 0), sqrt2, int points from a caller generator, and
+    + - * neg abs."""
+    if depth == 0 or rng.random() < 0.3:
+        leaf = rng.choice(["q", "q", "q", "sqrt2", "int"])
+        if leaf == "q":
+            return "q", Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7, 8]))
+        return ("int", rng.randint(-2, 2)) if leaf == "int" else ("sqrt2",)
+    op = rng.choice(["+", "-", "*", "*", "*", "neg", "abs"])
+    if op in ("neg", "abs"):
+        return op, _random_tree(rng, depth - 1)
+    return op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _new_real(t):
+    kind = t[0]
+    if kind == "q":
+        return CReal.from_rational(t[1])
+    if kind == "int":
+        return CReal(lambda n, k=t[1]: RationalInterval(k, k))
+    if kind == "sqrt2":
+        return sqrt2()
+    if kind == "neg":
+        return -_new_real(t[1])
+    if kind == "abs":
+        return abs(_new_real(t[1]))
+    return _BINARY[kind](_new_real(t[1]), _new_real(t[2]))
+
+
+def _old_reader():
+    """Interval n of a tree by the Fraction formulas real.py used before its
+    integer kernels, memoized per (subtree, n)."""
+    cache = {}
+    root2 = sqrt2()
+
+    def formula(t, n):
+        kind = t[0]
+        if kind == "q":
+            return _old_from_rational(t[1], n)
+        if kind == "int":
+            return RationalInterval(t[1], t[1])
+        if kind == "sqrt2":
+            return root2.interval(n)
+        a = read(t[1], n)
+        if kind == "neg":
+            return RationalInterval(-a.hi, -a.lo)
+        if kind == "abs":
+            return RationalInterval(max(_ZERO, a.lo, -a.hi), max(abs(a.lo), abs(a.hi)))
+        b = read(t[2], n)
+        if kind == "-":
+            kind, b = "+", RationalInterval(-b.hi, -b.lo)
+        if kind == "+":
+            return RationalInterval(a.lo + b.lo, a.hi + b.hi)
+        return _old_mul(a, b)
+
+    def read(t, n):
+        if (t, n) not in cache:
+            cache[t, n] = formula(t, n)
+        return cache[t, n]
+    return read
+
+
+def _old_least(pred, lo, hi):
+    return next((n for n in range(lo, hi + 1) if pred(n)), None)
+
+
+def _old_diagonal_step(prev, n, t, read):
+    """Interval n + 1 of the diagonal by the old width and order tests."""
+    lo, hi = prev
+    one_third, two_thirds = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
+    m = _old_least(lambda m: read(t, m).width < Fraction(1, 3 ** (n + 1)), 0, 4 * (n + 2))
+    return RationalInterval(lo, one_third) if one_third < read(t, m).lo else RationalInterval(two_thirds, hi)
+
+
+def test_order_scans_pick_the_least_indices_the_fraction_tests_did():
+    rng = random.Random(1344)
+    read = _old_reader()
+    seen = {"lt": 0, "apart": 0, "greater": 0, "split": set()}
+    for _ in range(150):
+        x, y, z = (_random_tree(rng, rng.randint(0, 3)) for _ in range(3))
+        fuel = rng.choice([0, 6, 40])
+        reals = [_new_real(t) for t in (x, y, z)]
+        for n in range(fuel + 1):
+            for t, real in zip((x, y, z), reals):
+                assert _same_interval(real.interval(n), read(t, n)), (t, n)
+            assert verify_lt(reals[0], reals[1], LtWitness(n)) is (read(x, n).hi < read(y, n).lo)
+        old_lt = _old_least(lambda n: read(x, n).hi < read(y, n).lo, 0, fuel)
+        w = try_lt(_new_real(x), _new_real(y), fuel)
+        assert w == (None if old_lt is None else LtWitness(old_lt)), (x, y, fuel)
+        old_apart = _old_least(lambda n: read(x, n).hi < read(y, n).lo or read(y, n).hi < read(x, n).lo,
+                               0, fuel)
+        a = try_apart(_new_real(x), _new_real(y), fuel)
+        if old_apart is None:
+            assert a is None, (x, y, fuel)
+        else:
+            less = read(x, old_apart).hi < read(y, old_apart).lo
+            assert (a.witness.index, a.direction) == \
+                (old_apart, Direction.LESS if less else Direction.GREATER), (x, y, fuel)
+            seen["apart"] += 1
+            seen["greater"] += not less
+        if w is None:
+            continue
+        seen["lt"] += 1
+        x_hi, y_lo = read(x, w.index).hi, read(y, w.index).lo
+        m = _old_least(lambda n: read(z, n).width < y_lo - x_hi, w.index, w.index + 400)
+        side = SplitSide.LEFT_IS_LESS if x_hi < read(z, m).lo else SplitSide.RIGHT_IS_LESS
+        split = cotrans_split(_new_real(x), _new_real(y), w, _new_real(z))
+        assert (split.side, split.witness) == (side, LtWitness(m)), (x, y, z, w)
+        seen["split"].add(side)
+    assert seen["lt"] > 30 and seen["greater"] > 10 and seen["apart"] > seen["lt"]
+    assert seen["split"] == set(SplitSide)
+
+
+def test_diagonal_matches_the_fraction_width_test():
+    # Input real n sits within 3^-(n+1) of the lower third point of interval n,
+    # so the side taken depends on which index first has width below 3^-(n+1).
+    rng = random.Random(4813)
+    read = _old_reader()
+    for _ in range(8):
+        trees, old = [], [RationalInterval(_ZERO, _ONE)]
+        for n in range(48):
+            lo, hi = old[-1]
+            step = Fraction(1, 3 ** (n + 1))
+            near = (2 * lo + hi) / 3 + step * Fraction(rng.randint(-8, 8), 8)
+            trees.append(("+", ("q", near), ("*", ("q", step), _random_tree(rng, 2))))
+            old.append(_old_diagonal_step(old[-1], n, trees[-1], read))
+        d = diagonal(lambda i: _new_real(trees[i]))
+        assert all(_same_interval(d.interval(n), old[n]) for n in range(49)), trees
