@@ -178,7 +178,7 @@ def _emit(out: TextIO, args, op: str, inputs: dict, result, certificate, plain: 
         print(plain, file=out)
 
 
-def _cmd_eval(args, out: TextIO, err: TextIO) -> int:
+def _cmd_eval(args, out: TextIO) -> int:
     x = _parse_expr(args.expr)
     iv = x.approx(args.precision, args.fuel)
     _emit(out, args, "eval",
@@ -189,7 +189,7 @@ def _cmd_eval(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_pi(args, out: TextIO, err: TextIO) -> int:
+def _cmd_pi(args, out: TextIO) -> int:
     if args.digits < 1:
         raise _UsageError("--digits must be >= 1")
     stream = pi_digits()
@@ -198,7 +198,7 @@ def _cmd_pi(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_hunt(args, out: TextIO, err: TextIO) -> int:
+def _cmd_hunt(args, out: TextIO) -> int:
     if args.budget < 1:
         raise _UsageError("--budget must be >= 1")
     spec = pattern_indicator(pi_digits(), args.digit, args.run)
@@ -213,26 +213,26 @@ def _cmd_hunt(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_encode(args, out: TextIO, err: TextIO) -> int:
+def _cmd_encode(args, out: TextIO) -> int:
     code = coding.encode(args.values)
     _emit(out, args, "encode", {"values": args.values}, code, None, _decimal(code))
     return 0
 
 
-def _cmd_decode(args, out: TextIO, err: TextIO) -> int:
+def _cmd_decode(args, out: TextIO) -> int:
     values = coding.decode(args.code)
     _emit(out, args, "decode", {"code": args.code}, values, None, _fmt_list(values))
     return 0
 
 
-def _cmd_euclid(args, out: TextIO, err: TextIO) -> int:
+def _cmd_euclid(args, out: TextIO) -> int:
     q = combinatorics.euclid_extend(args.primes)
     _emit(out, args, "euclid", {"primes": args.primes}, q,
           {"divides_none_of": args.primes}, _decimal(q))
     return 0
 
 
-def _cmd_dickson(args, out: TextIO, err: TextIO) -> int:
+def _cmd_dickson(args, out: TextIO) -> int:
     seqs = []
     for part in args.seqs.split(";"):
         values = [int(v) for v in part.split(",") if v.strip() != ""]
@@ -254,7 +254,7 @@ def _cmd_dickson(args, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_ramsey(args, out: TextIO, err: TextIO) -> int:
+def _cmd_ramsey(args, out: TextIO) -> int:
     check = combinatorics.arrow_star_check if args.star else combinatorics.arrow_check
     holds = check(args.M, args.n, args.k, args.r)
     _emit(out, args, "ramsey",
@@ -279,7 +279,7 @@ def _parse_bar_spec(spec: str) -> Callable[[int], bool]:
     raise _UsageError(f"unknown bar spec '{spec}' (use len=K, has1@K or sum>=K)")
 
 
-def _cmd_subbar(args, out: TextIO, err: TextIO) -> int:
+def _cmd_subbar(args, out: TextIO) -> int:
     bar = fans.DecidableBar(_parse_bar_spec(args.spec), args.depth)
     outcome = fans.finite_subbar(bar)
     inputs = {"spec": args.spec, "depth": args.depth}
@@ -307,7 +307,7 @@ def _parse_game_predicate(text: str, first: str) -> Callable[[int, int], bool]:
     return lambda a, b: (a if var == first else b) == value
 
 
-def _cmd_game(args, out: TextIO, err: TextIO) -> int:
+def _cmd_game(args, out: TextIO) -> int:
     in_c = _parse_game_predicate(args.c, "n" if args.mode == "omega2" else "i")
     if args.mode == "omega2":
         if args.bound is None:
@@ -354,7 +354,7 @@ def _parse_map(text: str) -> ContinuousMap:
               pattern_indicator(digits, params[2], params[3]))
 
 
-def _cmd_ivt(args, out: TextIO, err: TextIO) -> int:
+def _cmd_ivt(args, out: TextIO) -> int:
     f = _parse_map(args.map)
     y = _parse_expr(args.y)
     p = args.precision
@@ -376,8 +376,7 @@ def _cmd_ivt(args, out: TextIO, err: TextIO) -> int:
     if certified_p is None or certified_p < p:
         require_range(f, y, p, fuel)  # a target outside the range is a usage error, as in approx mode
         reached = "none" if certified_p is None else half_pow_text(certified_p)
-        print(f"error: certified only {reached}, wanted {half_pow_text(p)}", file=err)
-        return 3
+        raise FuelExhausted(f"certified only {reached}, wanted {half_pow_text(p)}")
 
     xi = x.approx(p, fuel)
     img = f.enclose(xi, p + 2)
@@ -480,7 +479,7 @@ def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> 
         args = parser.parse_args(argv)
         if args.fuel < 1:
             raise _UsageError("--fuel must be >= 1")
-        return args.fn(args, out, err)
+        return args.fn(args, out)
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else int(e.code)
     except FuelExhausted as e:

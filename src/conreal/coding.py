@@ -67,6 +67,7 @@ def decode(s: int) -> list[int]:
 
     Factors s+1 over the prime sequence; the largest prime present is
     p(k-1), giving length k, and its exponent is the last entry plus one.
+    Not encoded again to check: its prime powers multiply back to s+1.
     """
     if s < 0:
         raise ValueError("not a sequence code: negative")
@@ -83,11 +84,7 @@ def decode(s: int) -> list[int]:
             e += 1
         exponents.append(e)
         i += 1
-    if exponents[-1] < 1:
-        raise ValueError(f"not a sequence code: {s}")
-    exponents[-1] -= 1
-    if encode(exponents) != s:  # cheap self-check; the scheme is bijective
-        raise ValueError(f"not a sequence code: {s}")
+    exponents[-1] -= 1  # >= 0: the loop stops right after dividing out s+1's largest prime
     return exponents
 
 

@@ -270,9 +270,9 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
     least index whose interval is narrower than 3^-(n+1) (galloping when that
     real is direct), and the construction takes the lower or upper third of
     its current interval, whichever avoids it.
-    Widths are exactly 3^-n.  The inspection budget at step n is 4*(n+2)
-    indices; a real that never narrows that far is malformed and
-    raises instead of hanging.
+    Widths are exactly 3^-n.  A direct real is read with no cap (a total,
+    dwindling formula has such an index); any other real gets 4*(n+2) indices
+    at step n, and one that never narrows that far raises instead of hanging.
     """
     def step(prev: RationalInterval, n: int) -> RationalInterval:
         lo, hi = prev
@@ -280,7 +280,7 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
         two_thirds = (lo + 2 * hi) / 3
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
-        budget = 4 * (n + 2)
+        budget = None if xn._direct else 4 * (n + 2)
         m = _first_index(lambda m: _narrower(xn.interval(m), target), 0, budget, xn._direct)
         if m is None:
             raise FuelExhausted(

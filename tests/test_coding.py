@@ -67,8 +67,14 @@ def test_round_trip(values):
 
 def test_every_natural_is_a_code():
     # The prime-power scheme is a bijection, so decode is total on naturals.
-    for s in range(2000):
+    for s in range(20000):
         assert encode(decode(s)) == s
+    rng = random.Random(14)
+    for _ in range(100):
+        xs = [rng.randint(0, 60) for _ in range(rng.randint(1, 60))]
+        c = encode(xs)
+        assert decode(c) == xs
+        assert encode(decode(c)) == c
 
 
 def test_decode_rejects_negatives():

@@ -170,6 +170,17 @@ def test_diagonal_budget_error():
         d.interval(1)
 
 
+def test_diagonal_reads_a_direct_input_with_no_cap():
+    # 200 * 1/100 is 2; it narrows below 3^-1 only at index 11, past step 0's cap of 8.
+    two = CReal.from_rational(200) * CReal.from_rational(Fraction(1, 100))
+    d = diagonal(lambda n: two)
+    for n in range(11):
+        # Every step takes the lower third, the one that avoids 2, so the width is 3^-n.
+        assert d.interval(n) == (0, Fraction(1, 3 ** n))
+    found = try_apart(d, two, 20)
+    assert found is not None and found.direction is Direction.LESS
+
+
 def test_sqrt2_against_integer_sqrt_oracle():
     # 20 decimal digits of sqrt(2) by integer square root.
     scaled = math.isqrt(2 * 10 ** 40)
