@@ -23,8 +23,8 @@ from typing import Callable
 
 from .coding import pair, unpair
 from .errors import FuelExhausted, PreconditionFailed
-from .real import (Apartness, CReal, Direction, RationalInterval, _mark_direct, _narrower, half_pow,
-                   rho0, rho1, rho2, try_apart, verify_lt)
+from .real import (Apartness, CReal, Direction, RationalInterval, _lt, _mark_direct, _mix,
+                   _narrower, half_pow, rho0, rho1, rho2, try_apart, verify_lt)
 from .streams import FugitiveSpec, _first_index, _memo
 
 _ZERO = Fraction(0)
@@ -35,8 +35,9 @@ _NODE_FUEL = 96  # caps reads of non-direct node reals only
 
 
 def _clamp01(iv: RationalInterval) -> RationalInterval:
-    lo, hi = max(iv.lo, _ZERO), min(iv.hi, _ONE)
-    if lo > hi:
+    lo, hi = iv
+    lo, hi = lo if lo.numerator >= 0 else _ZERO, hi if hi.numerator <= hi.denominator else _ONE
+    if _lt(hi, lo):
         raise ValueError("interval lies outside [0, 1]")
     return RationalInterval(lo, hi)
 
@@ -123,12 +124,6 @@ def _ceil_log2(q: Fraction) -> int:
     return (math.ceil(q) - 1).bit_length() if q > 1 else 0
 
 
-def _mix(u: int, v: int, x: Fraction, y: Fraction) -> Fraction:
-    """x + u/v (y - x), reduced once over the common denominator v x.den y.den."""
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    return Fraction((v - u) * xn * yd + u * yn * xd, v * xd * yd)
-
-
 def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     """The piecewise-linear map through the given nodes.
 
@@ -136,7 +131,8 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     interpolation over node approximations at precision p+2 and take the
     hull; on a linear piece the endpoint hull is an exact image enclosure.
     A point interval gets its point's value, with no scan or hull.  Each
-    point's piece and place on it are found once per map, each node
+    point's piece and place on it are found once per map, keyed by the
+    point's integer pair (numerator, denominator), each node
     approximation once per map and precision; a direct node is read with no
     index cap, since a total, dwindling formula always has a least index.
     The modulus comes from a slope bound over all pieces.
@@ -144,29 +140,31 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     bps = spec.breakpoints
     values = spec.values
     node_ivs: dict[tuple[int, int], RationalInterval] = {}
-    pieces: dict[Fraction, tuple[int, int, int]] = {}
+    pieces: dict[tuple[int, int], tuple[int, int, int]] = {}
     fuels = [None if value._direct else _NODE_FUEL for value in values]
 
     def node_iv(i: int, p: int) -> RationalInterval:
         return _memo(node_ivs, (i, p), lambda key: values[i].approx(p, fuels[i]))
 
-    def piece(t: Fraction) -> tuple[int, int, int]:
+    def piece(key: tuple[int, int]) -> tuple[int, int, int]:
         # Rightmost piece i starting at or before t, and t's place u/v on it.
+        t = Fraction(*key)
         i = bisect.bisect_right(bps, t, 1, len(bps) - 1) - 1
         lam = (t - bps[i]) / (bps[i + 1] - bps[i])
         return i, lam.numerator, lam.denominator
 
     def eval_point(t: Fraction, p: int) -> RationalInterval:
-        i, u, v = _memo(pieces, t, piece)
+        i, u, v = _memo(pieces, (t.numerator, t.denominator), piece)
         a, b = node_iv(i, p), node_iv(i + 1, p)
         return RationalInterval(_mix(u, v, a.lo, b.lo), _mix(u, v, a.hi, b.hi))
 
     def enclose(iv: RationalInterval, p: int) -> RationalInterval:
-        if not (_ZERO <= iv.lo <= iv.hi <= _ONE):
+        lo, hi = iv
+        if lo.numerator < 0 or _lt(hi, lo) or hi.numerator > hi.denominator:
             raise ValueError("enclose input must lie within [0, 1]")
-        if iv.lo == iv.hi:
-            return eval_point(iv.lo, p + 2)
-        points = [iv.lo] + [t for t in bps if iv.lo < t < iv.hi] + [iv.hi]
+        if not _lt(lo, hi):
+            return eval_point(lo, p + 2)
+        points = [lo] + [t for t in bps if lo < t < hi] + [hi]
         parts = [eval_point(t, p + 2) for t in points]
         return RationalInterval(min(part.lo for part in parts),
                                 max(part.hi for part in parts))
@@ -286,17 +284,25 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     approximation of y are narrowed below 2^-(p+1), at the least level
     where both are, and the half keeping the crossing is selected; y's
     interval is read first and f is enclosed only at levels where y is
-    already narrow.  The uniform modulus gives an a-priori depth of
-    modulus(p+1) + 2, or 0 where that is negative.  The returned real keeps
-    bisecting lazily beyond that depth.
+    already narrow.  y's least narrow level is found once per call, in the
+    first step, and every step's level search starts there.  The uniform
+    modulus gives an a-priori depth of modulus(p+1) + 2, or 0 where that is
+    negative.  The returned real keeps bisecting lazily beyond that depth.
     """
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
+    y_levels: dict[None, int] = {}
+
+    def y_level(_key) -> int:
+        level = _first_index(lambda n: _narrower(y.interval(n), eps), 0, fuel, False)
+        if level is None:
+            raise FuelExhausted("enclosures did not narrow; malformed map or real")
+        return level
 
     def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
-        m = (lo + hi) / 2
+        m = _mix(1, 2, lo, hi)
         point = RationalInterval(m, m)
-        for level in range(fuel + 1):
+        for level in range(_memo(y_levels, None, y_level), fuel + 1):
             yl = y.interval(level)
             if _narrower(yl, eps):
                 s = f.enclose(point, level)
@@ -353,10 +359,9 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
     precision; the returned real keeps consulting the oracle lazily.
     """
     def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
-        a = (2 * lo + hi) / 3
-        b = (lo + 2 * hi) / 3
+        a, b = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)
         q, w = oracle(a, b)
-        if not (a < q < b):
+        if not (_lt(a, q) and _lt(q, b)):
             raise ValueError(f"oracle point {q} outside the middle third ({a}, {b})")
         return q, _below(f, q, y, w, "oracle")
 
@@ -401,7 +406,7 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
     step n is exactly 2^-n.
     """
     def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
-        m = (lo + hi) / 2
+        m = _mix(1, 2, lo, hi)
         return m, _below(f, m, y, apart_at(rational_index(m)), "apartness")
 
     x = _bisection(pick, depth)
@@ -413,9 +418,8 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
 def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
     """Searches a fixed grid of middle-third rationals for an apartness witness."""
     def oracle(a: Fraction, b: Fraction) -> tuple[Fraction, Apartness]:
-        span = b - a
         for num in (4, 3, 5, 2, 6, 1, 7):  # eighths of the span, midpoint first
-            q = a + span * Fraction(num, 8)
+            q = _mix(num, 8, a, b)
             w = try_apart(f.at(q), y, fuel)
             if w is not None:
                 return q, w

@@ -71,6 +71,12 @@ def _lt(x, y) -> bool:
     return x.numerator * y.denominator < y.numerator * x.denominator
 
 
+def _mix(u: int, v: int, x: Fraction, y: Fraction) -> Fraction:
+    """x + u/v (y - x), reduced once over the common denominator v x.den y.den."""
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    return Fraction((v - u) * xn * yd + u * yn * xd, v * xd * yd)
+
+
 def half_pow_text(p: int) -> str:
     """2^-p as messages print it: ``2^-p`` for p >= 0, ``2^|p|`` for p < 0."""
     return f"2^-{p}" if p >= 0 else f"2^{-p}"
@@ -276,8 +282,7 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
     """
     def step(prev: RationalInterval, n: int) -> RationalInterval:
         lo, hi = prev
-        one_third = (2 * lo + hi) / 3
-        two_thirds = (lo + 2 * hi) / 3
+        one_third, two_thirds = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
         budget = None if xn._direct else 4 * (n + 2)
@@ -353,7 +358,7 @@ def cantor_point(bits: NatStream) -> CReal:
             raise ValueError(f"cantor_point needs binary values, got {b} at index {n}")
         lo, hi = prev
         if b == 0:
-            return RationalInterval(lo, (lo + 2 * hi) / 3)
-        return RationalInterval((2 * lo + hi) / 3, hi)
+            return RationalInterval(lo, _mix(2, 3, lo, hi))
+        return RationalInterval(_mix(1, 3, lo, hi), hi)
 
     return CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
