@@ -2,7 +2,9 @@
 
 Output is deterministic and machine-diffable: rationals print in lowest
 terms as ``a/b`` with positive denominator and the sign on the numerator,
-lists print as ``[0,1,2]``.  Exit codes: 0 success, 2 validation error,
+lists print as ``[0,1,2]``.  Each subcommand handler returns an answer
+and prints nothing; ``run`` alone prints it, as one JSON object or in the
+plain format, and sets the exit code: 0 success, 2 validation error,
 3 fuel-exhausted-class outcomes (unresolved searches).  Errors go to the
 error channel prefixed ``error:``.
 """
@@ -15,7 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from . import coding, combinatorics, fans
 from .errors import FuelExhausted
@@ -38,13 +40,9 @@ def _fmt_list(xs) -> str:
     return "[" + ",".join(str(x) for x in xs) + "]"
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 # Expression DSL: rationals a/b, operators + - *, abs(...), sqrt2,
@@ -70,7 +68,7 @@ class _ExprParser:
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m:
-                raise _UsageError(f"bad character in expression at position {pos}")
+                raise ValueError(f"bad character in expression at position {pos}")
             tokens.append(m.group(1))
             pos = m.end()
         return tokens
@@ -81,7 +79,7 @@ class _ExprParser:
     def _next(self) -> str:
         tok = self._peek()
         if tok is None:
-            raise _UsageError("unexpected end of expression")
+            raise ValueError("unexpected end of expression")
         self.pos += 1
         return tok
 
@@ -89,18 +87,18 @@ class _ExprParser:
         """The next token, counted as one unit of expression size."""
         self.size += 1
         if self.size > _EXPR_SIZE:
-            raise _UsageError(f"expression too large: over {_EXPR_SIZE} operators and parentheses")
+            raise ValueError(f"expression too large: over {_EXPR_SIZE} operators and parentheses")
         return self._next()
 
     def _expect(self, tok: str) -> None:
         got = self._next()
         if got != tok:
-            raise _UsageError(f"expected '{tok}', got '{got}'")
+            raise ValueError(f"expected '{tok}', got '{got}'")
 
     def parse(self) -> CReal:
         value = self._expr()
         if self._peek() is not None:
-            raise _UsageError(f"trailing input at '{self._peek()}'")
+            raise ValueError(f"trailing input at '{self._peek()}'")
         return value
 
     def _expr(self) -> CReal:
@@ -127,7 +125,7 @@ class _ExprParser:
     def _int(self) -> int:
         tok = self._next()
         if not tok.isdigit():
-            raise _UsageError(f"expected a number, got '{tok}'")
+            raise ValueError(f"expected a number, got '{tok}'")
         return int(tok)
 
     def _atom(self) -> CReal:
@@ -138,7 +136,7 @@ class _ExprParser:
                 self._next()
                 den = self._int()
                 if den == 0:
-                    raise _UsageError("zero denominator")
+                    raise ValueError("zero denominator")
                 return CReal.from_rational(Fraction(num, den))
             return CReal.from_rational(num)
         if tok == "(":
@@ -160,107 +158,89 @@ class _ExprParser:
             self._expect(")")
             spec = pattern_indicator(self.digits, digit, run)
             return {"rho0": rho0, "rho1": rho1, "rho2": rho2}[tok](spec)
-        raise _UsageError(f"unknown token '{tok}' in expression")
+        raise ValueError(f"unknown token '{tok}' in expression")
 
 
 def _parse_expr(text: str) -> CReal:
     return _ExprParser(text, pi_digits()).parse()
 
 
-def _emit(out: TextIO, args, op: str, inputs: dict, result, certificate, plain: str) -> None:
-    if args.format == "json":
-        # json writes an int with str, which may refuse it: the result, last
-        # of the sorted keys, is written apart, an int through _decimal.
-        head = json.dumps({"op": op, "inputs": inputs, "certificate": certificate}, sort_keys=True)
-        value = _decimal(result) if type(result) is int else json.dumps(result, sort_keys=True)
-        print(f'{head[:-1]}, "result": {value}}}', file=out)
-    else:
-        print(plain, file=out)
+class _Answer(NamedTuple):
+    """What a subcommand found: ``result`` and ``certificate`` for JSON,
+    ``plain`` for the line-oriented format, and the exit code."""
+    inputs: dict
+    result: object
+    certificate: object
+    plain: str
+    code: int = 0
 
 
-def _cmd_eval(args, out: TextIO) -> int:
+def _cmd_eval(args) -> _Answer:
     x = _parse_expr(args.expr)
     iv = x.approx(args.precision, args.fuel)
-    _emit(out, args, "eval",
-          {"expr": args.expr, "p": args.precision, "fuel": args.fuel},
-          {"lo": _fmt_frac(iv.lo), "hi": _fmt_frac(iv.hi)},
-          {"width_le": _fmt_frac(half_pow(args.precision))},
-          _fmt_interval(iv))
-    return 0
+    return _Answer({"expr": args.expr, "p": args.precision, "fuel": args.fuel},
+                   {"lo": _fmt_frac(iv.lo), "hi": _fmt_frac(iv.hi)},
+                   {"width_le": _fmt_frac(half_pow(args.precision))},
+                   _fmt_interval(iv))
 
 
-def _cmd_pi(args, out: TextIO) -> int:
+def _cmd_pi(args) -> _Answer:
     if args.digits < 1:
-        raise _UsageError("--digits must be >= 1")
+        raise ValueError("--digits must be >= 1")
     stream = pi_digits()
     text = "".join(str(stream[i]) for i in range(args.digits))
-    _emit(out, args, "pi", {"digits": args.digits}, text, None, text)
-    return 0
+    return _Answer({"digits": args.digits}, text, None, text)
 
 
-def _cmd_hunt(args, out: TextIO) -> int:
+def _cmd_hunt(args) -> _Answer:
     if args.budget < 1:
-        raise _UsageError("--budget must be >= 1")
+        raise ValueError("--budget must be >= 1")
     spec = pattern_indicator(pi_digits(), args.digit, args.run)
     position = fugitive_least(spec, args.budget - 1)
     inputs = {"digit": args.digit, "run": args.run, "budget": args.budget}
     if position is None:
-        _emit(out, args, "hunt", inputs, None, None,
-              f"unresolved after {args.budget} digits")
-        return 3
-    _emit(out, args, "hunt", inputs, position, {"position": position},
-          f"found: {position}")
-    return 0
+        return _Answer(inputs, None, None, f"unresolved after {args.budget} digits", code=3)
+    return _Answer(inputs, position, {"position": position}, f"found: {position}")
 
 
-def _cmd_encode(args, out: TextIO) -> int:
+def _cmd_encode(args) -> _Answer:
     code = coding.encode(args.values)
-    _emit(out, args, "encode", {"values": args.values}, code, None, _decimal(code))
-    return 0
+    return _Answer({"values": args.values}, code, None, _decimal(code))
 
 
-def _cmd_decode(args, out: TextIO) -> int:
+def _cmd_decode(args) -> _Answer:
     values = coding.decode(args.code)
-    _emit(out, args, "decode", {"code": args.code}, values, None, _fmt_list(values))
-    return 0
+    return _Answer({"code": args.code}, values, None, _fmt_list(values))
 
 
-def _cmd_euclid(args, out: TextIO) -> int:
+def _cmd_euclid(args) -> _Answer:
     q = combinatorics.euclid_extend(args.primes)
-    _emit(out, args, "euclid", {"primes": args.primes}, q,
-          {"divides_none_of": args.primes}, _decimal(q))
-    return 0
+    return _Answer({"primes": args.primes}, q, {"divides_none_of": args.primes}, _decimal(q))
 
 
-def _cmd_dickson(args, out: TextIO) -> int:
+def _cmd_dickson(args) -> _Answer:
     seqs = []
     for part in args.seqs.split(";"):
         values = [int(v) for v in part.split(",") if v.strip() != ""]
         if not values:
-            raise _UsageError("each sequence needs at least one value")
+            raise ValueError("each sequence needs at least one value")
         if any(v < 0 for v in values):
-            raise _UsageError("sequence values must be naturals")
+            raise ValueError("sequence values must be naturals")
         seqs.append(NatStream.eventually_constant(values))
     inst = combinatorics.DicksonInstance(tuple(seqs))
     found = combinatorics.dickson_witness(inst, args.fuel)
     inputs = {"seqs": args.seqs, "fuel": args.fuel}
     if found is None:
-        _emit(out, args, "dickson", inputs, None, None,
-              f"exhausted after {args.fuel} indices")
-        return 3
+        return _Answer(inputs, None, None, f"exhausted after {args.fuel} indices", code=3)
     i, j = found
-    _emit(out, args, "dickson", inputs, {"i": i, "j": j}, {"i": i, "j": j},
-          f"found: i={i} j={j}")
-    return 0
+    return _Answer(inputs, {"i": i, "j": j}, {"i": i, "j": j}, f"found: i={i} j={j}")
 
 
-def _cmd_ramsey(args, out: TextIO) -> int:
+def _cmd_ramsey(args) -> _Answer:
     check = combinatorics.arrow_star_check if args.star else combinatorics.arrow_check
     holds = check(args.M, args.n, args.k, args.r)
-    _emit(out, args, "ramsey",
-          {"M": args.M, "n": args.n, "k": args.k, "r": args.r, "star": args.star},
-          holds, None, f"holds: {'true' if holds else 'false'}")
-    return 0
+    return _Answer({"M": args.M, "n": args.n, "k": args.k, "r": args.r, "star": args.star},
+                   holds, None, f"holds: {'true' if holds else 'false'}")
 
 
 def _parse_bar_spec(spec: str) -> Callable[[int], bool]:
@@ -276,24 +256,22 @@ def _parse_bar_spec(spec: str) -> Callable[[int], bool]:
     if m:
         target = int(m.group(1))
         return lambda code: sum(coding.decode(code)) >= target
-    raise _UsageError(f"unknown bar spec '{spec}' (use len=K, has1@K or sum>=K)")
+    raise ValueError(f"unknown bar spec '{spec}' (use len=K, has1@K or sum>=K)")
 
 
-def _cmd_subbar(args, out: TextIO) -> int:
+def _cmd_subbar(args) -> _Answer:
     bar = fans.DecidableBar(_parse_bar_spec(args.spec), args.depth)
     outcome = fans.finite_subbar(bar)
     inputs = {"spec": args.spec, "depth": args.depth}
     if isinstance(outcome, fans.NotBarWithinDepth):
         path = _fmt_list(outcome.path)
-        _emit(out, args, "subbar", inputs, {"not_a_bar": True, "path": list(outcome.path)},
-              {"uncovered_path": list(outcome.path)},
-              f"not a bar within depth {args.depth}: {path}")
-        return 0
+        return _Answer(inputs, {"not_a_bar": True, "path": list(outcome.path)},
+                       {"uncovered_path": list(outcome.path)},
+                       f"not a bar within depth {args.depth}: {path}")
     elements = [coding.decode(code) for code in outcome]
     plain = "\n".join(_fmt_list(e) for e in elements) if elements else "(empty bar)"
-    _emit(out, args, "subbar", inputs, {"not_a_bar": False, "elements": elements},
-          {"elements": elements}, plain)
-    return 0
+    return _Answer(inputs, {"not_a_bar": False, "elements": elements}, {"elements": elements},
+                   plain)
 
 
 def _parse_game_predicate(text: str, first: str) -> Callable[[int, int], bool]:
@@ -302,37 +280,32 @@ def _parse_game_predicate(text: str, first: str) -> Callable[[int, int], bool]:
         return lambda a, b: False
     m = re.fullmatch(r"([ni])=(\d+)", text)
     if not m:
-        raise _UsageError(f"unknown game predicate '{text}' (use n=K, i=K or none)")
+        raise ValueError(f"unknown game predicate '{text}' (use n=K, i=K or none)")
     var, value = m.group(1), int(m.group(2))
     return lambda a, b: (a if var == first else b) == value
 
 
-def _cmd_game(args, out: TextIO) -> int:
+def _cmd_game(args) -> _Answer:
     in_c = _parse_game_predicate(args.c, "n" if args.mode == "omega2" else "i")
     if args.mode == "omega2":
         if args.bound is None:
-            raise _UsageError("--bound is required for --mode omega2")
+            raise ValueError("--bound is required for --mode omega2")
         outcome = fans.solve_omega2(fans.GameSpecOmega2(in_c, args.bound))
         inputs = {"mode": "omega2", "c": args.c, "bound": args.bound}
         if isinstance(outcome, fans.WinningMove):
-            _emit(out, args, "game", inputs, {"winning_move": outcome.move},
-                  {"both_replies_in_c": outcome.move}, f"winning move: {outcome.move}")
-        else:
-            moves = list(outcome.moves)
-            _emit(out, args, "game", inputs, {"counter_strategy": moves},
-                  {"escaping_replies": moves}, f"counter strategy: {_fmt_list(moves)}")
-        return 0
+            return _Answer(inputs, {"winning_move": outcome.move},
+                           {"both_replies_in_c": outcome.move}, f"winning move: {outcome.move}")
+        moves = list(outcome.moves)
+        return _Answer(inputs, {"counter_strategy": moves}, {"escaping_replies": moves},
+                       f"counter strategy: {_fmt_list(moves)}")
 
     if args.p0 is None or args.p1 is None:
-        raise _UsageError("--p0 and --p1 are required for --mode 2omega")
+        raise ValueError("--p0 and --p1 are required for --mode 2omega")
     answer = fans.answer_strategy_2omega(fans.GameSpec2Omega(in_c), args.p0, args.p1)
     inputs = {"mode": "2omega", "c": args.c, "p0": args.p0, "p1": args.p1}
     if answer is None:
-        _emit(out, args, "game", inputs, None, None, "no answer")
-    else:
-        _emit(out, args, "game", inputs, {"answer": answer}, {"move_in_c": answer},
-              f"answer: {answer}")
-    return 0
+        return _Answer(inputs, None, None, "no answer")
+    return _Answer(inputs, {"answer": answer}, {"move_in_c": answer}, f"answer: {answer}")
 
 
 def _parse_map(text: str) -> ContinuousMap:
@@ -340,21 +313,21 @@ def _parse_map(text: str) -> ContinuousMap:
         return identity_map()
     m = re.fullmatch(r"(f0|f1|f2):(\d+(?:,\d+)*)", text)
     if not m:
-        raise _UsageError(f"unknown map '{text}' (use id, f0:D,L, f1:D,L or f2:D,L,D2,L2)")
+        raise ValueError(f"unknown map '{text}' (use id, f0:D,L, f1:D,L or f2:D,L,D2,L2)")
     name, params = m.group(1), [int(v) for v in m.group(2).split(",")]
     digits = pi_digits()
     if name in ("f0", "f1"):
         if len(params) != 2:
-            raise _UsageError(f"{name} takes two parameters D,L")
+            raise ValueError(f"{name} takes two parameters D,L")
         spec = pattern_indicator(digits, params[0], params[1])
         return f0(spec) if name == "f0" else f1(spec)
     if len(params) != 4:
-        raise _UsageError("f2 takes four parameters D,L,D2,L2")
+        raise ValueError("f2 takes four parameters D,L,D2,L2")
     return f2(pattern_indicator(digits, params[0], params[1]),
               pattern_indicator(digits, params[2], params[3]))
 
 
-def _cmd_ivt(args, out: TextIO) -> int:
+def _cmd_ivt(args) -> _Answer:
     f = _parse_map(args.map)
     y = _parse_expr(args.y)
     p = args.precision
@@ -386,11 +359,10 @@ def _cmd_ivt(args, out: TextIO) -> int:
     plain = (f"x in {_fmt_interval(xi)}\n"
              f"f(x) - y in {_fmt_interval(diff)}\n"
              f"certified: |f(x) - y| < {bound}")
-    _emit(out, args, "ivt", inputs,
-          {"x": {"lo": _fmt_frac(xi.lo), "hi": _fmt_frac(xi.hi)},
-           "diff": {"lo": _fmt_frac(diff.lo), "hi": _fmt_frac(diff.hi)}},
-          {"certified_below": bound}, plain)
-    return 0
+    return _Answer(inputs,
+                   {"x": {"lo": _fmt_frac(xi.lo), "hi": _fmt_frac(xi.hi)},
+                    "diff": {"lo": _fmt_frac(diff.lo), "hi": _fmt_frac(diff.hi)}},
+                   {"certified_below": bound}, plain)
 
 
 @functools.cache
@@ -473,13 +445,23 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
-    """Dispatch one invocation; returns the exit code."""
+    """Dispatch one invocation, print its answer or error; returns the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.fuel < 1:
-            raise _UsageError("--fuel must be >= 1")
-        return args.fn(args, out)
+            raise ValueError("--fuel must be >= 1")
+        inputs, result, certificate, plain, code = args.fn(args)
+        if args.format == "json":
+            # json writes an int with str, which may refuse it: the result, last
+            # of the sorted keys, is written apart, an int through _decimal.
+            head = json.dumps({"op": args.command, "inputs": inputs, "certificate": certificate},
+                              sort_keys=True)
+            value = _decimal(result) if type(result) is int else json.dumps(result, sort_keys=True)
+            print(f'{head[:-1]}, "result": {value}}}', file=out)
+        else:
+            print(plain, file=out)
+        return code
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else int(e.code)
     except FuelExhausted as e:

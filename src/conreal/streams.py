@@ -10,6 +10,7 @@ is not, which is exactly the point.
 from __future__ import annotations
 
 import enum
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -121,19 +122,19 @@ class NatStream:
 _PI_TERMS = ((48, 18), (32, 57), (-20, 239))
 """Gauss's formula pi = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239), as (coefficient, x)."""
 
-_STR_CHUNK = 4000
-"""Decimal digits per ``str`` call, under the 4300-digit limit Python 3.11 puts on int to str."""
-
 
 def _decimal(n: int) -> str:
-    """str(n) for an int of any size, where ``str`` alone refuses over 4300 digits."""
+    """str(n) for an int of any size, under whatever digit limit Python puts on
+    int to str (``sys.set_int_max_str_digits``, 4300 by default; 0 is none)."""
     if n < 0:
         return "-" + _decimal(-n)
-    chunks = []  # the low _STR_CHUNK digits while n may be too long: 2^(3k) < 10^k
-    while n.bit_length() > 3 * _STR_CHUNK:
-        n, low = divmod(n, 10 ** _STR_CHUNK)
-        chunks.append(str(low).zfill(_STR_CHUNK))
-    return str(n) + "".join(reversed(chunks))
+    # Digits per chunk; Pythons before 3.10.7 have no limit and no such function.
+    k = sys.get_int_max_str_digits() // 2 if hasattr(sys, "get_int_max_str_digits") else 0
+    chunks = []  # the low k digits while n has over 4k bits: then n >= 16^k, its top part > 0
+    while k and n.bit_length() > 4 * k:
+        n, low = divmod(n, 10 ** k)
+        chunks.append(str(low).zfill(k))
+    return str(n) + "".join(reversed(chunks))  # n < 16^k: at most 2k digits
 
 
 def _atan_inv_scaled(x: int, scale: int) -> tuple[int, int]:

@@ -36,6 +36,18 @@ def _python(args, **env):
                           env={**os.environ, "PYTHONPATH": str(SRC), **env})
 
 
+JSON_GOLDEN = json.loads((GOLDEN / "cases_json.json").read_text())
+
+
+@pytest.mark.parametrize("name,argv,expected_code", CASES, ids=[c[0] for c in CASES])
+def test_golden_json(name, argv, expected_code):
+    # The JSON twin of every golden case: exit code and stdout, byte for byte.
+    assert JSON_GOLDEN.keys() == {c[0] for c in CASES}
+    code, out, err = _invoke([*argv, "--format", "json"])
+    assert err == ""
+    assert {"code": code, "stdout": out} == JSON_GOLDEN[name]
+
+
 @pytest.mark.parametrize("name,argv,expected_code", CASES, ids=[c[0] for c in CASES])
 def test_entry_point_golden(name, argv, expected_code):
     proc = _python(["-m", "conreal.cli", *argv])
@@ -49,7 +61,12 @@ def test_entry_point_golden(name, argv, expected_code):
     ["euclid", "2", "3", "--format", "json"],
     ["eval", "1/3", "-p", "15000", "--fuel", "20000"],
     ["eval", "1/3 - 1", "-p", "15000", "--fuel", "20000", "--format", "json"],
-], ids=["encode", "encode_json", "euclid_json", "eval", "eval_json"])
+    # Under 4000 digits but over 12,000 bits: a top part of 0 once printed as leading zeros.
+    ["encode", "12000"],
+    ["encode", "12000", "--format", "json"],
+    ["eval", "1/3", "-p", "12001", "--fuel", "12005"],
+], ids=["encode", "encode_json", "euclid_json", "eval", "eval_json",
+        "encode_12000", "encode_12000_json", "eval_12001"])
 def test_integers_past_the_str_limit(argv):
     # Python 3.11+ refuses str() of an int over 4300 digits.  The reference
     # is the same command with plain str for every integer, in a process
@@ -61,6 +78,20 @@ def test_integers_past_the_str_limit(argv):
     assert reference.returncode == 0, reference.stderr
     assert (code, err) == (0, "")
     assert out.encode() == reference.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "3000"],
+    ["encode", "3000", "--format", "json"],
+    ["pi", "--digits", "700"],
+], ids=["encode", "encode_json", "pi"])
+def test_output_is_the_same_under_the_lowest_str_limit(argv):
+    # 640 is the lowest int-to-str digit limit Python allows: encode prints a
+    # code of 904 digits, and pi reads its digits from an integer of 1025.
+    low = _python(["-m", "conreal.cli", *argv], PYTHONINTMAXSTRDIGITS="640")
+    default = _python(["-m", "conreal.cli", *argv], PYTHONINTMAXSTRDIGITS="4300")
+    assert (low.returncode, low.stderr) == (default.returncode, default.stderr) == (0, b"")
+    assert low.stdout == default.stdout
 
 
 def test_golden_cases_share_one_parser():

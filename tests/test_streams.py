@@ -77,6 +77,41 @@ def test_decimal_writes_ints_past_the_str_limit():
     assert _decimal(-123) == "-123" and _decimal(0) == "0"
 
 
+def _str_unlimited(n: int) -> str:
+    """str(n) with Python's int-to-str digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_decimal_matches_str_at_every_chunk_edge(limit):
+    # A natural of 12,000-13,300 bits can have fewer than 4000 digits; split
+    # into 4000-digit chunks it once printed a top part of 0 and a zero-filled
+    # chunk.  So did a longer one whose top part lands in that band after 1-3
+    # splits.  The same families are built around 4k bits, where k = limit // 2.
+    rnd = random.Random(limit)
+    k = limit // 2
+    bands = [(12000, 13301, 4000), (4 * k - 50, 4 * k + 500, k)]
+    cases = []
+    for lo, hi, chunk in bands:
+        tops = [rnd.getrandbits(b) | 1 << (b - 1) for b in range(lo, hi, 25)]
+        cases += tops
+        cases += [top * 10 ** (chunk * j) + rnd.randrange(10 ** (chunk * j))
+                  for top in tops[::10] for j in (1, 2, 3)]
+    cases += [-n for n in cases[::7]]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got = [_decimal(n) for n in cases]
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert got == [_str_unlimited(n) for n in cases]
+
+
 def _count_pi_batches(monkeypatch) -> list[int]:
     """The sizes _pi_floor is called with from here on, in call order."""
     sizes = []
