@@ -40,9 +40,16 @@ def _fmt_list(xs) -> str:
     return "[" + ",".join(str(x) for x in xs) + "]"
 
 
+class _Help(Exception):
+    """The text of a --help, which run prints to its own out stream."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
+
+    def print_help(self, file=None):  # argparse would write to sys.stdout
+        raise _Help(self.format_help())
 
 
 # Expression DSL: rationals a/b, operators + - *, abs(...), sqrt2,
@@ -462,8 +469,9 @@ def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> 
         else:
             print(plain, file=out)
         return code
-    except SystemExit as e:  # --help
-        return 0 if e.code in (0, None) else int(e.code)
+    except _Help as e:
+        out.write(str(e))
+        return 0
     except FuelExhausted as e:
         print(f"error: {e}", file=err)
         return 3

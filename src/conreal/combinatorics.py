@@ -49,7 +49,14 @@ class DicksonInstance:
 
 def dickson_witness(inst: DicksonInstance, fuel: int) -> tuple[int, int] | None:
     """First pair i < j < fuel (by increasing j, then i) with coordinatewise
-    dominance in every sequence.  None only ever means insufficient fuel."""
+    dominance in every sequence.  None only ever means insufficient fuel.
+
+    Cost: each row is compared with the minimal rows so far, so when the rows
+    are pairwise incomparable (no witness within fuel) it makes about fuel^2
+    row comparisons.  The CLI's sequences are eventually constant: row P equals
+    row P - 1 for the longest prefix length P, so there the search ends by
+    j = P and the minimal set stays within the prefix length.
+    """
     if fuel < 2:
         raise ValueError("fuel must be >= 2")
     rows: list[tuple[int, ...]] = []

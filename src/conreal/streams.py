@@ -212,9 +212,12 @@ class _Frontier:
 
 @dataclass(frozen=True)
 class FugitiveSpec:
-    """A fugitive number: the least index j with ``indicator[j] != 0``, if any."""
+    """A fugitive number: the least index j with ``indicator[j] != 0``, if any.
+    ``find(lo, hi)``, if given, is the least firing index in lo..hi or None,
+    found without reading the indicator."""
 
     indicator: NatStream
+    find: Callable[[int, int], int | None] | None = field(default=None, repr=False, compare=False)
     _frontier: _Frontier = field(default_factory=_Frontier, init=False, repr=False,
                                  compare=False)
 
@@ -234,21 +237,36 @@ def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> Fugitiv
     def hit(j: int) -> int:
         return 1 if all(digits[j + i] == digit for i in range(run_length)) else 0
 
-    return FugitiveSpec(NatStream(hit))
+    def find(lo: int, hi: int) -> int | None:
+        # One pass, start being where the current run began: it reads the digits
+        # hit(lo..hi) would, each once, up to a full run or a mismatch at or past hi.
+        start = i = lo
+        while start <= hi:
+            if digits[i] != digit:
+                start = i + 1
+            elif i - start + 1 == run_length:
+                return start
+            i += 1
+        return None
+
+    return FugitiveSpec(NatStream(hit), find)
 
 
 def fugitive_least(f: FugitiveSpec, n: int) -> int | None:
     """Least firing index among 0..n, or None if none fires there.
 
     The spec's frontier carries the scan over from earlier calls, so each
-    indicator index is read at most once per spec, in increasing order, and
-    never past n or the firing index.
+    index is tested at most once per spec, in increasing order, and never
+    past n or the firing index: by the spec's finder if it has one, else by
+    reading the indicator.
     """
     front = f._frontier
     with front.lock:
         if front.fired is None and front.clear <= n:
-            # A value is true exactly when it is nonzero, that is, when the index fires.
-            front.fired = _first_index(f.indicator.__getitem__, front.clear, n, False)
+            if f.find is not None:
+                front.fired = f.find(front.clear, n)
+            else:  # a value is true exactly when it is nonzero, that is, when the index fires
+                front.fired = _first_index(f.indicator.__getitem__, front.clear, n, False)
             if front.fired is None:
                 front.clear = n + 1
         return front.fired if front.fired is not None and front.fired <= n else None

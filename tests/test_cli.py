@@ -170,9 +170,14 @@ def test_json_shape():
     assert payload["certificate"] == {"i": 0, "j": 1}
 
 
-def test_help_exits_zero():
-    code, _, _ = _invoke(["--help"])
-    assert code == 0
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["eval", "--help"]):
+        code, out, err = _invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: conreal {' '.join(argv[:-1])}".rstrip())
+        assert capsys.readouterr() == ("", "")  # nothing printed to the process's own streams
+    shell = _python(["-m", "conreal.cli", "--help"])
+    assert (shell.returncode, shell.stdout.decode(), shell.stderr) == (0, _invoke(["--help"])[1], b"")
 
 
 def test_negative_precision_certificates():

@@ -15,7 +15,7 @@ from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
                      fugitive_equal, fugitive_least, identity_map,
                      pattern_indicator, pi_digits, prefix_of_stream, rho0)
 from conreal import streams
-from conreal.streams import _decimal, _decimal_digits
+from conreal.streams import _decimal, _decimal_digits, _first_index
 
 
 def test_constant():
@@ -343,3 +343,77 @@ def test_racing_threads_see_the_first_write():
         assert other_leasts == leasts
     assert leasts == [None] * 150 + [150] * 50
     assert max(indicator.reads.values()) == 1
+
+
+def _pattern_digits(values):
+    """A digit stream repeating values, counting the reads of each index."""
+    return _CountingStream(lambda i: values[i % len(values)])
+
+
+_RUNS = st.tuples(st.lists(st.integers(0, 2), min_size=1, max_size=40),
+                  st.integers(0, 2), st.integers(1, 4))
+
+
+@given(_RUNS, st.integers(0, 60), st.integers(0, 60))
+def test_pattern_finder_matches_the_indicator_scan(run, lo, hi):
+    values, digit, run_length = run
+    found, scanned = _pattern_digits(values), _pattern_digits(values)
+    spec = pattern_indicator(found, digit, run_length)
+    indicator = pattern_indicator(scanned, digit, run_length).indicator
+    assert spec.find(lo, hi) == _first_index(indicator.__getitem__, lo, hi, False)
+    assert set(found.reads) == set(scanned.reads)
+    assert max(found.reads.values(), default=1) == 1  # one pass reads each digit once
+
+
+@given(_RUNS, st.lists(st.integers(0, 80), max_size=12))
+def test_pattern_frontier_matches_the_indicator_frontier(run, queries):
+    # Increasing queries carry clear and fired over from call to call.
+    values, digit, run_length = run
+    found, scanned = _pattern_digits(values), _pattern_digits(values)
+    spec = pattern_indicator(found, digit, run_length)
+    by_indicator = FugitiveSpec(pattern_indicator(scanned, digit, run_length).indicator)
+    reference = pattern_indicator(NatStream(lambda i: values[i % len(values)]), digit, run_length)
+    for n in sorted(queries):
+        least = fugitive_least(spec, n)
+        assert least == fugitive_least(by_indicator, n) == _linear_least(reference, n)
+        assert set(found.reads) == set(scanned.reads)
+
+
+def test_racing_threads_share_one_pattern_spec():
+    # A run of three 9s first starts at 150; (7 i) mod 9 is never 9.
+    def digit(i):
+        return 9 if 150 <= i < 153 else 7 * i % 9
+
+    generated = Counter()
+
+    def counted(i):
+        generated[i] += 1
+        return digit(i)
+
+    spec = pattern_indicator(NatStream(counted), 9, 3)
+    alone = pattern_indicator(NatStream(digit), 9, 3)
+    serial = [fugitive_least(alone, n) for n in range(200)]
+    threads_n = 8
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker():
+        barrier.wait()
+        seen.append([fugitive_least(spec, n) for n in range(200)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [serial] * threads_n
+    assert serial == [None] * 150 + [150] * 50
+    # Later calls re-read the tail of the last run, but each digit is generated once.
+    assert set(generated) == set(range(153))
+    assert max(generated.values()) == 1
