@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, TextIO
 
 from . import coding, combinatorics, fans
-from .errors import FuelExhausted
+from .errors import FuelExhausted, TooLarge
 from .ivt import (ContinuousMap, _thirds_depth, approx_ivt, enumerated_witnesses, f0, f1,
                   f2, identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle, require_range)
@@ -191,17 +191,26 @@ def _cmd_eval(args) -> _Answer:
                    _fmt_interval(iv))
 
 
+# The largest --digits of pi and --budget of hunt: the 65,536-digit pi batch takes under 1 s.
+_PI_DIGITS_LIMIT = 65536
+
+
+def _check_pi_digits(flag: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{flag} must be >= 1")
+    if n > _PI_DIGITS_LIMIT:
+        raise TooLarge(f"{flag} {n} exceeds the limit of {_PI_DIGITS_LIMIT} pi digits")
+
+
 def _cmd_pi(args) -> _Answer:
-    if args.digits < 1:
-        raise ValueError("--digits must be >= 1")
+    _check_pi_digits("--digits", args.digits)
     stream = pi_digits()
     text = "".join(str(stream[i]) for i in range(args.digits))
     return _Answer({"digits": args.digits}, text, None, text)
 
 
 def _cmd_hunt(args) -> _Answer:
-    if args.budget < 1:
-        raise ValueError("--budget must be >= 1")
+    _check_pi_digits("--budget", args.budget)
     spec = pattern_indicator(pi_digits(), args.digit, args.run)
     position = fugitive_least(spec, args.budget - 1)
     inputs = {"digit": args.digit, "run": args.run, "budget": args.budget}
@@ -391,13 +400,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("pi", parents=[common], help="decimal digits of pi after the point")
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("--digits", type=int, required=True, help=f"how many digits, 1 to {_PI_DIGITS_LIMIT}")
     p.set_defaults(fn=_cmd_pi)
 
     p = sub.add_parser("hunt", parents=[common], help="hunt a digit run in the pi expansion")
     p.add_argument("--digit", type=int, required=True)
     p.add_argument("--run", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=int, required=True,
+                   help=f"digits a run may start in, 1 to {_PI_DIGITS_LIMIT} (a run is read to its end)")
     p.set_defaults(fn=_cmd_hunt)
 
     p = sub.add_parser("encode", parents=[common], help="code of a finite sequence of naturals")

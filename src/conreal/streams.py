@@ -10,6 +10,7 @@ is not, which is exactly the point.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -119,10 +120,6 @@ class NatStream:
         return cls(lambda i: values[i] if i < len(values) else rest)
 
 
-_PI_TERMS = ((48, 18), (32, 57), (-20, 239))
-"""Gauss's formula pi = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239), as (coefficient, x)."""
-
-
 def _decimal(n: int) -> str:
     """str(n) for an int of any size, under whatever digit limit Python puts on
     int to str (``sys.set_int_max_str_digits``, 4300 by default; 0 is none)."""
@@ -137,39 +134,40 @@ def _decimal(n: int) -> str:
     return str(n) + "".join(reversed(chunks))  # n < 16^k: at most 2k digits
 
 
-def _atan_inv_scaled(x: int, scale: int) -> tuple[int, int]:
-    """(A, terms) with |scale * atan(1/x) - A| < terms + 1.
-
-    A sums the floored Taylor terms scale // x^(2k+1) // (2k+1) with alternating
-    signs; each floor loses less than 1, and the series stops at the first term
-    whose power scale // x^(2k+1) is 0, so the dropped alternating tail is below 1.
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the Chudnovsky terms a <= k < b by binary splitting: P and Q
+    multiply p(k) = -(6k-5)(2k-1)(6k-1) and q(k) = k^3 640320^3 / 24, p(0) = q(0) = 1,
+    and T / Q sums p(a)..p(k) / q(a)..q(k) * (13591409 + 545140134k).  From a = 0 that
+    is the sum of t_k = (-1)^k (6k)! (13591409 + 545140134k) / ((3k)! (k!)^3 640320^(3k)).
     """
-    total, power, k, x2 = 0, scale // x, 0, x * x
-    while power:
-        term = power // (2 * k + 1)
-        total += -term if k & 1 else term
-        power //= x2
-        k += 1
-    return total, k
+    if b - a == 1:
+        if a == 0:
+            return 1, 1, 13591409
+        p = -(6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        return p, a * a * a * 10939058860032000, p * (13591409 + 545140134 * a)
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def _pi_floor(size: int) -> int:
     """floor(pi * 10^size), proved digit for digit.
 
-    pi * 10^(size + guard) is known to within an explicit error E; the result
-    is released only when both ends of that interval agree after dropping the
-    guard digits, otherwise the guard is widened and pi computed again.
+    pi = 426880 sqrt(10005) / S, S the Chudnovsky sum of the t_k.  With T / Q its
+    first N = (size + guard) // 14 + 2 terms, value = 426880 isqrt(10005 scale^2) Q // T
+    is within E = 2 of pi * scale, scale = 10^(size + guard): the isqrt floor costs
+    under 426880 / 13591408 < 0.032 (T / Q > 13591408), the last floor under 1, and the
+    tail, alternating with each term over 10^14 times the next, under |t_N| < 10^9 (N+1)
+    10^(-14N), far below 10^-5 as 14N >= size + guard + 15.  The floor is released only
+    when value - E and value + E agree without the guard digits, else the guard doubles.
     """
     guard = 20
     while True:
         scale = 10 ** (size + guard)
-        value, error = 0, 0
-        for coeff, x in _PI_TERMS:
-            part, terms = _atan_inv_scaled(x, scale)
-            value += coeff * part
-            error += abs(coeff) * (terms + 1)
-        shift = 10 ** guard
-        low, high = (value - error) // shift, (value + error) // shift
+        _, q, t = _chudnovsky(0, (size + guard) // 14 + 2)
+        value = 426880 * math.isqrt(10005 * scale * scale) * q // t
+        low, high = (value - 2) // 10 ** guard, (value + 2) // 10 ** guard
         if low == high:
             return low
         guard *= 2
@@ -189,8 +187,9 @@ def pi_digits() -> NatStream:
 
     Digit n is read from floor(pi * 10^size) for the least size in 64, 128,
     256, ... above n, so no precision is fixed up front and no earlier index
-    is read.  Each batch is computed once per stream by Gauss's arctangent
-    formula, with an explicit error bound that proves every digit of it.
+    is read.  Each batch is computed once per stream by ``_pi_floor``: the Chudnovsky
+    series summed exactly, then one division, within E = 2 (isqrt floor < 0.032, last
+    floor < 1, tail < 10^-5), and released only when both ends agree above the guard.
     """
     batches: dict[int, list[int]] = {}
 

@@ -1,8 +1,8 @@
 """Shared test oracles and generators.
 
 The pi oracle is an independent fixed-precision Machin computation (the
-library stream uses Gauss's arctangent formula in doubling batches, so the
-two methods cross-check).
+library stream sums the Chudnovsky series by binary splitting in doubling
+batches, so the two methods cross-check).
 The expression-tree generator produces random constructive reals together
 with exact dwindling-rate and magnitude bounds derived from the tree shape.
 """

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cli_cases import CASES
+from conreal import streams
 from conreal.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -229,6 +230,29 @@ def test_seed_flag_rejected():
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi", "--digits", "65537"],
+    ["hunt", "--digit", "7", "--run", "9", "--budget", "65537"],
+    ["hunt", "--digit", "7", "--run", "9", "--budget", "100000000"],
+])
+def test_pi_digit_counts_over_the_limit_are_rejected_before_any_batch(monkeypatch, argv):
+    sizes = []
+    monkeypatch.setattr(streams, "_pi_floor", sizes.append)
+    code, out, err = _invoke(argv)
+    assert (code, out, sizes) == (2, "", [])
+    assert err == f"error: {argv[-2]} {argv[-1]} exceeds the limit of 65536 pi digits\n"
+
+
+def test_pi_digit_counts_at_the_limit_are_accepted(monkeypatch):
+    # An early hit reads the first batch alone, whatever the budget.
+    assert _invoke(["hunt", "--digit", "9", "--run", "2", "--budget", "65536"]) == (0, "found: 43\n", "")
+    # pi reads up to the 65,536-digit batch; a stand-in 3000...0 keeps this quick.
+    sizes = []
+    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or 3 * 10 ** size)
+    assert _invoke(["pi", "--digits", "65536"]) == (0, "0" * 65536 + "\n", "")
+    assert sizes == [64 << k for k in range(11)]
 
 
 @pytest.mark.parametrize("mode", ["approx", "lnc", "countable"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import threading
@@ -151,6 +152,29 @@ def test_pi_digits_at_batch_edges_in_shuffled_order():
     d = pi_digits()
     expected = machin_pi_digits(2 ** 14)
     assert [d[i] for i in edges] == [expected[i] for i in edges]
+
+
+def test_chudnovsky_split_matches_the_closed_form_sum():
+    def term(k):
+        return Fraction((-1) ** k * math.factorial(6 * k) * (13591409 + 545140134 * k),
+                        math.factorial(3 * k) * math.factorial(k) ** 3 * 640320 ** (3 * k))
+
+    def ratio(j):  # p(j) / q(j), with p(0) = q(0) = 1
+        if j == 0:
+            return 1
+        return Fraction(-(6 * j - 5) * (2 * j - 1) * (6 * j - 1), j ** 3 * 640320 ** 3 // 24)
+
+    for b in range(1, 13):
+        p, q, t = streams._chudnovsky(0, b)
+        assert Fraction(t, q) == sum(term(k) for k in range(b)), b
+        assert Fraction(p, q) == math.prod(ratio(j) for j in range(b)), b
+
+
+def test_pi_floor_matches_the_machin_oracle():
+    digits = "".join(map(str, machin_pi_digits(8192)))
+    for size in [*range(1, 1101), 2048, 4096, 8192]:
+        # Compared as text: int() refuses a string over 4300 digits by default.
+        assert _decimal(streams._pi_floor(size)) == "3" + digits[:size], size
 
 
 def test_racing_threads_share_one_pi_stream():
