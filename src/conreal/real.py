@@ -124,12 +124,17 @@ class CReal:
         direct has them all cached, and those a direct real left unread are
         total formulas.  The (precision, index) pair is replaced as one
         tuple, so racing threads only see true facts.
+
+        A direct real's gallop first reads index p, or the start if higher (a
+        library real's widths are about c * 2^-n), or, for a p no finer than
+        last time, the last answer, which is narrow enough: it gallops down.
         """
         if fuel is not None and fuel < 1:
             raise ValueError("fuel must be >= 1")
         last_p, last_n = self._scanned
-        n = _first_index(lambda n: _narrow(self.interval(n), p),
-                         last_n if p >= last_p else 0, fuel, self._direct)
+        lo = last_n if p >= last_p else 0
+        start = last_n if p <= last_p else max(lo, p)
+        n = _first_index(lambda n: _narrow(self.interval(n), p), lo, fuel, self._direct, start)
         if n is None:
             raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
         self._scanned = (p, n)
@@ -277,19 +282,25 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
     real is direct), and the construction takes the lower or upper third of
     its current interval, whichever avoids it.
     Widths are exactly 3^-n.  A direct real is read with no cap (a total,
-    dwindling formula has such an index); any other real gets 4*(n+2) indices
-    at step n, and one that never narrows that far raises instead of hanging.
+    dwindling formula has such an index), and its gallop probes first at the
+    index step n-1 found, as the target shrinks by only a factor 3 a step;
+    any other real is scanned from 0 with 4*(n+2) indices at step n, and one
+    that never narrows that far raises instead of hanging.
     """
+    last = 0  # the index found at the last step; steps run in order under one lock
+
     def step(prev: RationalInterval, n: int) -> RationalInterval:
+        nonlocal last
         lo, hi = prev
         one_third, two_thirds = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
         budget = None if xn._direct else 4 * (n + 2)
-        m = _first_index(lambda m: _narrower(xn.interval(m), target), 0, budget, xn._direct)
+        m = _first_index(lambda m: _narrower(xn.interval(m), target), 0, budget, xn._direct, last)
         if m is None:
             raise FuelExhausted(
                 f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")
+        last = m
         if one_third < xn.interval(m).lo:
             return RationalInterval(lo, one_third)
         return RationalInterval(two_thirds, hi)

@@ -55,12 +55,24 @@ def _in_order(first, step: Callable) -> Callable[[int], object]:
 
 
 def _first_index(pred: Callable[[int], bool], lo: int, hi: int | None,
-                 gallop: bool) -> int | None:
+                 gallop: bool, start: int | None = None) -> int | None:
     """Least n in lo..hi (hi None: no end) with pred(n), or None; nothing read if
     lo > hi.  Reads lo, lo+1, lo+2, ... in order, or with gallop (for a pred that
     stays true once true) lo, lo+1, lo+3, lo+7, ... capped at hi, then bisects the
-    last gap: O(log(n - lo)) reads, Bentley and Yao's unbounded search."""
+    last gap: O(log(n - lo)) reads, Bentley and Yao's unbounded search.
+
+    A gallop reads ``start`` first when it is above lo (clamped to hi), then
+    gallops down from it (start-1, start-3, start-7, ... not below lo) if pred
+    holds there, else up as from lo: O(log |n - start|) reads."""
     below, n, step = lo - 1, lo, 1  # pred is false at every index in lo..below
+    if gallop and start is not None and lo < start and (hi is None or lo <= hi):
+        n = start if hi is None else min(start, hi)
+        if pred(n):  # gallop down until pred fails, then bisect (step 0)
+            while n - below > 1:
+                m = max(below + 1, n - step) if step else (below + n) // 2
+                n, below, step = (m, below, step * 2) if pred(m) else (n, m, 0)
+            return n
+        below, n, step = n, n + 1, 2
     while hi is None or n <= hi:
         if pred(n):
             while n - below > 1:

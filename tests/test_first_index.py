@@ -5,6 +5,7 @@ one index at a time.  Either way each answer, witness and error must be the
 one a linear scan from the start gives.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,12 +15,12 @@ from hypothesis import strategies as st
 
 from conreal import (Apartness, ContinuousMap, CReal, Direction, FugitiveSpec, FuelExhausted,
                      LtWitness, NatStream, RationalInterval, Split, SplitSide, cantor_point,
-                     cotrans_split, diagonal, identity_map, rho0, rho1, sqrt2, try_apart,
-                     try_lt)
+                     cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, rho0,
+                     rho1, sqrt2, try_apart, try_lt)
 from conreal.real import _first_index, half_pow, half_pow_text
 
 
-def _search(threshold, lo, hi, gallop):
+def _search(threshold, lo, hi, gallop, start=None):
     """_first_index over "n >= threshold" (None: never true); returns (answer, indices read)."""
     reads = []
 
@@ -27,26 +28,39 @@ def _search(threshold, lo, hi, gallop):
         reads.append(n)
         return threshold is not None and n >= threshold
 
-    return _first_index(pred, lo, hi, gallop), reads
+    return _first_index(pred, lo, hi, gallop, start), reads
 
 
-@settings(max_examples=500, deadline=None)
-@given(lo=st.integers(0, 300), span=st.integers(-3, 2000), offset=st.none() | st.integers(-5, 2100),
+@settings(max_examples=800, deadline=None)
+@given(lo=st.integers(0, 300), span=st.none() | st.integers(-3, 2000),
+       offset=st.none() | st.integers(-5, 2100), probe=st.none() | st.integers(-5, 2400),
        gallop=st.booleans())
-def test_first_index_finds_the_least_index(lo, span, offset, gallop):
-    hi = lo + span
+def test_first_index_finds_the_least_index(lo, span, offset, probe, gallop):
+    # hi None is a search with no end; a probe falls below lo, inside lo..hi or above hi.
+    hi = None if span is None else lo + span
     threshold = None if offset is None else lo + offset
-    answer, reads = _search(threshold, lo, hi, gallop)
-    assert answer == next((n for n in range(lo, hi + 1)
+    if hi is None and threshold is None:
+        threshold = lo + 2100
+    start = None if probe is None else lo + probe
+    answer, reads = _search(threshold, lo, hi, gallop, start)
+    end = max(lo, threshold) if hi is None else hi
+    assert answer == next((n for n in range(lo, end + 1)
                            if threshold is not None and n >= threshold), None)
     assert len(reads) == len(set(reads))
-    assert all(lo <= n <= hi for n in reads)
-    if not gallop:
+    assert all(lo <= n and (hi is None or n <= hi) for n in reads)
+    if start is not None and start <= lo:
+        assert (answer, reads) == _search(threshold, lo, hi, gallop)
+    first = lo if start is None or start <= lo else start if hi is None else min(start, hi)
+    if hi is not None and lo > hi:
+        assert reads == []
+    elif not gallop:
         assert reads == list(range(lo, (hi if answer is None else answer) + 1))
-    elif answer is not None:
-        assert len(reads) <= 2 * math.ceil(math.log2(answer - lo + 2)) + 2
-    elif hi >= lo:
-        assert len(reads) <= math.ceil(math.log2(hi - lo + 2)) + 1
+    else:
+        assert reads[0] == first
+        if answer is not None:
+            assert len(reads) <= 2 * math.ceil(math.log2(abs(answer - first) + 2)) + 2
+        else:
+            assert len(reads) <= math.ceil(math.log2(hi - first + 2)) + 1
 
 
 def test_first_index_edge_cases():
@@ -60,6 +74,22 @@ def test_first_index_edge_cases():
     assert _search(12, 0, 20, True) == (12, [0, 1, 3, 7, 15, 11, 13, 12])
     assert _search(1000, 0, None, True)[0] == 1000
     assert _search(40, 3, None, False) == (40, list(range(3, 41)))
+
+
+def test_probe_read_orders():
+    # No probe, or one at or below lo: the gallop from lo, read for read.
+    from_lo = (80, [0, 1, 3, 7, 15, 31, 63, 127, 95, 79, 87, 83, 81, 80])
+    assert _search(80, 0, None, True) == from_lo
+    assert _search(80, 0, None, True, 0) == from_lo
+    assert _search(80, 0, None, True, -4) == from_lo
+    # A miss gallops up from the probe, a hit gallops down, not below lo.
+    assert _search(80, 0, None, True, 78) == (80, [78, 79, 81, 80])
+    assert _search(80, 0, None, True, 90) == (80, [90, 89, 87, 83, 75, 79, 81, 80])
+    assert _search(3, 3, 100, True, 50) == (3, [50, 49, 47, 43, 35, 19, 3])
+    # The probe is clamped to hi; lo > hi reads nothing; a linear scan ignores it.
+    assert _search(80, 0, 60, True, 90) == (None, [60])
+    assert _search(0, 5, 4, True, 7) == (None, [])
+    assert _search(5, 3, 9, False, 7) == (5, [3, 4, 5])
 
 
 # Random direct graphs: leaves, then operators over earlier nodes (shared subexpressions).
@@ -139,8 +169,9 @@ def _linear_diagonal(xs):
     def step(prev, n):
         lo, hi = prev
         one_third, two_thirds = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
-        xn, budget = xs(n), 4 * (n + 2)
-        for m in range(budget + 1):
+        xn = xs(n)
+        budget = None if xn._direct else 4 * (n + 2)
+        for m in itertools.count() if budget is None else range(budget + 1):
             iv = xn.interval(m)
             if iv.width < Fraction(1, 3 ** (n + 1)):
                 break
@@ -188,6 +219,90 @@ def test_diagonal_of_direct_reals_matches_the_linear_scan(leaves, ops):
     old = _linear_diagonal(lambda n: fresh[n % len(fresh)])
     for n in range(21):
         assert _outcome(lambda: new.interval(n)) == _outcome(lambda: old.interval(n))
+
+
+# Probes: approx and diagonal start a direct real's gallop where the answer is
+# expected.  A probe far off costs reads, never a different answer or a read past the fuel.
+
+class _CountingDirect(CReal):
+    """A direct real that lists the indices read through it."""
+
+    _direct = True
+
+    def __init__(self, real):
+        super().__init__(real.interval)
+        self.reads = []
+
+    def interval(self, n):
+        self.reads.append(n)
+        return super().interval(n)
+
+
+def test_diagonal_over_fast_and_slow_reals_matches_the_linear_scan():
+    def xs(n):  # j/31 and, 41 indices slower, j/31 * 2^40 * 2^-40
+        q = CReal.from_rational(Fraction(n % 31, 31))
+        if n % 2:
+            q = q * CReal.from_rational(2 ** 40) * CReal.from_rational(Fraction(1, 2 ** 40))
+        return q
+
+    new, old = diagonal(xs), _linear_diagonal(xs)
+    for n in range(30):
+        assert new.interval(n) == old.interval(n)
+
+
+def test_approx_with_fuel_below_p_reads_nothing_past_the_fuel():
+    for make in (sqrt2, lambda: CReal.from_rational(Fraction(2, 7)), lambda: sqrt2() * sqrt2()):
+        for p, fuel in ((30, 10), (30, 29), (5, 1), (60, 40)):
+            x = _CountingDirect(make())
+            got = _outcome(lambda: x.approx(p, fuel))
+            assert got == _outcome(lambda: _linear_approx(make(), p, fuel))
+            assert got[0] is FuelExhausted and max(x.reads) <= fuel
+            # Warm: the last answer is the lower bound, the probe p is clamped to the fuel.
+            x.approx(p - 20, None)
+            del x.reads[:]
+            assert _outcome(lambda: x.approx(p, fuel)) == got and all(n <= fuel for n in x.reads)
+
+
+def test_unresolved_rho0_reads_no_pi_digit_past_the_fuel():
+    for p, fuel in ((40, 12), (40, 39), (200, 60), (20, 5)):
+        spec = pattern_indicator(pi_digits(), 9, 99)
+        with pytest.raises(FuelExhausted, match=f"within {fuel} indices"):
+            rho0(spec).approx(p, fuel)
+        assert spec._frontier.clear <= fuel + 1
+
+
+# Read counts, deterministic.  Galloping from 0 with no probe, diagonal to step
+# 48 read 534 input intervals, a cold approx up to 16 and each of the falling
+# precisions 4 to 12.
+
+def test_diagonal_reads_half_the_input_intervals_of_a_search_from_zero():
+    made = []
+
+    def xs(n):  # the benchmark's kind of input, each built fresh: every read is a generation
+        q = CReal.from_rational(Fraction(n % 31, 31))
+        made.append(q if n % 2 == 0 else sqrt2() * q)
+        return made[-1]
+
+    diagonal(xs).interval(48)
+    assert sum(len(x._cache) for x in made) <= 534 // 2
+
+
+def test_cold_approx_of_a_rational_reads_at_most_four_intervals():
+    for q in (Fraction(0), Fraction(2, 7), Fraction(-355, 113), Fraction(10 ** 9, 3)):
+        for p in range(-3, 200, 7):
+            x = CReal.from_rational(q)
+            x.approx(p, None)
+            assert len(x._cache) <= 4
+
+
+def test_falling_precisions_read_a_few_intervals_a_call():
+    x = _CountingDirect(sqrt2() * CReal.from_rational(Fraction(5, 3)))
+    fresh = sqrt2() * CReal.from_rational(Fraction(5, 3))
+    x.approx(40, None)
+    for p in range(39, -1, -1):
+        del x.reads[:]
+        assert x.approx(p, None) == _linear_approx(fresh, p, 64)
+        assert len(x.reads) <= 4  # the last answer, then a gallop down of one or two
 
 
 # Sequential reals: a read past the answer may raise, so they are scanned in order.
