@@ -7,8 +7,8 @@ two-move game solvers and desk-scale Ramsey checkers."""
 from .coding import (concat, decode, encode, incompatible, is_prefix, length,
                      pair, prefix_of_stream, subsequence, unpair)
 from .combinatorics import (Coloring, DicksonInstance, almost_full_witness,
-                            arrow_check, arrow_star_check, dickson_witness,
-                            euclid_extend, monochromatic_witness)
+                            arrow_check, arrow_star_check, avoiding_coloring,
+                            dickson_witness, euclid_extend, monochromatic_witness)
 from .errors import FuelExhausted, PreconditionFailed, TooLarge
 from .fans import (CounterStrategyPrefix, DecidableBar, GameSpec2Omega,
                    GameSpecOmega2, NotBarWithinDepth, WinningMove,

@@ -253,10 +253,11 @@ def _cmd_dickson(args) -> _Answer:
 
 
 def _cmd_ramsey(args) -> _Answer:
-    check = combinatorics.arrow_star_check if args.star else combinatorics.arrow_check
-    holds = check(args.M, args.n, args.k, args.r)
+    coloring = combinatorics.avoiding_coloring(args.M, args.n, args.k, args.r, args.star)
+    holds = coloring is None
     return _Answer({"M": args.M, "n": args.n, "k": args.k, "r": args.r, "star": args.star},
-                   holds, None, f"holds: {'true' if holds else 'false'}")
+                   holds, None if holds else {"coloring": coloring},
+                   f"holds: {'true' if holds else 'false'}")
 
 
 def _parse_bar_spec(spec: str) -> Callable[[int], bool]:

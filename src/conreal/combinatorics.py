@@ -6,7 +6,9 @@ are lexicographic, and almost-full candidates go by length then lexicographic
 order.  The Ramsey checkers search colorings depth first: the k-tuples are
 colored one at a time in lexicographic order, each with colors 0..r-1 in
 turn, and a branch is cut as soon as a candidate tuple whose k-subtuples are
-all colored is monochromatic, since every coloring extending it hits.
+all colored is monochromatic, since every coloring extending it hits.  The
+first complete coloring the search reaches is thus the lexicographically
+first one that avoids every candidate: the evidence for a false answer.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coding import _least_divisor, encode
 from .errors import TooLarge
@@ -94,17 +96,21 @@ def _validate_arrow_args(M: int, n: int, k: int, r: int) -> None:
         raise ValueError("need r >= 1")
 
 
-def _every_coloring_hits(M: int, k: int, r: int, tuples: Iterable[tuple[int, ...]]) -> bool:
-    # True iff every r-coloring of the k-tuples over M makes some tuple of
-    # ``tuples`` monochromatic.  The guard runs before ``tuples`` is read.
+def avoiding_coloring(M: int, n: int, k: int, r: int, star: bool = False) -> list[int] | None:
+    """The lexicographically first r-coloring of the k-tuples over M with no
+    monochromatic candidate, or None when every coloring has one.  Candidates
+    are the increasing n-tuples, or with ``star`` the relatively large tuples
+    (length at least n and equal to the first entry).  The colors are listed
+    in the order of ``itertools.combinations(range(M), k)``."""
+    _validate_arrow_args(M, n, k, r)
     slots = list(itertools.combinations(range(M), k))
     total = r ** len(slots)
-    if total > COLORING_GUARD:
+    if total > COLORING_GUARD:  # before any candidate is listed
         raise TooLarge(f"{r}^C({M},{k}) = {total} colorings exceed the 2^30 guard")
     slot_index = {s: i for i, s in enumerate(slots)}
     # Each candidate is filed under its largest slot: the slot whose color closes it.
     closing: list[list[list[int]]] = [[] for _ in slots]
-    for t in tuples:
+    for t in _relatively_large(M, n) if star else itertools.combinations(range(M), n):
         subs = [slot_index[u] for u in itertools.combinations(t, k)]
         closing[max(subs)].append(subs)
     # Depth-first over partial colorings of slots 0..s, colors tried in increasing
@@ -115,7 +121,7 @@ def _every_coloring_hits(M: int, k: int, r: int, tuples: Iterable[tuple[int, ...
     s = 0
     while s >= 0:
         if s == len(slots):
-            return False
+            return colors
         color = colors[s] + 1
         if color == r:
             colors[s] = -1
@@ -124,14 +130,13 @@ def _every_coloring_hits(M: int, k: int, r: int, tuples: Iterable[tuple[int, ...
         colors[s] = color
         if not any(all(colors[u] == color for u in subs) for subs in closing[s]):
             s += 1
-    return True
+    return None
 
 
 def arrow_check(M: int, n: int, k: int, r: int) -> bool:
     """Exhaustive check that every r-coloring of the k-tuples over M admits a
     monochromatic increasing n-tuple."""
-    _validate_arrow_args(M, n, k, r)
-    return _every_coloring_hits(M, k, r, itertools.combinations(range(M), n))
+    return avoiding_coloring(M, n, k, r) is None
 
 
 def monochromatic_witness(c: Coloring, M: int, n: int) -> tuple[tuple[int, ...], int] | None:
@@ -159,8 +164,7 @@ def arrow_star_check(M: int, n: int, k: int, r: int) -> bool:
     """Exhaustive check of the relatively-large variant: every coloring admits a
     monochromatic increasing tuple whose length is at least n and equals its
     first entry."""
-    _validate_arrow_args(M, n, k, r)
-    return _every_coloring_hits(M, k, r, _relatively_large(M, n))
+    return avoiding_coloring(M, n, k, r, star=True) is None
 
 
 def almost_full_witness(a_member: Callable[[int], bool], zeta: NatStream,

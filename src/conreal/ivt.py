@@ -416,23 +416,39 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
 # Convenience oracle builders (the procedures re-verify whatever these claim).
 
 def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
-    """Searches a fixed grid of middle-third rationals for an apartness witness."""
+    """Searches a fixed grid of middle-third rationals for an apartness witness.
+
+    Each scan probes first at the index of the last witness this oracle found
+    (try_apart's ``start``): the witness index moves by about one a round.
+    """
+    last = None  # a racing caller can only get a worse probe, never another answer
+
     def oracle(a: Fraction, b: Fraction) -> tuple[Fraction, Apartness]:
+        nonlocal last
         for num in (4, 3, 5, 2, 6, 1, 7):  # eighths of the span, midpoint first
             q = _mix(num, 8, a, b)
-            w = try_apart(f.at(q), y, fuel)
+            w = try_apart(f.at(q), y, fuel, last)
             if w is not None:
+                last = w.witness.index
                 return q, w
         raise FuelExhausted("no apartness witness found in the middle third")
     return oracle
 
 
 def enumerated_witnesses(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
-    """apart_at for ivt_countable_exceptions, searching each rational directly."""
+    """apart_at for ivt_countable_exceptions, searching each rational directly.
+
+    Each scan probes first at the index of the last witness found, as
+    middle_third_oracle's do.
+    """
+    last = None
+
     def apart_at(i: int) -> Apartness:
+        nonlocal last
         q = rational_at(i)
-        w = try_apart(f.at(q), y, fuel)
+        w = try_apart(f.at(q), y, fuel, last)
         if w is None:
             raise FuelExhausted(f"no apartness witness at rational index {i} (q = {q})")
+        last = w.witness.index
         return w
     return apart_at

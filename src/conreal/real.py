@@ -232,12 +232,18 @@ def try_lt(x: CReal, y: CReal, fuel: int) -> LtWitness | None:
     return None if n is None else LtWitness(n)
 
 
-def try_apart(x: CReal, y: CReal, fuel: int) -> Apartness | None:
-    """The least index in 0..fuel that proves x < y or y < x, and which one it proves."""
+def try_apart(x: CReal, y: CReal, fuel: int, start: int | None = None) -> Apartness | None:
+    """The least index in 0..fuel that proves x < y or y < x, and which one it proves.
+
+    When x and y are both direct the gallop reads index ``start`` first (a
+    caller's guess, such as the index of a nearby witness), as separated
+    nested intervals stay separated; otherwise the scan runs from 0 and
+    ignores it.  The answer does not depend on ``start``, only the reads do.
+    """
     def apart(n: int) -> bool:
         a, b = x.interval(n), y.interval(n)
         return _lt(a.hi, b.lo) or _lt(b.hi, a.lo)
-    n = _first_index(apart, 0, fuel, x._direct and y._direct)
+    n = _first_index(apart, 0, fuel, x._direct and y._direct, start)
     if n is None:
         return None
     less = _lt(x.interval(n).hi, y.interval(n).lo)

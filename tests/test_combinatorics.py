@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conreal import (Coloring, DicksonInstance, NatStream, TooLarge,
                      almost_full_witness, arrow_check, arrow_star_check,
-                     dickson_witness, encode, euclid_extend,
+                     avoiding_coloring, dickson_witness, encode, euclid_extend,
                      monochromatic_witness)
 
 
@@ -248,22 +248,21 @@ def test_monochromatic_witness_matches_counterexample_status():
         assert (found is not None) == brute
 
 
+def _relatively_large(M, n):
+    return [(p,) + rest for p in range(n, M) for rest in itertools.combinations(range(p + 1, M), p - 1)]
+
+
 def _enumerate_colorings(M, n, k, r, star):
-    """The former checker: every coloring in turn, as the base-r numeral whose
-    i-th least significant digit colors the i-th k-tuple."""
+    """The former checker, returning evidence: the first coloring, in the
+    lexicographic order of the color lists, with no monochromatic candidate."""
     slots = list(itertools.combinations(range(M), k))
     index = {s: i for i, s in enumerate(slots)}
-    if star:
-        tuples = [(p,) + rest for p in range(n, M)
-                  for rest in itertools.combinations(range(p + 1, M), p - 1)]
-    else:
-        tuples = list(itertools.combinations(range(M), n))
+    tuples = _relatively_large(M, n) if star else itertools.combinations(range(M), n)
     candidates = [[index[u] for u in itertools.combinations(t, k)] for t in tuples]
-    for numeral in range(r ** len(slots)):
-        colors = [numeral // r ** i % r for i in range(len(slots))]
+    for colors in itertools.product(range(r), repeat=len(slots)):
         if not any(len({colors[s] for s in subs}) == 1 for subs in candidates):
-            return False
-    return True
+            return list(colors)
+    return None
 
 
 def test_ramsey_search_matches_enumeration():
@@ -275,8 +274,9 @@ def test_ramsey_search_matches_enumeration():
                     continue
                 for n in range(k, M + 1):
                     for star, check in ((False, arrow_check), (True, arrow_star_check)):
-                        assert check(M, n, k, r) is _enumerate_colorings(M, n, k, r, star), \
-                            (M, n, k, r, star)
+                        first = _enumerate_colorings(M, n, k, r, star)
+                        assert check(M, n, k, r) is (first is None), (M, n, k, r, star)
+                        assert avoiding_coloring(M, n, k, r, star) == first, (M, n, k, r, star)
                         cases += 1
     assert cases == 1156
 
@@ -286,3 +286,32 @@ def test_ramsey_search_beyond_enumeration():
     assert arrow_star_check(8, 3, 2, 2) is False
     # One color and 3160 slots: the search walks every slot without recursing.
     assert arrow_check(80, 3, 2, 1) is True
+
+
+def _as_coloring(M, k, r, colors):
+    table = dict(zip(itertools.combinations(range(M), k), colors, strict=True))
+    return Coloring(r, k, table.__getitem__)
+
+
+def test_avoiding_colorings_have_no_monochromatic_witness():
+    # The evidence for "holds: false" is checked again by the independent witness
+    # search: over every increasing n-tuple, or under --star over each relatively
+    # large tuple t alone (the coloring read through t, as a coloring of range(len(t))).
+    found = {False: 0, True: 0}
+    instances = [(M, n, k, r) for M in range(1, 9) for k in range(1, M + 1) for r in range(1, 4)
+                 if r ** math.comb(M, k) <= 2 ** 16 for n in range(k, M + 1)]
+    for (M, n, k, r), star in itertools.product(instances + [(8, 3, 2, 2)], (False, True)):
+        colors = avoiding_coloring(M, n, k, r, star)
+        if colors is None:
+            continue
+        found[star] += 1
+        c = _as_coloring(M, k, r, colors)
+        if not star:
+            assert monochromatic_witness(c, M, n) is None, (M, n, k, r)
+            continue
+        for t in _relatively_large(M, n):
+            through_t = Coloring(r, k, lambda u, t=t: c.assign(tuple(t[i] for i in u)))
+            assert monochromatic_witness(through_t, len(t), len(t)) is None, (M, n, k, r, t)
+    assert found[False] > 50 and found[True] > 50
+    # The pentagon, as ramsey --M 5 --n 3 --k 2 --r 2 --format json prints it.
+    assert avoiding_coloring(5, 3, 2, 2) == [0, 0, 1, 1, 1, 0, 1, 1, 0, 0]

@@ -478,3 +478,102 @@ def _ceil_log2_loop(q):
 @given(st.fractions(min_value=-4, max_value=1 << 70, max_denominator=1 << 40))
 def test_ceil_log2_matches_doubling_loop(q):
     assert _ceil_log2(q) == _ceil_log2_loop(q)
+
+
+# The oracles start each scan at the index of their last witness.  A probe changes
+# which intervals are read, never the witness.
+
+def _recording_oracles(f, y, fuel, seen):
+    """Both oracle builders, recording each point q and the witness returned for it."""
+    oracle, apart_at = middle_third_oracle(f, y, fuel), enumerated_witnesses(f, y, fuel)
+
+    def recording_oracle(a, b):
+        q, w = oracle(a, b)
+        seen.append((q, w))
+        return q, w
+
+    def recording_apart_at(i):
+        w = apart_at(i)
+        seen.append((rational_at(i), w))
+        return w
+
+    return recording_oracle, recording_apart_at
+
+
+@pytest.mark.parametrize("make", [identity_map, lambda: f0(_spike(5)), lambda: f0(_spike(None))],
+                         ids=["id", "f0_spike5", "f0_unresolved"])
+@pytest.mark.parametrize("y", [Fraction(1, 5), Fraction(2, 7), Fraction(7, 9), None],
+                         ids=["1/5", "2/7", "7/9", "sqrt2-1"])
+def test_oracle_witnesses_equal_a_scan_with_no_probe(make, y):
+    def target():
+        return sqrt2() - CReal.from_rational(1) if y is None else CReal.from_rational(y)
+
+    f, fy, seen = make(), target(), []
+    oracle, apart_at = _recording_oracles(f, fy, 64, seen)
+    ivt_locally_nonconstant(f, fy, oracle, depth=16)
+    ivt_countable_exceptions(f, fy, apart_at, depth=16)
+    assert len(seen) == 2 * 16  # one witness a forced round
+    fresh, fresh_y = make(), target()
+    for q, w in seen:
+        assert w == try_apart(fresh.at(q), fresh_y, 64)
+
+
+def _counting_encloses(f):
+    calls = []
+    enclose = f.enclose
+
+    def counting(iv, p):
+        calls.append(p)
+        return enclose(iv, p)
+
+    f.enclose = counting  # point values read f.enclose when first built
+    return calls
+
+
+def test_oracle_probes_halve_the_enclosures():
+    # Each scan starting from index 0, these runs made 171 and 169 enclosures.
+    f = identity_map()
+    calls = _counting_encloses(f)
+    y = CReal.from_rational(Fraction(1, 4))
+    ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=20)
+    assert len(calls) == 88
+    f = identity_map()
+    calls = _counting_encloses(f)
+    y = sqrt2() - CReal.from_rational(1)
+    ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=20)
+    assert len(calls) == 75
+
+
+def test_racing_callers_of_one_oracle_get_the_serial_witnesses():
+    # Threads sharing one apart_at overwrite each other's last witness index:
+    # each gets a worse probe, never another witness.
+    def build():
+        return f0(_spike(5)), CReal.from_rational(Fraction(7, 9))
+
+    indices = [rational_index(Fraction(k, 64)) for k in range(1, 64, 3)]
+    f, y = build()
+    expected = [try_apart(f.at(rational_at(i)), y, 64) for i in indices]
+    shared = enumerated_witnesses(*build(), 64)
+    threads_n = 6
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker(offset):
+        barrier.wait()
+        order = indices[offset:] + indices[:offset]
+        got = [shared(i) for i in order]
+        seen.append(got[len(indices) - offset:] + got[:len(indices) - offset])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(3 * k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == threads_n
+    assert all(got == expected for got in seen)
