@@ -13,7 +13,7 @@ from .errors import FuelExhausted, PreconditionFailed, TooLarge
 from .fans import (CounterStrategyPrefix, DecidableBar, GameSpec2Omega,
                    GameSpecOmega2, NotBarWithinDepth, WinningMove,
                    answer_strategy_2omega, finite_subbar, solve_omega2)
-from .ivt import (ContinuousMap, IvtResult, PiecewiseLinearSpec, approx_ivt,
+from .ivt import (ContinuousMap, PiecewiseLinearSpec, approx_ivt,
                   certified_within, distance_bound, enumerated_witnesses, f0,
                   f1, f2, identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle, pwl,

@@ -21,10 +21,10 @@ from typing import Callable, NamedTuple, TextIO
 
 from . import coding, combinatorics, fans
 from .errors import FuelExhausted, TooLarge
-from .ivt import (ContinuousMap, _thirds_depth, approx_ivt, enumerated_witnesses, f0, f1,
-                  f2, identity_map, ivt_countable_exceptions,
+from .ivt import (ContinuousMap, _UNCERTIFIED, _thirds_depth, approx_ivt, certified_within,
+                  enumerated_witnesses, f0, f1, f2, identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle, require_range)
-from .real import CReal, RationalInterval, half_pow, half_pow_text, rho0, rho1, rho2, sqrt2
+from .real import CReal, RationalInterval, half_pow, rho0, rho1, rho2, sqrt2
 from .streams import NatStream, _decimal, fugitive_least, pattern_indicator, pi_digits
 
 
@@ -353,20 +353,17 @@ def _cmd_ivt(args) -> _Answer:
 
     if args.mode == "approx":
         x = approx_ivt(f, y, p, fuel)
-        certified_p = p
-    elif args.mode == "lnc":
-        depth = args.depth if args.depth is not None else _thirds_depth(f.modulus(p + 1)) + 2
-        result = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, fuel), depth, fuel)
-        x, certified_p = result.x, result.certified_precision
     else:
-        depth = args.depth if args.depth is not None else max(f.modulus(p + 1) + 2, 0)
-        result = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, fuel), depth, fuel)
-        x, certified_p = result.x, result.certified_precision
-
-    if certified_p is None or certified_p < p:
-        require_range(f, y, p, fuel)  # a target outside the range is a usage error, as in approx mode
-        reached = "none" if certified_p is None else half_pow_text(certified_p)
-        raise FuelExhausted(f"certified only {reached}, wanted {half_pow_text(p)}")
+        if args.mode == "lnc":
+            depth = args.depth if args.depth is not None else _thirds_depth(f.modulus(p + 1)) + 2
+            x = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, fuel), depth)
+        else:
+            depth = args.depth if args.depth is not None else max(f.modulus(p + 1) + 2, 0)
+            x = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, fuel), depth)
+        # x is read no deeper than its forced steps (at least one).
+        if not certified_within(f, x, y, p, fuel, max(depth, 1)):
+            require_range(f, y, p, fuel)  # an out-of-range target is a usage error, as in approx mode
+            raise FuelExhausted(_UNCERTIFIED)
 
     xi = x.approx(p, fuel)
     img = f.enclose(xi, p + 2)

@@ -7,10 +7,11 @@ requested precision, and a modulus of uniform continuity (inputs within
 an executable artifact cannot derive it, so the representation assumes it.
 
 Three intermediate-value procedures are provided: the approximate version
-(bisection to a uniform depth, certified by an interval check), the
-thirds construction for locally non-constant maps (driven by a
-caller-supplied apartness oracle, always re-verified), and bisection with
-apartness witnesses at enumerated rational midpoints.
+(bisection to a uniform depth), the thirds construction for locally
+non-constant maps (driven by a caller-supplied apartness oracle, always
+re-verified), and bisection with apartness witnesses at enumerated rational
+midpoints.  One interval check, ``certified_within``, certifies the point
+each of them builds.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_FUEL = 128
+_UNCERTIFIED = "result could not be certified at the requested precision"
 _NODE_FUEL = 96  # caps reads of non-direct node reals only
 
 
@@ -220,19 +222,29 @@ def f2(f: FugitiveSpec, g: FugitiveSpec) -> ContinuousMap:
 
 def distance_bound(f: ContinuousMap, x: CReal, y: CReal, q: int, fuel: int,
                    x_fuel: int | None = None) -> Fraction:
-    """A certified upper bound on |f(x) - y|, inspecting at precision q."""
-    xi = _clamp01(x.approx(f.modulus(q), fuel if x_fuel is None else x_fuel))
-    img = f.enclose(xi, q)
+    """A certified upper bound on |f(x) - y|, inspecting at precision q.
+
+    x is read at its first interval of width <= 2^-modulus(q) among indices
+    0..x_fuel (default ``fuel``), or at x_fuel when none is that narrow: any
+    interval that holds x gives a sound bound.
+    """
+    x_fuel = fuel if x_fuel is None else x_fuel
+    try:
+        xi = x.approx(f.modulus(q), x_fuel)
+    except FuelExhausted:
+        xi = x.interval(x_fuel)
+    img = f.enclose(_clamp01(xi), q)
     yi = y.approx(q, fuel)
     return max(img.hi - yi.lo, yi.hi - img.lo)
 
 
-def certified_within(f: ContinuousMap, x: CReal, y: CReal, p: int, fuel: int) -> bool:
+def certified_within(f: ContinuousMap, x: CReal, y: CReal, p: int, fuel: int,
+                     x_fuel: int | None = None) -> bool:
     """Try inspection precisions q = p+1, ..., p+6 for a bound below 2^-p."""
     target = half_pow(p)
     for q in range(p + 1, p + 7):
         try:
-            if distance_bound(f, x, y, q, fuel) < target:
+            if distance_bound(f, x, y, q, fuel, x_fuel) < target:
                 return True
         except FuelExhausted:
             break
@@ -312,51 +324,20 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
 
     x = _bisection(pick, max(f.modulus(p + 1) + 2, 0))
     if not certified_within(f, x, y, p, fuel):
-        raise FuelExhausted("result could not be certified at the requested precision")
+        raise FuelExhausted(_UNCERTIFIED)
     return x
-
-
-@dataclass(frozen=True)
-class IvtResult:
-    """A constructed point with the best interval-certified distance bound.
-
-    ``certified_precision`` is the largest p with bound < 2^-p, or None when
-    even p = 0 fails (e.g. the target value was outside the map's range).
-    """
-
-    x: CReal
-    certified_precision: int | None
-    bound: Fraction | None
-
-
-def _certify_at_depth(f: ContinuousMap, x: CReal, y: CReal, avail: int,
-                      x_fuel: int, fuel: int = DEFAULT_FUEL) -> tuple[int | None, Fraction | None]:
-    # Deepest inspection precision whose modulus is honored by width 2^-avail;
-    # x is read only up to x_fuel (the depth actually constructed), while y and
-    # the enclosures may narrow freely.
-    q = _first_index(lambda q: f.modulus(q + 1) > avail, 0, None, False)
-    if q == 0:
-        return None, None
-    try:
-        bound = distance_bound(f, x, y, q, fuel, x_fuel=x_fuel)
-    except FuelExhausted:
-        return None, None
-    if bound >= 1:
-        return None, bound
-    # The largest p <= q + 15 with bound < 2^-p.
-    return (q + 15 if bound == 0 else min(q + 15, _ceil_log2(1 / bound) - 1)), bound
 
 
 def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
                             oracle: Callable[[Fraction, Fraction], tuple[Fraction, Apartness]],
-                            depth: int, fuel: int = DEFAULT_FUEL) -> IvtResult:
+                            depth: int) -> CReal:
     """The thirds construction: the oracle supplies, for any current interval,
     a middle-third rational whose value is apart from y; the construction keeps
     the side where the crossing must lie.  Widths obey width(n) <= (2/3)^n.
 
     Oracle answers are re-verified against raw intervals; a lying oracle is an
-    error.  ``depth`` rounds are forced eagerly and determine the certified
-    precision; the returned real keeps consulting the oracle lazily.
+    error.  ``depth`` rounds are forced eagerly; the returned real keeps
+    consulting the oracle lazily.
     """
     def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
         a, b = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)
@@ -365,10 +346,7 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
             raise ValueError(f"oracle point {q} outside the middle third ({a}, {b})")
         return q, _below(f, q, y, w, "oracle")
 
-    x = _bisection(pick, depth)
-    # Largest m with 2^-m >= (2/3)^depth.
-    avail = (3 ** depth // (1 << depth)).bit_length() - 1
-    return IvtResult(x, *_certify_at_depth(f, x, y, avail, x_fuel=max(depth, 1), fuel=fuel))
+    return _bisection(pick, depth)
 
 
 def _thirds_depth(target: int) -> int:
@@ -397,7 +375,7 @@ def rational_index(q) -> int:
 
 def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
                              apart_at: Callable[[int], Apartness],
-                             depth: int, fuel: int = DEFAULT_FUEL) -> IvtResult:
+                             depth: int) -> CReal:
     """Bisection driven by apartness witnesses for f at the enumerated rationals.
 
     At step n the midpoint m is located in the fixed rational enumeration and
@@ -409,8 +387,7 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
         m = _mix(1, 2, lo, hi)
         return m, _below(f, m, y, apart_at(rational_index(m)), "apartness")
 
-    x = _bisection(pick, depth)
-    return IvtResult(x, *_certify_at_depth(f, x, y, depth, x_fuel=max(depth, 1), fuel=fuel))
+    return _bisection(pick, depth)
 
 
 # Convenience oracle builders (the procedures re-verify whatever these claim).

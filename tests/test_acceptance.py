@@ -146,9 +146,9 @@ def test_c08_thirds_ivt():
     started = time.perf_counter()
     f = identity_map()
     y = CReal.from_rational(Fraction(1, 4))
-    result = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=20)
-    assert result.x.interval(20).width <= Fraction(2, 3) ** 20
-    assert result.certified_precision is not None and result.certified_precision >= 10
+    x = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=20)
+    assert x.interval(20).width <= Fraction(2, 3) ** 20
+    assert certified_within(f, x, y, 10, 64, 20)
     _report("8. thirds IVT: identity, y=1/4, depth 20, certificate passes", started)
 
 

@@ -189,14 +189,16 @@ def test_negative_precision_certificates():
     code, out, err = _invoke(["ivt", "--map", "id", "--y", "1/3", "-p", "-1"])
     assert (code, err) == (0, "")
     assert out.endswith("certified: |f(x) - y| < 2/1\n")
+    # Depth 0 leaves x = [0, 1]: as wide as 2^-modulus(0) = 1 allows, and it certifies 2^1.
+    code, out, err = _invoke(["ivt", "--map", "id", "--y", "1/2", "-p", "-1", "--mode", "lnc",
+                              "--depth", "0"])
+    assert (code, err) == (0, "")
+    assert out.endswith("certified: |f(x) - y| < 2/1\n")
 
 
 @pytest.mark.parametrize("argv,message", [
     (["eval", "1000000 * sqrt2", "-p", "-1", "--fuel", "1"],
      "error: no interval of width <= 2^1 within 1 indices\n"),
-    # Depth 0 leaves x = [0, 1], too wide to certify anything.
-    (["ivt", "--map", "id", "--y", "1/2", "-p", "-1", "--mode", "lnc", "--depth", "0"],
-     "error: certified only none, wanted 2^1\n"),
 ])
 def test_negative_precision_messages(argv, message):
     # 2^-p for p < 0 prints as 2^|p|, never as 2^--|p|.
@@ -214,14 +216,14 @@ def test_ivt_negative_depth_is_a_usage_error(mode, fmt):
     assert (code, out, err) == (2, "", "error: depth must be >= 0\n")
 
 
-@pytest.mark.parametrize("mode, expected", [
-    ("approx", (0, "x in 0/1 .. 1/1\nf(x) - y in -7/3 .. 8/3\ncertified: |f(x) - y| < 32/1\n", "")),
-    ("countable", (3, "", "error: certified only none, wanted 2^5\n")),
-    ("lnc", (3, "", "error: certified only none, wanted 2^5\n")),
-])
+_CERTIFIED_32 = (0, "x in 0/1 .. 1/1\nf(x) - y in -7/3 .. 8/3\ncertified: |f(x) - y| < 32/1\n", "")
+
+
+@pytest.mark.parametrize("mode, expected",
+                         [(mode, _CERTIFIED_32) for mode in ("approx", "countable", "lnc")])
 def test_ivt_default_depth_is_never_negative(mode, expected):
     # For id, modulus(p + 1) + 2 = p + 3 < 0 at p = -5: no steps are needed; lnc
-    # takes _thirds_depth(p + 1) + 2 = 2 steps.
+    # takes _thirds_depth(p + 1) + 2 = 2 steps.  x = [0, 1] certifies 2^5 in every mode.
     assert _invoke(["ivt", "--map", "id", "--y", "1/3", "-p", "-5", "--mode", mode]) == expected
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -353,37 +354,37 @@ def test_approx_ivt_keeps_bisecting_lazily():
 def test_lnc_identity():
     f = identity_map()
     y = CReal.from_rational(Fraction(1, 4))
-    result = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=20)
-    assert result.x.interval(20).width <= Fraction(2, 3) ** 20
-    assert result.certified_precision is not None and result.certified_precision >= 10
-    xi = result.x.approx(10, 20)
+    x = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=20)
+    assert x.interval(20).width <= Fraction(2, 3) ** 20
+    assert certified_within(f, x, y, 10, 64, 20)
+    xi = x.approx(10, 20)
     assert abs((xi.lo + xi.hi) / 2 - Fraction(1, 4)) < Fraction(1, 1024)
 
 
 def test_lnc_thirds_width_law():
     f = identity_map()
     y = CReal.from_rational(Fraction(2, 7))
-    result = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=12)
+    x = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=12)
     for n in range(12):
-        a, b = result.x.interval(n), result.x.interval(n + 1)
+        a, b = x.interval(n), x.interval(n + 1)
         assert b.width <= Fraction(2, 3) * a.width
 
 
 def test_lnc_strictly_increasing_pwl():
     f, _ = _rational_pwl([(0, Fraction(0)), (half, Fraction(1, 8)), (1, Fraction(1))])
     y = CReal.from_rational(Fraction(1, 16))
-    result = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=16)
-    assert result.certified_precision is not None and result.certified_precision >= 6
+    x = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=16)
+    assert certified_within(f, x, y, 6, 64, 16)
 
 
 def test_lnc_value_below_range():
     f = identity_map()
     y = CReal.from_rational(Fraction(-1, 4))
-    result = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=12)
-    # x converges to 0; the reported bound cannot reach 1/4.
-    assert result.x.interval(12).hi <= Fraction(2, 3) ** 12
-    assert result.bound is not None and result.bound >= Fraction(1, 4)
-    assert result.certified_precision is None or result.certified_precision <= 2
+    x = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=12)
+    # x converges to 0, where |f(x) - y| = 1/4: no bound below 2^-2 is sound.
+    assert x.interval(12).hi <= Fraction(2, 3) ** 12
+    assert not certified_within(f, x, y, 2, 64, 12)
+    assert not certified_within(f, x, y, 3, 64, 12)
 
 
 def test_lnc_rejects_lying_oracle():
@@ -411,11 +412,11 @@ def test_rational_enumeration_round_trip():
 def test_countable_identity_tracks_sqrt2_minus_one():
     f = identity_map()
     y = sqrt2() - CReal.from_rational(1)
-    result = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=20)
-    xi = result.x.interval(20)
+    x = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=20)
+    xi = x.interval(20)
     yi = y.approx(24, 64)
     assert xi.lo - Fraction(1, 2 ** 19) <= yi.hi and yi.lo <= xi.hi + Fraction(1, 2 ** 19)
-    assert result.certified_precision is not None and result.certified_precision >= 12
+    assert certified_within(f, x, y, 12, 64, 20)
 
 
 def test_countable_passes_midpoint_indices():
@@ -446,8 +447,8 @@ def test_countable_hypothesis_violation():
 def test_countable_strictly_increasing_pwl():
     f, _ = _rational_pwl([(0, Fraction(0)), (1, Fraction(1))])
     y = (sqrt2() - CReal.from_rational(1)) * CReal.from_rational(half)
-    result = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=18)
-    assert result.certified_precision is not None and result.certified_precision >= 10
+    x = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=18)
+    assert certified_within(f, x, y, 10, 64, 18)
 
 
 def test_apartness_of_plateau_from_target():
@@ -464,6 +465,48 @@ def test_approx_ivt_malformed_map_exhausts():
         lambda p: p)
     with pytest.raises(FuelExhausted):
         approx_ivt(stuck, CReal.from_rational(half), 4, fuel=16)
+
+
+@pytest.mark.parametrize("build", [
+    lambda f, y: ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=4),
+    lambda f, y: ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=4),
+], ids=["lnc", "countable"])
+def test_certification_ends_on_a_constant_hand_built_map(build):
+    # A modulus that never grows once sent the certification's precision search
+    # past every bound.  |f(x) - y| = 1/6 here: below 2^-2, not below 2^-4.
+    from conreal import ContinuousMap
+    started = time.perf_counter()
+    f = ContinuousMap(lambda iv, p: RationalInterval(half, half), lambda p: 0)
+    y = CReal.from_rational(Fraction(1, 3))
+    x = build(f, y)
+    assert certified_within(f, x, y, 2, 64, 4)
+    assert not certified_within(f, x, y, 4, 64, 4)
+    assert time.perf_counter() - started < 1.0
+
+
+def _fallback_cases():
+    nodes = st.lists(st.tuples(st.integers(1, 15), st.fractions(-4, 4, max_denominator=8)),
+                     min_size=0, max_size=3, unique_by=lambda node: node[0])
+    return st.tuples(
+        nodes, st.fractions(-4, 4, max_denominator=8), st.fractions(-4, 4, max_denominator=8),
+        st.fractions(0, 1, max_denominator=32), st.fractions(-4, 4, max_denominator=16),
+        st.integers(1, 6), st.integers(1, 4))
+
+
+@given(_fallback_cases())
+def test_distance_bound_from_the_x_fuel_interval_is_sound(case):
+    # q > x_fuel: x's widths are at least 2^-n, so no interval up to x_fuel is
+    # within 2^-modulus(q) and the bound is read from interval x_fuel.
+    inner, v0, v1, t, yv, x_fuel, extra = case
+    nodes = [(Fraction(0), v0)] + sorted((Fraction(c, 16), v) for c, v in inner) + [(Fraction(1), v1)]
+    f, _ = _rational_pwl(nodes)
+    x = CReal(lambda n: RationalInterval(max(t - half ** n, Fraction(0)), min(t + half ** n, Fraction(1))))
+    q = x_fuel + extra
+    bound = distance_bound(f, x, CReal.from_rational(yv), q, 64, x_fuel)
+    lo, hi = x.interval(x_fuel)
+    # |f - y| is convex on each piece: its supremum is at an end or a breakpoint.
+    points = [lo, hi] + [b for b, _ in nodes if lo < b < hi]
+    assert bound >= max(abs(_interpolate(nodes, s) - yv) for s in points)
 
 
 def _ceil_log2_loop(q):
@@ -531,16 +574,19 @@ def _counting_encloses(f):
 
 
 def test_oracle_probes_halve_the_enclosures():
-    # Each scan starting from index 0, these runs made 171 and 169 enclosures.
+    # Each scan starting from index 0, these runs made 171 and 169 enclosures,
+    # counting the one that certifies the point.
     f = identity_map()
     calls = _counting_encloses(f)
     y = CReal.from_rational(Fraction(1, 4))
-    ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=20)
+    x = ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=20)
+    assert certified_within(f, x, y, 10, 64, 20)
     assert len(calls) == 88
     f = identity_map()
     calls = _counting_encloses(f)
     y = sqrt2() - CReal.from_rational(1)
-    ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=20)
+    x = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=20)
+    assert certified_within(f, x, y, 12, 64, 20)
     assert len(calls) == 75
 
 

@@ -1,15 +1,14 @@
 """The library against the earlier code it replaced, kept here as references.
 
 Each reference is the former implementation, written over public names:
-the three step bodies of the intermediate-value procedures, the certified
-precision loop, the game predicates of the CLI, the recursive subbar walk,
-the bisection that defined sqrt2, the two-term interpolation of pwl, its
-enclosure with lam recomputed on every call, the Fraction expressions that
-real.py's integer kernels replaced (from_rational's ends, the four products
-of ``*``, the comparisons and width tests of the order scans), and the
-hand-written least-index loops that ``streams._first_index`` replaced (the
-thirds depth, the certification's q search, the omega2 move search, the
-fugitive frontier and pwl's piece lookup).  The new code must give the same
+the three step bodies of the intermediate-value procedures, the game
+predicates of the CLI, the recursive subbar walk, the bisection that defined
+sqrt2, the two-term interpolation of pwl, its enclosure with lam recomputed
+on every call, the Fraction expressions that real.py's integer kernels
+replaced (from_rational's ends, the four products of ``*``, the comparisons
+and width tests of the order scans), and the hand-written least-index loops
+that ``streams._first_index`` replaced (the thirds depth, the omega2 move
+search, the fugitive frontier and pwl's piece lookup).  The new code must give the same
 intervals, answers, call orders and exceptions.
 """
 
@@ -23,13 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
-                     IvtResult, LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
-                     approx_ivt, certified_within, cotrans_split, decode, diagonal, distance_bound,
+                     LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
+                     approx_ivt, certified_within, cotrans_split, decode, diagonal,
                      encode, enumerated_witnesses, fans, fugitive_least, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle, pwl,
                      rational_index, rho1, sqrt2, try_apart, try_lt, verify_lt)
 from conreal.cli import run
-from conreal.ivt import _certify_at_depth, _thirds_depth, require_range
+from conreal.ivt import _thirds_depth, require_range
 from conreal.real import _lt, _narrower, half_pow
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -70,29 +69,7 @@ def _old_approx_ivt(f, y, p, fuel):
     return x
 
 
-def _old_precision(q, bound):
-    p = 0
-    while p + 1 < q + 16 and bound < half_pow(p + 1):
-        p += 1
-    return p
-
-
-def _old_certify_at_depth(f, x, y, avail, x_fuel, fuel):
-    q = 0
-    while f.modulus(q + 1) <= avail:
-        q += 1
-    if q == 0:
-        return None, None
-    try:
-        bound = distance_bound(f, x, y, q, fuel, x_fuel=x_fuel)
-    except FuelExhausted:
-        return None, None
-    if bound >= 1:
-        return None, bound
-    return _old_precision(q, bound), bound
-
-
-def _old_lnc(f, y, oracle, depth, fuel):
+def _old_lnc(f, y, oracle, depth):
     def step(prev, _n):
         lo, hi = prev
         a = (2 * lo + hi) / 3
@@ -108,11 +85,10 @@ def _old_lnc(f, y, oracle, depth, fuel):
 
     x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
     x.interval(depth)
-    avail = (3 ** depth // (1 << depth)).bit_length() - 1
-    return IvtResult(x, *_old_certify_at_depth(f, x, y, avail, max(depth, 1), fuel))
+    return x
 
 
-def _old_countable(f, y, apart_at, depth, fuel):
+def _old_countable(f, y, apart_at, depth):
     def step(prev, _n):
         lo, hi = prev
         m = (lo + hi) / 2
@@ -125,7 +101,7 @@ def _old_countable(f, y, apart_at, depth, fuel):
 
     x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
     x.interval(depth)
-    return IvtResult(x, *_old_certify_at_depth(f, x, y, depth, max(depth, 1), fuel))
+    return x
 
 
 def _old_game_predicates(c):
@@ -223,16 +199,13 @@ def _lying_witnesses(f, y, fuel):
 
 
 def _outcome(run_procedure, depth):
-    """Intervals 0..depth of the constructed point and the certificate, or the
-    exception raised, as a comparable value."""
+    """Intervals 0..depth of the constructed point, or the exception raised,
+    as a comparable value."""
     try:
-        result = run_procedure()
+        x = run_procedure()
     except (ValueError, FuelExhausted) as e:
         return type(e), str(e)
-    if isinstance(result, IvtResult):
-        return ([result.x.interval(n) for n in range(depth + 1)],
-                result.certified_precision, result.bound)
-    return [result.interval(n) for n in range(depth + 1)]
+    return [x.interval(n) for n in range(depth + 1)]
 
 
 def _compare(new, old, variants, cases):
@@ -282,7 +255,7 @@ def test_approx_ivt_matches_reference():
 def test_locally_nonconstant_matches_reference():
     def run_with(procedure):
         def go(f, y, make_oracle, depth, fuel):
-            return procedure(f, y, make_oracle(f, y, fuel), depth, fuel)
+            return procedure(f, y, make_oracle(f, y, fuel), depth)
         return go
 
     kinds = _compare(run_with(ivt_locally_nonconstant), run_with(_old_lnc),
@@ -295,33 +268,12 @@ def test_locally_nonconstant_matches_reference():
 def test_countable_exceptions_matches_reference():
     def run_with(procedure):
         def go(f, y, make_witnesses, depth, fuel):
-            return procedure(f, y, make_witnesses(f, y, fuel), depth, fuel)
+            return procedure(f, y, make_witnesses(f, y, fuel), depth)
         return go
 
     kinds = _compare(run_with(ivt_countable_exceptions), run_with(_old_countable),
                      [enumerated_witnesses, _lying_witnesses], _cases(603, _bisection_case))
     assert {"ok", "apartness witness failed", "no apartness witness"} <= kinds
-
-
-_precision_cases = st.tuples(
-    st.integers(1, 300),
-    st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=1 << 70),
-              st.integers(0, 320).map(lambda k: half_pow(k)),
-              st.just(Fraction(0))))
-
-
-@given(_precision_cases)
-def test_certified_precision_closed_form_matches_loop(case):
-    # A stub map whose distance bound at any inspection precision is exactly
-    # ``bound`` and whose modulus is the identity, so q equals avail.
-    q, bound = case
-    point = CReal(lambda n: RationalInterval(_ZERO, _ZERO))
-    f = ContinuousMap(lambda iv, p: RationalInterval(_ZERO, bound), lambda p: p)
-    got = _certify_at_depth(f, point, point, q, x_fuel=1)
-    if bound >= 1:
-        assert got == (None, bound)
-    else:
-        assert got == (_old_precision(q, bound), bound)
 
 
 # --- the CLI's game predicates -----------------------------------------------------
@@ -533,35 +485,6 @@ def test_thirds_depth_matches_loop():
     for t in range(0, 301):
         assert _value_or_error(lambda: _thirds_depth(t)) == \
             _value_or_error(lambda: _old_thirds_depth(t)), t
-
-
-def _recording_map(modulus, bound):
-    """A stub map whose distance bound is ``bound``; records every modulus call."""
-    calls = []
-
-    def recorded(p):
-        calls.append(p)
-        return modulus(p)
-    return ContinuousMap(lambda iv, p: RationalInterval(_ZERO, bound), recorded), calls
-
-
-_MODULI = [lambda p: p, lambda p: 2 * p + 3, lambda p: p - 2, lambda p: 3 * p - 5,
-           lambda p: p * p // 4, lambda p: (p // 3) * 3 + 1, lambda p: max(1, p * (p % 5))]
-
-
-def test_certify_at_depth_reads_the_modulus_as_the_loop_did():
-    rng = random.Random(611)
-    point = CReal(lambda n: RationalInterval(_ZERO, _ZERO))
-    for _ in range(300):
-        modulus = rng.choice(_MODULI)
-        bound = rng.choice([_ZERO, _ONE, Fraction(rng.randint(1, 99), 100),
-                            half_pow(rng.randint(0, 40))])
-        avail, x_fuel = rng.randint(-2, 40), rng.randint(1, 6)
-        got = []
-        for procedure in (_certify_at_depth, _old_certify_at_depth):
-            f, calls = _recording_map(modulus, bound)
-            got.append((procedure(f, point, point, avail, x_fuel, 64), calls))
-        assert got[0] == got[1], (avail, bound)
 
 
 def _old_solve_omega2(g):
