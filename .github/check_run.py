@@ -1,0 +1,42 @@
+"""Check one benchmark run: the last line of conbench/run.py's output, read from stdin.
+
+    python3 conbench/run.py --workload W --seed S --seconds 5 --trace T | tail -n 1 |
+        python3 .github/check_run.py W S T
+
+Each run must answer correctly with no failed operation.  A traced run (T = 1)
+prints its deterministic counts, and each count and bits metric must stay at
+or below its row in count_ceilings.json: about 5% above the value measured
+when the row was set.  A change that lowers a count may lower its ceiling; one
+that raises a ceiling names it and its reason in CHANGES.md.  Exits 1 on any
+failure.
+"""
+
+import json
+import pathlib
+import sys
+
+CEILINGS = pathlib.Path(__file__).with_name("count_ceilings.json")
+
+
+def check(workload: str, seed: str, trace: str, run: dict) -> bool:
+    print(workload, seed, trace, "correct:", run["correct"], "failed:", run["failed"])
+    ok = run["correct"] is True and run["failed"] == 0
+    if trace != "1":
+        return ok
+    counts = {k: m["value"] for k, m in run["metrics"].items() if m["unit"] in ("count", "bits")}
+    ceilings = json.loads(CEILINGS.read_text())[workload][seed]
+    if set(ceilings) != set(counts):
+        print("count_ceilings.json does not list exactly the metrics of this run")
+        ok = False
+    for name, value in sorted(counts.items()):
+        ceiling = ceilings.get(name)
+        print("   ", name, value, "ceiling", ceiling)
+        if ceiling is not None and value > ceiling:
+            print(name, "exceeds its ceiling of", ceiling)
+            ok = False
+    return ok
+
+
+if __name__ == "__main__":
+    workload, seed, trace = sys.argv[1:]
+    sys.exit(0 if check(workload, seed, trace, json.loads(sys.stdin.read())) else 1)

@@ -211,8 +211,20 @@ def _cmd_pi(args) -> _Answer:
 
 def _cmd_hunt(args) -> _Answer:
     _check_pi_digits("--budget", args.budget)
-    spec = pattern_indicator(pi_digits(), args.digit, args.run)
-    position = fugitive_least(spec, args.budget - 1)
+    digits = pi_digits()
+    spec = pattern_indicator(digits, args.digit, args.run)
+    # First the starts whose runs end within the limit.  A later start is settled
+    # by a digit within the limit unless it lies in the run of the sought digit
+    # that ends at the limit; that run is shorter than --run, and start is its first.
+    position = fugitive_least(spec, min(args.budget, _PI_DIGITS_LIMIT + 1 - args.run) - 1)
+    if position is None and args.budget + args.run - 1 > _PI_DIGITS_LIMIT:
+        start = _PI_DIGITS_LIMIT
+        while digits[start - 1] == args.digit:
+            start -= 1
+        if start < args.budget:
+            raise TooLarge(f"--budget {args.budget} with --run {args.run} needs pi digits "
+                           f"past the limit of {_PI_DIGITS_LIMIT}")
+        position = fugitive_least(spec, args.budget - 1)
     inputs = {"digit": args.digit, "run": args.run, "budget": args.budget}
     if position is None:
         return _Answer(inputs, None, None, f"unresolved after {args.budget} digits", code=3)
@@ -383,16 +395,18 @@ def _cmd_ivt(args) -> _Answer:
 def _build_parser() -> _Parser:
     # Built once per process: parse_args leaves the parser unchanged.
     parser = _Parser(prog="conreal", description="constructive reals and friends")
-    # Global flags, accepted before or after the subcommand.
+    # --format is accepted before or after the subcommand; --fuel after the
+    # subcommands that read it.
     common = _Parser(add_help=False)
-    common.add_argument("--fuel", type=int, default=argparse.SUPPRESS,
-                        help="index budget for semi-decidable searches (default 64)")
     common.add_argument("--format", choices=("plain", "json"), default=argparse.SUPPRESS)
-    parser.add_argument("--fuel", type=int, default=64, help=argparse.SUPPRESS)
+    fueled = _Parser(add_help=False, parents=[common])
+    fueled.add_argument("--fuel", type=int, default=argparse.SUPPRESS,
+                        help="index budget for semi-decidable searches (default 64)")
     parser.add_argument("--format", choices=("plain", "json"), default="plain")
+    parser.set_defaults(fuel=64)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate an interval expression")
+    p = sub.add_parser("eval", parents=[fueled], help="evaluate an interval expression")
     p.add_argument("expr")
     p.add_argument("-p", "--precision", type=int, required=True)
     p.set_defaults(fn=_cmd_eval)
@@ -405,7 +419,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--digit", type=int, required=True)
     p.add_argument("--run", type=int, required=True)
     p.add_argument("--budget", type=int, required=True,
-                   help=f"digits a run may start in, 1 to {_PI_DIGITS_LIMIT} (a run is read to its end)")
+                   help=f"digits a run may start in, 1 to {_PI_DIGITS_LIMIT}; a hunt whose answer "
+                        f"needs a digit past the first {_PI_DIGITS_LIMIT} exits 2")
     p.set_defaults(fn=_cmd_hunt)
 
     p = sub.add_parser("encode", parents=[common], help="code of a finite sequence of naturals")
@@ -416,7 +431,7 @@ def _build_parser() -> _Parser:
     p.add_argument("code", type=int)
     p.set_defaults(fn=_cmd_decode)
 
-    p = sub.add_parser("ivt", parents=[common], help="intermediate value procedures")
+    p = sub.add_parser("ivt", parents=[fueled], help="intermediate value procedures")
     p.add_argument("--map", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("-p", "--precision", type=int, required=True)
@@ -442,7 +457,7 @@ def _build_parser() -> _Parser:
     p.add_argument("primes", type=int, nargs="+")
     p.set_defaults(fn=_cmd_euclid)
 
-    p = sub.add_parser("dickson", parents=[common], help="dominance pair over finitely many sequences")
+    p = sub.add_parser("dickson", parents=[fueled], help="dominance pair over finitely many sequences")
     p.add_argument("--seqs", required=True,
                    help="semicolon-separated sequences, e.g. '3,2,1,0;0,1,2' "
                         "(each continues with its last value)")

@@ -294,32 +294,26 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
 
     Bisection: at each midpoint m the enclosure of f(m) and the current
     approximation of y are narrowed below 2^-(p+1), at the least level
-    where both are, and the half keeping the crossing is selected; y's
-    interval is read first and f is enclosed only at levels where y is
-    already narrow.  y's least narrow level is found once per call, in the
-    first step, and every step's level search starts there.  The uniform
-    modulus gives an a-priori depth of modulus(p+1) + 2, or 0 where that is
-    negative.  The returned real keeps bisecting lazily beyond that depth.
+    where both are, and the half keeping the crossing is selected.  y's
+    least narrow level is found once, before the bisection; a real's
+    intervals are nested, so y stays narrow above it, and each step
+    encloses f from that level up.  The uniform modulus gives an a-priori
+    depth of modulus(p+1) + 2, or 0 where that is negative.  The returned
+    real keeps bisecting lazily beyond that depth.
     """
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
-    y_levels: dict[None, int] = {}
-
-    def y_level(_key) -> int:
-        level = _first_index(lambda n: _narrower(y.interval(n), eps), 0, fuel, False)
-        if level is None:
-            raise FuelExhausted("enclosures did not narrow; malformed map or real")
-        return level
+    y_level = _first_index(lambda n: _narrower(y.interval(n), eps), 0, fuel, False)
+    if y_level is None:
+        raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
     def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
         m = _mix(1, 2, lo, hi)
         point = RationalInterval(m, m)
-        for level in range(_memo(y_levels, None, y_level), fuel + 1):
-            yl = y.interval(level)
-            if _narrower(yl, eps):
-                s = f.enclose(point, level)
-                if _narrower(s, eps):
-                    return m, s.hi < yl.lo + eps
+        for level in range(y_level, fuel + 1):
+            s = f.enclose(point, level)
+            if _narrower(s, eps):
+                return m, s.hi < y.interval(level).lo + eps
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
     x = _bisection(pick, max(f.modulus(p + 1) + 2, 0))

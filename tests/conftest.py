@@ -59,6 +59,23 @@ def random_indicator(rng: random.Random) -> FugitiveSpec:
     return FugitiveSpec(NatStream.eventually_constant(prefix, tail))
 
 
+def spike(position: int | None) -> FugitiveSpec:
+    """The fugitive firing at ``position`` alone, or never for None."""
+    return FugitiveSpec(NatStream.from_function(
+        lambda j: 1 if position is not None and j == position else 0))
+
+
+def same(new, old) -> bool:
+    """Equal rationals with the same numerator, denominator and type."""
+    return (new == old and type(new) is type(old)
+            and (new.numerator, new.denominator) == (old.numerator, old.denominator))
+
+
+def same_interval(new, old) -> bool:
+    """Intervals of one type whose ends are the ``same``."""
+    return type(new) is type(old) and all(same(u, v) for u, v in zip(new, old))
+
+
 def random_real_tree(rng: random.Random, depth: int) -> tuple[CReal, Fraction, Fraction]:
     """A random expression tree; returns (real, rate, magnitude).
 

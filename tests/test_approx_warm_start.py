@@ -12,8 +12,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conreal import (CReal, FugitiveSpec, FuelExhausted, NatStream, RationalInterval, f0,
-                     rho1, sqrt2)
+from conftest import spike
+from conreal import CReal, FuelExhausted, RationalInterval, f0, rho1, sqrt2
 from conreal.real import _narrow, half_pow, half_pow_text
 
 
@@ -64,7 +64,7 @@ def test_approx_matches_linear_scan(exps, raise_from, calls):
 @given(calls=st.lists(st.tuples(st.integers(-2, 40), st.integers(1, 50)), min_size=1, max_size=14))
 def test_approx_on_library_reals_matches_linear_scan(calls):
     for make in (sqrt2, lambda: sqrt2() * CReal.from_rational(Fraction(5, 3)),
-                 lambda: CReal.from_rational(Fraction(2, 7)) + rho1(_spike(5))):
+                 lambda: CReal.from_rational(Fraction(2, 7)) + rho1(spike(5))):
         shared, fresh = make(), make()
         for p, fuel in calls:
             assert (_outcome(lambda: shared.approx(p, fuel))
@@ -123,13 +123,9 @@ def test_fuel_below_remembered_index_exhausts_with_the_same_message():
     assert x.reads == reads
 
 
-def _spike(position):
-    return FugitiveSpec(NatStream.from_function(lambda j, p=position: 1 if j == p else 0))
-
-
 def _build():
-    real = sqrt2() * CReal.from_rational(Fraction(3, 5)) + rho1(_spike(9))
-    return real, f0(_spike(7))
+    real = sqrt2() * CReal.from_rational(Fraction(3, 5)) + rho1(spike(9))
+    return real, f0(spike(7))
 
 
 def _queries():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same, same_interval
 from conreal import (CReal, ContinuousMap, FuelExhausted, PiecewiseLinearSpec, RationalInterval,
                      approx_ivt, certified_within, identity_map, pwl, sqrt2)
 from conreal import ivt
@@ -84,16 +85,6 @@ def _outcome(call):
         return type(e), str(e)
 
 
-def _same(new, old):
-    """Equal rationals with the same numerator, denominator and type."""
-    return (new == old and type(new) is type(old)
-            and (new.numerator, new.denominator) == (old.numerator, old.denominator))
-
-
-def _same_interval(new, old):
-    return all(_same(u, v) for u, v in zip(new, old))
-
-
 # --- approx_ivt finds y's narrow level once per call -------------------------------
 
 class _CountedReal(CReal):
@@ -152,7 +143,7 @@ def test_approx_ivt_reads_y_below_its_narrow_level_once_per_call(map_name, y_nam
 
     new_ivs, new_calls, new_reads = run(approx_ivt)
     old_ivs, old_calls, old_reads = run(_old_approx_ivt)
-    assert all(_same_interval(a, b) for a, b in zip(new_ivs, old_ivs))
+    assert all(same_interval(a, b) for a, b in zip(new_ivs, old_ivs))
     assert new_calls == old_calls
     # Every step encloses one new midpoint; require_range encloses 0 and 1.
     steps = len({iv.lo for iv, _ in new_calls if iv.lo == iv.hi and 0 < iv.lo < 1})
@@ -160,7 +151,7 @@ def test_approx_ivt_reads_y_below_its_narrow_level_once_per_call(map_name, y_nam
     least = next(n for n in range(fuel + 1) if _YS[y_name]()(n).width < eps)
     assert least > 0 and steps > 1
     # The old loop read each level below the least narrow one on every step;
-    # now one scan reads them in the first step and re-reads that level once.
+    # now one scan reads them before the bisection and re-reads that level once.
     assert all(old_reads[n] - new_reads[n] == steps - 1 for n in range(least))
     assert new_reads[least] == old_reads[least] + 1
     assert all(new_reads[n] == old_reads[n] for n in old_reads.keys() | new_reads.keys() if n > least)
@@ -182,7 +173,17 @@ class _NeverNarrow(CReal):
         return RationalInterval(self._c, self._c)
 
 
-@pytest.mark.parametrize("procedure", [approx_ivt, _old_approx_ivt])
+def test_y_never_narrowing_raises_before_bisecting():
+    # y's level scan runs before the bisection: it reads y's indices 0..fuel
+    # once and raises, so no point is returned on which a later read retries it.
+    c, fuel, log = Fraction(1, 3), 12, []
+    f = ContinuousMap(lambda iv, p: RationalInterval(c, c), lambda p: -10)
+    with pytest.raises(FuelExhausted, match="^enclosures did not narrow; malformed map or real$"):
+        approx_ivt(f, _NeverNarrow(c, log), 4, fuel)
+    assert log == list(range(fuel + 1))
+
+
+@pytest.mark.parametrize("procedure", [_old_approx_ivt])
 def test_y_never_narrowing_raises_on_every_read(procedure):
     # A negative modulus makes the eager depth 0 and certification read only
     # x's interval 0, so the first step runs on the first read of x's
@@ -236,7 +237,7 @@ def test_enclose_guard_matches_the_fraction_chain(a, b, shape, p):
     if isinstance(old[0], type):
         assert new == old, (iv, p)
     else:
-        assert _same_interval(new, old), (iv, p)
+        assert same_interval(new, old), (iv, p)
 
 
 def test_equal_points_share_one_piece(monkeypatch):
@@ -255,8 +256,8 @@ def test_equal_points_share_one_piece(monkeypatch):
         a = f.enclose(RationalInterval(first, first), 5)
         b = f.enclose(RationalInterval(second, second), 5)
         assert len(lookups) == 1, (first, second)
-        assert _same_interval(a, b), (first, second)
-        assert _same_interval(a, _old_enclose(values, _BPS, RationalInterval(first, first), 5))
+        assert same_interval(a, b), (first, second)
+        assert same_interval(a, _old_enclose(values, _BPS, RationalInterval(first, first), 5))
 
 
 # --- bisection points and the clamp -----------------------------------------------
@@ -278,7 +279,7 @@ def test_mix_matches_the_fraction_expressions(lo, hi, shape, num):
                      (_mix(1, 3, lo, hi), (2 * lo + hi) / 3),
                      (_mix(2, 3, lo, hi), (lo + 2 * hi) / 3),
                      (_mix(num, 8, lo, hi), lo + (hi - lo) * Fraction(num, 8))]:
-        assert _same(new, old), (lo, hi, num)
+        assert same(new, old), (lo, hi, num)
 
 
 _clamp_ends = st.one_of(

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cli_cases import CASES
-from conreal import streams
+from conreal import cli, streams
 from conreal.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -227,6 +228,45 @@ def test_ivt_default_depth_is_never_negative(mode, expected):
     assert _invoke(["ivt", "--map", "id", "--y", "1/3", "-p", "-5", "--mode", mode]) == expected
 
 
+_UNFUELED = [
+    ["pi", "--digits", "5"],
+    ["hunt", "--digit", "9", "--run", "2", "--budget", "100"],
+    ["encode", "1", "2"],
+    ["decode", "11249"],
+    ["subbar", "--spec", "len=3", "--depth", "4"],
+    ["game", "--mode", "omega2", "--c", "n=3", "--bound", "5"],
+    ["euclid", "2", "3"],
+    ["ramsey", "--M", "5", "--n", "3", "--k", "2", "--r", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNFUELED, ids=[argv[0] for argv in _UNFUELED])
+def test_fuel_flag_rejected_where_unread(argv):
+    assert _invoke(argv)[0] == 0
+    code, out, err = _invoke(argv + ["--fuel", "3"])
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --fuel 3\n")
+
+
+def test_fuel_flag_rejected_before_the_subcommand():
+    code, out, err = _invoke(["--fuel", "3", "eval", "1/3", "-p", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "sqrt2", "-p", "10"],
+    ["ivt", "--map", "f0:7,1", "--y", "1/2", "-p", "8"],
+    ["dickson", "--seqs", "3,2,1,0;0,1,2"],
+], ids=["eval", "ivt", "dickson"])
+def test_fuel_flag_read_where_registered(argv):
+    # The default is 64, the same as an explicit --fuel 64, JSON inputs included.
+    for fmt in ("plain", "json"):
+        default = _invoke(argv + ["--format", fmt])
+        assert default[0] == 0
+        assert _invoke(argv + ["--fuel", "64", "--format", fmt]) == default
+    assert _invoke(argv + ["--fuel", "0"]) == (2, "", "error: --fuel must be >= 1\n")
+
+
 def test_seed_flag_rejected():
     code, out, err = _invoke(["pi", "--digits", "5", "--seed", "1"])
     assert code == 2
@@ -255,6 +295,49 @@ def test_pi_digit_counts_at_the_limit_are_accepted(monkeypatch):
     monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or 3 * 10 ** size)
     assert _invoke(["pi", "--digits", "65536"]) == (0, "0" * 65536 + "\n", "")
     assert sizes == [64 << k for k in range(11)]
+
+
+_pi_floor = functools.cache(streams._pi_floor)  # one 65,536-digit batch for the cases below
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # pi's digit 65,535 is 3 and digit 65,534 is 7: a run of 3s starting at
+    # 65,535 is still open at the limit, and no earlier start can reach it.
+    (["hunt", "--digit", "3", "--run", "9", "--budget", "65536"],
+     (2, "", "error: --budget 65536 with --run 9 needs pi digits past the limit of 65536\n")),
+    (["hunt", "--digit", "3", "--run", "9", "--budget", "65535"],
+     (3, "unresolved after 65535 digits\n", "")),
+    (["hunt", "--digit", "5", "--run", "99", "--budget", "65536"],
+     (3, "unresolved after 65536 digits\n", "")),
+    (["hunt", "--digit", "9", "--run", "2", "--budget", "65536"], (0, "found: 43\n", "")),
+], ids=["run_open_at_the_limit", "run_open_past_the_budget", "no_run", "early_hit"])
+def test_hunt_reads_no_batch_past_the_limit(monkeypatch, argv, expected):
+    sizes = []
+    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
+    assert _invoke(argv) == expected
+    assert sizes and max(sizes) <= 65536
+
+
+@pytest.mark.parametrize("budget", [1, 7, 60, 300])
+def test_hunt_within_the_limit_reads_what_one_scan_reads(monkeypatch, budget):
+    # budget + run - 1 <= 65,536: hunt reads exactly the digits of one scan to budget - 1.
+    def logged(log):
+        digits = streams.pi_digits()
+        return streams.NatStream(lambda n: log.append(n) or digits[n])
+
+    read = []
+    monkeypatch.setattr(cli, "pi_digits", lambda: logged(read))
+    for digit in range(10):
+        for run_length in (1, 2, 3):
+            scan = []
+            expected = streams.fugitive_least(
+                streams.pattern_indicator(logged(scan), digit, run_length), budget - 1)
+            del read[:]
+            code, out, _ = _invoke(["hunt", "--digit", str(digit), "--run", str(run_length),
+                                    "--budget", str(budget)])
+            assert read == scan
+            assert (code, out) == ((3, f"unresolved after {budget} digits\n") if expected is None
+                                   else (0, f"found: {expected}\n"))
 
 
 @pytest.mark.parametrize("mode", ["approx", "lnc", "countable"])

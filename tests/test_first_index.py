@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conreal import (Apartness, ContinuousMap, CReal, Direction, FugitiveSpec, FuelExhausted,
-                     LtWitness, NatStream, RationalInterval, Split, SplitSide, cantor_point,
-                     cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, rho0,
-                     rho1, sqrt2, try_apart, try_lt)
+from conftest import spike
+from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, LtWitness,
+                     NatStream, RationalInterval, Split, SplitSide, cantor_point, cotrans_split,
+                     diagonal, identity_map, pattern_indicator, pi_digits, rho0, rho1, sqrt2,
+                     try_apart, try_lt)
 from conreal.real import _first_index, half_pow, half_pow_text
 
 
@@ -101,11 +102,6 @@ _LEAVES = st.one_of(
 _OPS = st.tuples(st.sampled_from(["+", "-", "*", "abs", "neg"]), st.integers(0, 99), st.integers(0, 99))
 
 
-def _spike(position):
-    return FugitiveSpec(NatStream.from_function(
-        lambda j: 1 if position is not None and j == position else 0))
-
-
 def _build(leaves, ops):
     nodes = []
     for kind, arg in leaves:
@@ -114,7 +110,7 @@ def _build(leaves, ops):
         elif kind == "sqrt2":
             nodes.append(sqrt2())
         else:
-            nodes.append((rho0 if kind == "rho0" else rho1)(_spike(arg)))
+            nodes.append((rho0 if kind == "rho0" else rho1)(spike(arg)))
     for op, i, j in ops:
         a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
         nodes.append({"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
@@ -370,4 +366,4 @@ def test_sums_with_a_sequential_part_are_not_direct():
     # A pwl point value is the raw enclosure, direct when every node is.
     point = identity_map().at(Fraction(1, 3))
     assert point._direct and (sqrt2() * point)._direct
-    assert (sqrt2() * abs(-CReal.from_rational(2)) - rho1(_spike(3)))._direct
+    assert (sqrt2() * abs(-CReal.from_rational(2)) - rho1(spike(3)))._direct

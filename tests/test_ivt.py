@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import spike
 from conreal import (Apartness, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
                      NatStream, PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
                      approx_ivt, certified_within, distance_bound,
@@ -19,10 +20,6 @@ from conreal import (Apartness, CReal, Direction, FugitiveSpec, FuelExhausted, L
 from conreal.ivt import _ceil_log2
 
 half = Fraction(1, 2)
-
-
-def _spike(position):
-    return FugitiveSpec(NatStream.from_function(lambda j, p=position: 1 if j == p else 0))
 
 
 def _point(q) -> RationalInterval:
@@ -160,7 +157,7 @@ def test_pwl_stuck_node_raises_every_time():
 
 def test_pwl_racing_enclosures_match_serial_run():
     def build():
-        return f0(_spike(6))
+        return f0(spike(6))
 
     rng = random.Random(23)
     queries = [(_random_input(rng), rng.choice((2, 5, 8, 11, 14))) for _ in range(60)]
@@ -222,9 +219,9 @@ def test_pwl_point_values_equal_running_intersections_random():
 
 
 @pytest.mark.parametrize("build,bps", [
-    (lambda s: f0(_spike(s)), (0, Fraction(1, 3), Fraction(2, 3), 1)),
-    (lambda s: f1(_spike(s)), (0, half, 1)),
-    (lambda s: f2(_spike(s), _spike(s + 1)),
+    (lambda s: f0(spike(s)), (0, Fraction(1, 3), Fraction(2, 3), 1)),
+    (lambda s: f1(spike(s)), (0, half, 1)),
+    (lambda s: f2(spike(s), spike(s + 1)),
      (0, Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5), 1)),
 ])
 @pytest.mark.parametrize("position", [0, 1, 6, 31, 64])
@@ -246,7 +243,7 @@ def test_pwl_point_value_reads_ahead_past_the_node_cap(fuel):
 
 def test_pwl_racing_point_values_match_serial_run():
     def build():
-        return f0(_spike(6))
+        return f0(spike(6))
 
     rng = random.Random(31)
     points = [Fraction(k, 12) for k in range(13)] + [Fraction(1, 7), Fraction(5, 9)]
@@ -288,7 +285,7 @@ def test_f0_plateau_value():
 
 
 def test_f0_odd_firing_hits_zero():
-    f = f0(_spike(1))  # odd: plateau is 1/2 - 1/2 = 0
+    f = f0(spike(1))  # odd: plateau is 1/2 - 1/2 = 0
     assert f.enclose(_point(Fraction(1, 3)), 10).contains(Fraction(0))
 
 
@@ -300,7 +297,7 @@ def test_f1_quiet_midpoint_near_zero():
 
 
 def test_f2_endpoints():
-    f = f2(_spike(1), _spike(2))
+    f = f2(spike(1), spike(2))
     assert f.enclose(_point(0), 8).contains(Fraction(0))
     assert f.enclose(_point(1), 8).contains(Fraction(1))
 
@@ -543,7 +540,7 @@ def _recording_oracles(f, y, fuel, seen):
     return recording_oracle, recording_apart_at
 
 
-@pytest.mark.parametrize("make", [identity_map, lambda: f0(_spike(5)), lambda: f0(_spike(None))],
+@pytest.mark.parametrize("make", [identity_map, lambda: f0(spike(5)), lambda: f0(spike(None))],
                          ids=["id", "f0_spike5", "f0_unresolved"])
 @pytest.mark.parametrize("y", [Fraction(1, 5), Fraction(2, 7), Fraction(7, 9), None],
                          ids=["1/5", "2/7", "7/9", "sqrt2-1"])
@@ -594,7 +591,7 @@ def test_racing_callers_of_one_oracle_get_the_serial_witnesses():
     # Threads sharing one apart_at overwrite each other's last witness index:
     # each gets a worse probe, never another witness.
     def build():
-        return f0(_spike(5)), CReal.from_rational(Fraction(7, 9))
+        return f0(spike(5)), CReal.from_rational(Fraction(7, 9))
 
     indices = [rational_index(Fraction(k, 64)) for k in range(1, 64, 3)]
     f, y = build()

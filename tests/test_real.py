@@ -9,7 +9,7 @@ from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, NatStream,
                      pattern_indicator, pi_digits, rho0, rho1, rho2, sqrt2,
                      sqrt2_irrationality_witness, try_apart, try_lt, verify_lt,
                      zero)
-from conftest import fuel_for, random_real_tree
+from conftest import fuel_for, random_real_tree, spike
 
 half = Fraction(1, 2)
 
@@ -218,17 +218,13 @@ def test_sqrt2_witness_certified_by_intervals():
         assert iv.lo >= Fraction(1, p)
 
 
-def _spike(position):
-    return FugitiveSpec(NatStream.from_function(lambda j, p=position: 1 if j == p else 0))
-
-
 def test_rho0_immediate_firing():
-    r = rho0(_spike(0))
+    r = rho0(spike(0))
     assert r.approx(5, 8) == (1, 1)
 
 
 def test_rho1_even_firing():
-    r = rho1(_spike(2))
+    r = rho1(spike(2))
     for n in range(2):
         h = Fraction(1, 2 ** n)
         assert r.interval(n) == (-h, h)
@@ -237,23 +233,23 @@ def test_rho1_even_firing():
 
 
 def test_rho1_odd_firing():
-    r = rho1(_spike(3))
+    r = rho1(spike(3))
     for n in range(3, 8):
         assert r.interval(n) == (Fraction(-1, 8), Fraction(-1, 8))
 
 
 def test_rho2_odd_firing_is_zero():
-    r = rho2(_spike(3))
+    r = rho2(spike(3))
     assert r.approx(10, 16).contains(Fraction(0))
 
 
 def test_rho2_even_firing_is_twice_rho0():
-    r = rho2(_spike(2))
+    r = rho2(spike(2))
     assert r.approx(10, 16).contains(Fraction(1, 2))
 
 
 def test_rho_shrinking_through_transition():
-    for spec in [_spike(0), _spike(1), _spike(4)]:
+    for spec in [spike(0), spike(1), spike(4)]:
         for build in (rho0, rho1):
             r = build(spec)
             for n in range(10):

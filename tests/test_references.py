@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_interval, spike
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
                      LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
                      approx_ivt, certified_within, cotrans_split, decode, diagonal,
@@ -343,10 +344,6 @@ def test_sqrt2_closed_form_matches_bisection():
 
 # --- the approx_ivt level search and pwl enclosures ------------------------------
 
-def _spike(position):
-    return FugitiveSpec(NatStream.from_function(lambda j, p=position: 1 if j == p else 0))
-
-
 def _slow(v):
     """v as a real that narrows three times slower than from_rational."""
     return CReal(lambda n: RationalInterval(v - half_pow(n // 3), v + half_pow(n // 3)))
@@ -354,7 +351,7 @@ def _slow(v):
 
 _TARGETS = {
     "sqrt2": lambda t, k: sqrt2() * CReal.from_rational(t * Fraction(5, 7)),
-    "rho": lambda t, k: CReal.from_rational(t) + rho1(_spike(k)),
+    "rho": lambda t, k: CReal.from_rational(t) + rho1(spike(k)),
     "point": lambda t, k: CReal(lambda n: RationalInterval(t, t)),
 }
 
@@ -657,16 +654,6 @@ def _old_mul(a, b):
     return RationalInterval(min(products), max(products))
 
 
-def _same(new, old):
-    """Equal rationals with the same numerator, denominator and type."""
-    return (new == old and type(new) is type(old)
-            and (new.numerator, new.denominator) == (old.numerator, old.denominator))
-
-
-def _same_interval(new, old):
-    return type(new) is type(old) and all(_same(u, v) for u, v in zip(new, old))
-
-
 _rationals = st.one_of(
     st.integers(-2 ** 80, 2 ** 80),
     st.fractions(),
@@ -722,13 +709,13 @@ def test_mul_matches_four_products(a, b):
     # four products are compared; reversed intervals come from caller
     # generators that break the nesting contract.
     new = (CReal(lambda n: a) * CReal(lambda n: b)).interval(0)
-    assert _same_interval(new, _old_mul(a, b)), (a, b)
+    assert same_interval(new, _old_mul(a, b)), (a, b)
 
 
 @settings(max_examples=600, deadline=None)
 @given(q=_rationals, n=st.integers(0, 300))
 def test_from_rational_kernel_matches_fraction_sums(q, n):
-    assert _same_interval(CReal.from_rational(q).interval(n), _old_from_rational(Fraction(q), n))
+    assert same_interval(CReal.from_rational(q).interval(n), _old_from_rational(Fraction(q), n))
 
 
 def _random_tree(rng, depth):
@@ -819,7 +806,7 @@ def test_order_scans_pick_the_least_indices_the_fraction_tests_did():
         reals = [_new_real(t) for t in (x, y, z)]
         for n in range(fuel + 1):
             for t, real in zip((x, y, z), reals):
-                assert _same_interval(real.interval(n), read(t, n)), (t, n)
+                assert same_interval(real.interval(n), read(t, n)), (t, n)
             assert verify_lt(reals[0], reals[1], LtWitness(n)) is (read(x, n).hi < read(y, n).lo)
         old_lt = _old_least(lambda n: read(x, n).hi < read(y, n).lo, 0, fuel)
         w = try_lt(_new_real(x), _new_real(y), fuel)
@@ -862,4 +849,4 @@ def test_diagonal_matches_the_fraction_width_test():
             trees.append(("+", ("q", near), ("*", ("q", step), _random_tree(rng, 2))))
             old.append(_old_diagonal_step(old[-1], n, trees[-1], read))
         d = diagonal(lambda i: _new_real(trees[i]))
-        assert all(_same_interval(d.interval(n), old[n]) for n in range(49)), trees
+        assert all(same_interval(d.interval(n), old[n]) for n in range(49)), trees

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import machin_pi_digits, random_indicator
+from conftest import machin_pi_digits, random_indicator, spike
 from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
                      RationalInterval, encode, fugitive_compare,
                      fugitive_equal, fugitive_least, identity_map,
@@ -233,12 +233,8 @@ def test_pattern_indicator_validation():
         pattern_indicator(pi_digits(), 9, 0)
 
 
-def _spike(position):
-    return FugitiveSpec(NatStream.from_function(lambda j, p=position: 1 if j == p else 0))
-
-
 def test_fugitive_compare():
-    spec = _spike(2)
+    spec = spike(2)
     assert fugitive_compare(spec, 1) is FugitiveCompare.GREATER
     assert fugitive_compare(spec, 2) is FugitiveCompare.AT_MOST
     pi_nine = pattern_indicator(pi_digits(), 9, 1)
@@ -257,7 +253,7 @@ def test_fugitive_compare_monotone():
 
 
 def test_fugitive_equal():
-    spec = _spike(2)
+    spec = spike(2)
     assert fugitive_equal(spec, 2)
     assert not fugitive_equal(spec, 1)
     assert fugitive_equal(pattern_indicator(pi_digits(), 9, 1), 4)
