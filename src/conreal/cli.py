@@ -216,6 +216,7 @@ def _cmd_hunt(args) -> _Answer:
     # First the starts whose runs end within the limit.  A later start is settled
     # by a digit within the limit unless it lies in the run of the sought digit
     # that ends at the limit; that run is shorter than --run, and start is its first.
+    # A later start below it meets a mismatch within the limit, so none fires.
     position = fugitive_least(spec, min(args.budget, _PI_DIGITS_LIMIT + 1 - args.run) - 1)
     if position is None and args.budget + args.run - 1 > _PI_DIGITS_LIMIT:
         start = _PI_DIGITS_LIMIT
@@ -224,7 +225,6 @@ def _cmd_hunt(args) -> _Answer:
         if start < args.budget:
             raise TooLarge(f"--budget {args.budget} with --run {args.run} needs pi digits "
                            f"past the limit of {_PI_DIGITS_LIMIT}")
-        position = fugitive_least(spec, args.budget - 1)
     inputs = {"digit": args.digit, "run": args.run, "budget": args.budget}
     if position is None:
         return _Answer(inputs, None, None, f"unresolved after {args.budget} digits", code=3)

@@ -295,15 +295,16 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     Bisection: at each midpoint m the enclosure of f(m) and the current
     approximation of y are narrowed below 2^-(p+1), at the least level
     where both are, and the half keeping the crossing is selected.  y's
-    least narrow level is found once, before the bisection; a real's
-    intervals are nested, so y stays narrow above it, and each step
-    encloses f from that level up.  The uniform modulus gives an a-priori
-    depth of modulus(p+1) + 2, or 0 where that is negative.  The returned
-    real keeps bisecting lazily beyond that depth.
+    least narrow level is found once, before the bisection, galloping out
+    from index p + 1 when y is direct; a real's intervals are nested, so y
+    stays narrow above it, and each step encloses f from that level up.
+    The uniform modulus gives an a-priori depth of modulus(p+1) + 2, or 0
+    where that is negative.  The returned real keeps bisecting lazily
+    beyond that depth.
     """
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
-    y_level = _first_index(lambda n: _narrower(y.interval(n), eps), 0, fuel, False)
+    y_level = _first_index(lambda n: _narrower(y.interval(n), eps), 0, fuel, y._direct, p + 1)
     if y_level is None:
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 

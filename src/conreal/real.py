@@ -125,16 +125,14 @@ class CReal:
         total formulas.  The (precision, index) pair is replaced as one
         tuple, so racing threads only see true facts.
 
-        A direct real's gallop first reads index p, or the start if higher (a
-        library real's widths are about c * 2^-n), or, for a p no finer than
-        last time, the last answer, which is narrow enough: it gallops down.
+        A direct real's gallop first reads index p, or that start if higher, as
+        a library real's widths are about c * 2^-n.
         """
         if fuel is not None and fuel < 1:
             raise ValueError("fuel must be >= 1")
         last_p, last_n = self._scanned
         lo = last_n if p >= last_p else 0
-        start = last_n if p <= last_p else max(lo, p)
-        n = _first_index(lambda n: _narrow(self.interval(n), p), lo, fuel, self._direct, start)
+        n = _first_index(lambda n: _narrow(self.interval(n), p), lo, fuel, self._direct, max(lo, p))
         if n is None:
             raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
         self._scanned = (p, n)

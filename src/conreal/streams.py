@@ -108,10 +108,6 @@ class NatStream:
             raise ValueError("stream produced a negative value")
         return value
 
-    def prefix(self, m: int) -> list[int]:
-        """First m values as a list."""
-        return [self[i] for i in range(m)]
-
     @classmethod
     def constant(cls, n: int) -> "NatStream":
         return cls(lambda _i: n)
@@ -188,25 +184,20 @@ def _pi_floor(size: int) -> int:
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def _decimal_digits(n: int, width: int) -> list[int]:
-    """The last ``width`` decimal digits of a natural n, most significant first, leading zeros kept."""
-    text = _decimal(n).zfill(width)
-    return list(text[len(text) - width:].encode().translate(_DIGIT_VALUES))
-
-
 def pi_digits() -> NatStream:
     """Decimal digits of pi after the point: index 0 is 1, index 1 is 4, ...
 
     Digit n is read from floor(pi * 10^size) for the least size in 64, 128,
     256, ... above n, so no precision is fixed up front and no earlier index
-    is read.  Each batch is computed once per stream by ``_pi_floor``: the Chudnovsky
+    is read.  A batch is bytes, the digit values of that floor from its leading 3.
+    Each batch is computed once per stream by ``_pi_floor``: the Chudnovsky
     series summed exactly, then one division, within E = 2 (isqrt floor < 0.032, last
     floor < 1, tail < 10^-5), and released only when both ends agree above the guard.
     """
-    batches: dict[int, list[int]] = {}
+    batches: dict[int, bytes] = {}
 
-    def batch(size: int) -> list[int]:
-        return _decimal_digits(_pi_floor(size), size + 1)  # the leading 3, then size digits
+    def batch(size: int) -> bytes:
+        return _decimal(_pi_floor(size)).encode().translate(_DIGIT_VALUES)
 
     return NatStream(lambda n: _memo(batches, 64 << (n // 64).bit_length(), batch)[n + 1])
 

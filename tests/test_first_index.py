@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import spike
 from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, LtWitness,
-                     NatStream, RationalInterval, Split, SplitSide, cantor_point, cotrans_split,
-                     diagonal, identity_map, pattern_indicator, pi_digits, rho0, rho1, sqrt2,
-                     try_apart, try_lt)
+                     NatStream, RationalInterval, Split, SplitSide, approx_ivt, cantor_point,
+                     cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, rho0,
+                     rho1, sqrt2, try_apart, try_lt)
 from conreal.real import _first_index, half_pow, half_pow_text
 
 
@@ -327,7 +327,25 @@ def test_falling_precisions_read_a_few_intervals_a_call():
     for p in range(39, -1, -1):
         del x.reads[:]
         assert x.approx(p, None) == _linear_approx(fresh, p, 64)
-        assert len(x.reads) <= 4  # the last answer, then a gallop down of one or two
+        assert len(x.reads) <= 4  # index p, then a gallop down of one or two
+
+
+def test_approx_at_a_coarser_precision_probes_index_p():
+    x = _CountingDirect(sqrt2())
+    x.approx(40, 64)
+    del x.reads[:]
+    assert x.approx(10, 64) == sqrt2().interval(10)
+    # Index p is narrow enough and p - 1 is not: no probe at the last answer, 40.
+    assert x.reads == [10, 9]
+
+
+def test_approx_ivt_gallops_to_the_level_of_a_direct_y():
+    y = _CountingDirect(CReal.from_rational(Fraction(1, 3)))
+    x = approx_ivt(identity_map(), y, 8, 64)
+    plain = approx_ivt(identity_map(), CReal.from_rational(Fraction(1, 3)), 8, 64)
+    assert [x.interval(n) for n in range(20)] == [plain.interval(n) for n in range(20)]
+    # y's level 11, the least index narrower than 2^-9, is found from index 9 up.
+    assert min(y.reads) == 9
 
 
 # Sequential reals: a read past the answer may raise, so they are scanned in order.

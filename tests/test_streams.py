@@ -16,7 +16,7 @@ from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
                      fugitive_equal, fugitive_least, identity_map,
                      pattern_indicator, pi_digits, prefix_of_stream, rho0)
 from conreal import streams
-from conreal.streams import _decimal, _decimal_digits, _first_index
+from conreal.streams import _decimal, _first_index
 
 
 def test_constant():
@@ -62,12 +62,6 @@ def test_pi_digits_past_the_str_limit():
     d = pi_digits()
     assert [d[i] for i in range(8600)] == machin_pi_digits(8600)
     assert sys.get_int_max_str_digits() == limit
-
-
-def test_decimal_digits_keep_leading_zeros():
-    assert _decimal_digits(5, 3) == [0, 0, 5]
-    assert _decimal_digits(1234, 2) == [3, 4]
-    assert _decimal_digits(10 ** 4000, 8001) == [0] * 4000 + [1] + [0] * 4000
 
 
 def test_decimal_writes_ints_past_the_str_limit():
