@@ -16,8 +16,7 @@ from .fans import (CounterStrategyPrefix, DecidableBar, GameSpec2Omega,
 from .ivt import (ContinuousMap, PiecewiseLinearSpec, approx_ivt,
                   certified_within, distance_bound, enumerated_witnesses, f0,
                   f1, f2, identity_map, ivt_countable_exceptions,
-                  ivt_locally_nonconstant, middle_third_oracle, pwl,
-                  rational_at, rational_index)
+                  ivt_locally_nonconstant, middle_third_oracle, pwl)
 from .real import (Apartness, CReal, Direction, LtWitness, RationalInterval,
                    Split, SplitSide, cantor_point, cotrans_split, diagonal,
                    interval, rho0, rho1, rho2, sqrt2,

@@ -9,7 +9,7 @@ an executable artifact cannot derive it, so the representation assumes it.
 Three intermediate-value procedures are provided: the approximate version
 (bisection to a uniform depth), the thirds construction for locally
 non-constant maps (driven by a caller-supplied apartness oracle, always
-re-verified), and bisection with apartness witnesses at enumerated rational
+re-verified), and bisection with apartness witnesses at its rational
 midpoints.  One interval check, ``certified_within``, certifies the point
 each of them builds.
 """
@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .coding import pair, unpair
 from .errors import FuelExhausted, PreconditionFailed
 from .real import (Apartness, CReal, Direction, RationalInterval, _lt, _mark_direct, _mix,
                    _narrower, half_pow, rho0, rho1, rho2, try_apart, verify_lt)
-from .streams import FugitiveSpec, _first_index, _memo
+from .streams import FugitiveSpec, _decimal, _first_index, _memo
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -350,37 +349,18 @@ def _thirds_depth(target: int) -> int:
     return _first_index(lambda d: 3 ** d >= 1 << (d + target), 0, None, False)
 
 
-# The fixed enumeration of rationals in [0, 1]: index n maps through unpair to
-# (u, v) and then to u/(u+v); index 0 is 0.  The reduced fraction a/b sits at
-# index pair(a, b-a).
-
-def rational_at(n: int) -> Fraction:
-    u, v = unpair(n)
-    if u + v == 0:
-        return Fraction(0)
-    return Fraction(u, u + v)
-
-
-def rational_index(q) -> int:
-    q = Fraction(q)
-    if not _ZERO <= q <= _ONE:
-        raise ValueError("enumeration covers [0, 1] only")
-    return pair(q.numerator, q.denominator - q.numerator)
-
-
 def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
-                             apart_at: Callable[[int], Apartness],
+                             apart_at: Callable[[Fraction], Apartness],
                              depth: int) -> CReal:
-    """Bisection driven by apartness witnesses for f at the enumerated rationals.
+    """Bisection driven by apartness witnesses for f at its rational midpoints.
 
-    At step n the midpoint m is located in the fixed rational enumeration and
-    ``apart_at`` is asked for a witness of f(m) # y at that index; the witness
-    is re-verified, then the half keeping the crossing is selected.  Width at
-    step n is exactly 2^-n.
+    At step n ``apart_at(m)`` is asked for a witness of f(m) # y at the
+    midpoint m itself; the witness is re-verified, then the half keeping the
+    crossing is selected.  Width at step n is exactly 2^-n.
     """
     def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
         m = _mix(1, 2, lo, hi)
-        return m, _below(f, m, y, apart_at(rational_index(m)), "apartness")
+        return m, _below(f, m, y, apart_at(m), "apartness")
 
     return _bisection(pick, depth)
 
@@ -408,19 +388,20 @@ def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
 
 
 def enumerated_witnesses(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
-    """apart_at for ivt_countable_exceptions, searching each rational directly.
+    """apart_at for ivt_countable_exceptions: a witness of f(q) # y at the
+    rational q, searched with try_apart.
 
     Each scan probes first at the index of the last witness found, as
     middle_third_oracle's do.
     """
     last = None
 
-    def apart_at(i: int) -> Apartness:
+    def apart_at(q: Fraction) -> Apartness:
         nonlocal last
-        q = rational_at(i)
         w = try_apart(f.at(q), y, fuel, last)
         if w is None:
-            raise FuelExhausted(f"no apartness witness at rational index {i} (q = {q})")
+            raise FuelExhausted(f"no apartness witness at q = "
+                                f"{_decimal(q.numerator)}/{_decimal(q.denominator)}")
         last = w.witness.index
         return w
     return apart_at

@@ -55,9 +55,13 @@ def _width(iv: RationalInterval) -> tuple[int, int]:
 
 
 def _narrow(iv: RationalInterval, p: int) -> bool:
-    """Whether iv.width <= 2^-p, by cross-multiplying: no Fraction is built."""
+    """Whether iv.width <= 2^-p, by cross-multiplying: no Fraction is built.
+    A shift that would pass den's or diff's bit length is decided by the lengths
+    alone, so a huge |p| builds no huge integer."""
     diff, den = _width(iv)
-    return diff << p <= den if p >= 0 else diff <= den << -p
+    if p >= 0:
+        return diff <= 0 or (p < den.bit_length() and diff << p <= den)
+    return -p >= diff.bit_length() or diff <= den << -p
 
 
 def _narrower(iv: RationalInterval, bound) -> bool:

@@ -13,7 +13,6 @@ import enum
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 
@@ -202,26 +201,21 @@ def pi_digits() -> NatStream:
     return NatStream(lambda n: _memo(batches, 64 << (n // 64).bit_length(), batch)[n + 1])
 
 
-class _Frontier:
-    """How far the scans of one fugitive spec have read: indices below
-    ``clear`` do not fire, and ``fired`` is the least firing index once read."""
-
-    def __init__(self):
-        self.clear = 0
-        self.fired: int | None = None
-        self.lock = threading.Lock()
-
-
-@dataclass(frozen=True)
 class FugitiveSpec:
     """A fugitive number: the least index j with ``indicator[j] != 0``, if any.
-    ``find(lo, hi)``, if given, is the least firing index in lo..hi or None,
-    found without reading the indicator."""
+    ``find(lo, hi)`` is the least firing index in lo..hi or None; by default it
+    reads the indicator from lo up.  The spec also keeps how far its scans
+    have read: indices below ``_clear`` do not fire, and ``_fired`` is the
+    least firing index once read."""
 
-    indicator: NatStream
-    find: Callable[[int, int], int | None] | None = field(default=None, repr=False, compare=False)
-    _frontier: _Frontier = field(default_factory=_Frontier, init=False, repr=False,
-                                 compare=False)
+    def __init__(self, indicator: NatStream,
+                 find: Callable[[int, int], int | None] | None = None):
+        self.indicator = indicator
+        # a value is true exactly when it is nonzero, that is, when the index fires
+        self.find = find or (lambda lo, hi: _first_index(indicator.__getitem__, lo, hi, False))
+        self._clear = 0
+        self._fired: int | None = None
+        self._lock = threading.Lock()
 
 
 class FugitiveCompare(enum.Enum):
@@ -257,21 +251,16 @@ def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> Fugitiv
 def fugitive_least(f: FugitiveSpec, n: int) -> int | None:
     """Least firing index among 0..n, or None if none fires there.
 
-    The spec's frontier carries the scan over from earlier calls, so each
-    index is tested at most once per spec, in increasing order, and never
-    past n or the firing index: by the spec's finder if it has one, else by
-    reading the indicator.
+    The spec carries the scan over from earlier calls, so each index is
+    tested at most once per spec, in increasing order, and never past n or
+    the firing index, always by the spec's finder.
     """
-    front = f._frontier
-    with front.lock:
-        if front.fired is None and front.clear <= n:
-            if f.find is not None:
-                front.fired = f.find(front.clear, n)
-            else:  # a value is true exactly when it is nonzero, that is, when the index fires
-                front.fired = _first_index(f.indicator.__getitem__, front.clear, n, False)
-            if front.fired is None:
-                front.clear = n + 1
-        return front.fired if front.fired is not None and front.fired <= n else None
+    with f._lock:
+        if f._fired is None and f._clear <= n:
+            f._fired = f.find(f._clear, n)
+            if f._fired is None:
+                f._clear = n + 1
+        return f._fired if f._fired is not None and f._fired <= n else None
 
 
 def fugitive_compare(f: FugitiveSpec, n: int) -> FugitiveCompare:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cli_cases import CASES
-from conreal import cli, streams
+from conreal import CReal, FuelExhausted, cli, streams
 from conreal.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -352,7 +352,11 @@ def test_ivt_target_outside_range(mode):
     (["ivt", "--map", "f0:9,99", "--y", "1/2", "-p", "8", "--mode", "lnc"], (64, 94, 120, 200),
      "error: no apartness witness found in the middle third\n"),
     (["ivt", "--map", "id", "--y", "1/4", "-p", "8", "--mode", "countable"], (64, 120, 200),
-     "error: no apartness witness at rational index 13 (q = 1/4)\n"),
+     "error: no apartness witness at q = 1/4\n"),
+    # y is a midpoint 21 halvings deep: the message names it, never a number past
+    # the int-to-str limit.
+    (["ivt", "--map", "id", "--y", "699051/2097152", "-p", "22", "--mode", "countable"],
+     (64, 200), "error: no apartness witness at q = 699051/2097152\n"),
 ])
 def test_ivt_unresolved_message_is_the_same_at_every_fuel(argv, fuels, message):
     # Direct node reals are read with no cap of their own, so a large --fuel
@@ -360,6 +364,18 @@ def test_ivt_unresolved_message_is_the_same_at_every_fuel(argv, fuels, message):
     for fuel in fuels:
         code, out, err = _invoke(argv + ["--fuel", str(fuel)])
         assert (code, out, err) == (3, "", message)
+
+
+def test_huge_precision_is_a_fuel_error_not_a_huge_shift():
+    third = CReal.from_rational(Fraction(1, 3))
+    with pytest.raises(FuelExhausted, match="within 5 indices"):
+        third.approx(10 ** 18, 5)
+    assert third.approx(-10 ** 18, 5) == third.interval(0)
+    for argv in (["eval", "1/3", "-p", str(10 ** 18), "--fuel", "5"],
+                 ["ivt", "--map", "id", "--y", "1/3", "-p", str(10 ** 18)]):
+        code, out, err = _invoke(argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: no interval of width <= 2^-") and err.count("\n") == 1
 
 
 def test_subbar_deep_uncovered_path():

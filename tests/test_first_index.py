@@ -293,7 +293,7 @@ def test_unresolved_rho0_reads_no_pi_digit_past_the_fuel():
         spec = pattern_indicator(pi_digits(), 9, 99)
         with pytest.raises(FuelExhausted, match=f"within {fuel} indices"):
             rho0(spec).approx(p, fuel)
-        assert spec._frontier.clear <= fuel + 1
+        assert spec._clear <= fuel + 1
 
 
 # Read counts, deterministic.  Galloping from 0 with no probe, diagonal to step

@@ -15,7 +15,7 @@ from conreal import (Apartness, CReal, Direction, FugitiveSpec, FuelExhausted, L
                      enumerated_witnesses, f0, f1, f2, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant,
                      middle_third_oracle, pattern_indicator, pi_digits, pwl,
-                     rational_at, rational_index, sqrt2, try_apart, zero)
+                     sqrt2, try_apart, zero)
 
 from conreal.ivt import _ceil_log2
 
@@ -396,16 +396,6 @@ def test_lnc_rejects_lying_oracle():
         ivt_locally_nonconstant(f, y, liar, depth=3)
 
 
-def test_rational_enumeration_round_trip():
-    rng = random.Random(31)
-    assert rational_at(0) == 0
-    for _ in range(200):
-        q = Fraction(rng.randint(0, 64), 64)
-        assert rational_at(rational_index(q)) == q
-    with pytest.raises(ValueError):
-        rational_index(Fraction(3, 2))
-
-
 def test_countable_identity_tracks_sqrt2_minus_one():
     f = identity_map()
     y = sqrt2() - CReal.from_rational(1)
@@ -422,13 +412,22 @@ def test_countable_passes_midpoint_indices():
     seen = []
     base = enumerated_witnesses(f, y, 64)
 
-    def recording(i):
-        seen.append(i)
-        return base(i)
+    def recording(q):
+        seen.append(q)
+        return base(q)
 
     ivt_countable_exceptions(f, y, recording, depth=6)
-    assert seen[0] == rational_index(half)
-    assert all(rational_at(i).denominator <= 2 ** 6 for i in seen)
+    assert seen[0] == half
+    assert all(q.denominator <= 2 ** 6 for q in seen)
+
+
+def test_countable_deep_bisection_stays_cheap():
+    # Each witness is asked at the midpoint a/2^d itself, so step d costs d-bit
+    # integers: 100 steps finish at once.
+    f = identity_map()
+    y = CReal.from_rational(Fraction(1, 3))
+    x = ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 200), depth=100)
+    assert certified_within(f, x, y, 60, 200, 100)
 
 
 def test_countable_hypothesis_violation():
@@ -532,9 +531,9 @@ def _recording_oracles(f, y, fuel, seen):
         seen.append((q, w))
         return q, w
 
-    def recording_apart_at(i):
-        w = apart_at(i)
-        seen.append((rational_at(i), w))
+    def recording_apart_at(q):
+        w = apart_at(q)
+        seen.append((q, w))
         return w
 
     return recording_oracle, recording_apart_at
@@ -593,9 +592,9 @@ def test_racing_callers_of_one_oracle_get_the_serial_witnesses():
     def build():
         return f0(spike(5)), CReal.from_rational(Fraction(7, 9))
 
-    indices = [rational_index(Fraction(k, 64)) for k in range(1, 64, 3)]
+    points = [Fraction(k, 64) for k in range(1, 64, 3)]
     f, y = build()
-    expected = [try_apart(f.at(rational_at(i)), y, 64) for i in indices]
+    expected = [try_apart(f.at(q), y, 64) for q in points]
     shared = enumerated_witnesses(*build(), 64)
     threads_n = 6
     barrier = threading.Barrier(threads_n)
@@ -603,9 +602,9 @@ def test_racing_callers_of_one_oracle_get_the_serial_witnesses():
 
     def worker(offset):
         barrier.wait()
-        order = indices[offset:] + indices[:offset]
-        got = [shared(i) for i in order]
-        seen.append(got[len(indices) - offset:] + got[:len(indices) - offset])
+        order = points[offset:] + points[:offset]
+        got = [shared(q) for q in order]
+        seen.append(got[len(points) - offset:] + got[:len(points) - offset])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -27,7 +27,7 @@ from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, 
                      approx_ivt, certified_within, cotrans_split, decode, diagonal,
                      encode, enumerated_witnesses, fans, fugitive_least, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle, pwl,
-                     rational_index, rho1, sqrt2, try_apart, try_lt, verify_lt)
+                     rho1, sqrt2, try_apart, try_lt, verify_lt)
 from conreal.cli import run
 from conreal.ivt import _thirds_depth, require_range
 from conreal.real import _lt, _narrower, half_pow
@@ -93,7 +93,7 @@ def _old_countable(f, y, apart_at, depth):
     def step(prev, _n):
         lo, hi = prev
         m = (lo + hi) / 2
-        w = apart_at(rational_index(m))
+        w = apart_at(m)
         if not _old_verify_apart(f.at(m), y, w):
             raise ValueError("apartness witness failed verification")
         if w.direction is Direction.LESS:
