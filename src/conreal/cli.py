@@ -25,7 +25,7 @@ from .ivt import (ContinuousMap, _UNCERTIFIED, _thirds_depth, approx_ivt, certif
                   enumerated_witnesses, f0, f1, f2, identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle, require_range)
 from .real import CReal, RationalInterval, half_pow, rho0, rho1, rho2, sqrt2
-from .streams import NatStream, _decimal, fugitive_least, pattern_indicator, pi_digits
+from .streams import NatStream, _decimal, _pi_floor, fugitive_least, pattern_indicator, pi_digits
 
 
 def _fmt_frac(q: Fraction) -> str:
@@ -182,7 +182,17 @@ class _Answer(NamedTuple):
     code: int = 0
 
 
+# The least -p of eval and ivt: their bound 2^65536 prints in 19,729 digits.
+_PRECISION_FLOOR = -65536
+
+
+def _check_precision(p: int) -> None:
+    if p < _PRECISION_FLOOR:
+        raise TooLarge(f"-p {p} is below the least precision {_PRECISION_FLOOR}")
+
+
 def _cmd_eval(args) -> _Answer:
+    _check_precision(args.precision)
     x = _parse_expr(args.expr)
     iv = x.approx(args.precision, args.fuel)
     return _Answer({"expr": args.expr, "p": args.precision, "fuel": args.fuel},
@@ -204,8 +214,7 @@ def _check_pi_digits(flag: str, n: int) -> None:
 
 def _cmd_pi(args) -> _Answer:
     _check_pi_digits("--digits", args.digits)
-    stream = pi_digits()
-    text = "".join(str(stream[i]) for i in range(args.digits))
+    text = _decimal(_pi_floor(args.digits))[1:]
     return _Answer({"digits": args.digits}, text, None, text)
 
 
@@ -357,6 +366,7 @@ def _parse_map(text: str) -> ContinuousMap:
 
 
 def _cmd_ivt(args) -> _Answer:
+    _check_precision(args.precision)
     f = _parse_map(args.map)
     y = _parse_expr(args.y)
     p = args.precision

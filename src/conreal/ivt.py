@@ -24,7 +24,7 @@ from typing import Callable
 
 from .errors import FuelExhausted, PreconditionFailed
 from .real import (Apartness, CReal, Direction, RationalInterval, _lt, _mark_direct, _mix,
-                   _narrower, half_pow, rho0, rho1, rho2, try_apart, verify_lt)
+                   _narrower, _width, _width_scan, half_pow, rho0, rho1, rho2, try_apart, verify_lt)
 from .streams import FugitiveSpec, _decimal, _first_index, _memo
 
 _ZERO = Fraction(0)
@@ -294,8 +294,9 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     Bisection: at each midpoint m the enclosure of f(m) and the current
     approximation of y are narrowed below 2^-(p+1), at the least level
     where both are, and the half keeping the crossing is selected.  y's
-    least narrow level is found once, before the bisection, galloping out
-    from index p + 1 when y is direct; a real's intervals are nested, so y
+    least narrow level is found once, before the bisection; a direct y is
+    read at index p + 1 first, then from as many indices higher as the
+    halvings its width there needs.  A real's intervals are nested, so y
     stays narrow above it, and each step encloses f from that level up.
     The uniform modulus gives an a-priori depth of modulus(p+1) + 2, or 0
     where that is negative.  The returned real keeps bisecting lazily
@@ -303,7 +304,7 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     """
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
-    y_level = _first_index(lambda n: _narrower(y.interval(n), eps), 0, fuel, y._direct, p + 1)
+    y_level = _width_scan(y, lambda diff, den: _narrower(diff, den, eps), 0, fuel, p + 1, p + 1)
     if y_level is None:
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
@@ -312,7 +313,7 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
         point = RationalInterval(m, m)
         for level in range(y_level, fuel + 1):
             s = f.enclose(point, level)
-            if _narrower(s, eps):
+            if _narrower(*_width(s), eps):
                 return m, s.hi < y.interval(level).lo + eps
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 

@@ -54,19 +54,17 @@ def _width(iv: RationalInterval) -> tuple[int, int]:
     return hn * ld - ln * hd, ld * hd
 
 
-def _narrow(iv: RationalInterval, p: int) -> bool:
-    """Whether iv.width <= 2^-p, by cross-multiplying: no Fraction is built.
+def _narrow(diff: int, den: int, p: int) -> bool:
+    """Whether the width diff/den is <= 2^-p, by cross-multiplying: no Fraction is built.
     A shift that would pass den's or diff's bit length is decided by the lengths
     alone, so a huge |p| builds no huge integer."""
-    diff, den = _width(iv)
     if p >= 0:
         return diff <= 0 or (p < den.bit_length() and diff << p <= den)
     return -p >= diff.bit_length() or diff <= den << -p
 
 
-def _narrower(iv: RationalInterval, bound) -> bool:
-    """Whether iv.width < bound, by cross-multiplying: no Fraction is built."""
-    diff, den = _width(iv)
+def _narrower(diff: int, den: int, bound) -> bool:
+    """Whether the width diff/den is < bound, by cross-multiplying: no Fraction is built."""
     return diff * bound.denominator < bound.numerator * den
 
 
@@ -129,14 +127,14 @@ class CReal:
         total formulas.  The (precision, index) pair is replaced as one
         tuple, so racing threads only see true facts.
 
-        A direct real's gallop first reads index p, or that start if higher, as
-        a library real's widths are about c * 2^-n.
+        A direct real's gallop first reads index p, or that start if higher,
+        then moves up by the halvings its width there still needs (``_width_scan``).
         """
         if fuel is not None and fuel < 1:
             raise ValueError("fuel must be >= 1")
         last_p, last_n = self._scanned
         lo = last_n if p >= last_p else 0
-        n = _first_index(lambda n: _narrow(self.interval(n), p), lo, fuel, self._direct, max(lo, p))
+        n = _width_scan(self, lambda diff, den: _narrow(diff, den, p), lo, fuel, p, p)
         if n is None:
             raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
         self._scanned = (p, n)
@@ -196,6 +194,33 @@ def _mark_direct(real: CReal, *parts: CReal) -> CReal:
     """Set real's direct bit: true when all its parts are direct, or it has none."""
     real._direct = all(part._direct for part in parts)
     return real
+
+
+def _width_scan(x: CReal, ok: Callable[[int, int], bool], lo: int, hi: int | None,
+                start: int, bits: int) -> int | None:
+    """Least n in lo..hi (hi None: no end) with ok(diff, den), diff/den the width
+    of x.interval(n), or None; ok tests against a bound of about 2^-bits.
+
+    A direct real's gallop reads index max(lo, start) first, once.  If ok holds
+    there it gallops down below it; if not, that width diff/den needs
+    about diff.bit_length() - den.bit_length() + bits more halvings, and the
+    gallop restarts that many indices higher (at least one), since a direct
+    real's widths are about c * 2^-n whatever c is.  Bit lengths only: a huge
+    |bits| builds no huge integer.  A probe past hi is clamped to hi by
+    ``_first_index``, so nothing past hi is read.  Any other real is read one
+    index at a time from lo.  The answer does not depend on the probe.
+    """
+    def pred(n: int) -> bool:
+        return ok(*_width(x.interval(n)))
+
+    start = max(lo, start)
+    if x._direct and (hi is None or start <= hi):
+        diff, den = _width(x.interval(start))
+        if ok(diff, den):
+            n = _first_index(pred, lo, start - 1, True, start - 1)
+            return start if n is None else n
+        lo, start = start + 1, start + max(1, diff.bit_length() - den.bit_length() + bits)
+    return _first_index(pred, lo, hi, x._direct, start)
 
 
 def zero() -> CReal:
@@ -267,7 +292,9 @@ def cotrans_split(x: CReal, y: CReal, w: LtWitness, z: CReal) -> Split:
     """Given a witness of x < y, decide x < z or z < y.  Total: no fuel needed.
 
     Finds the least index from the witness index on where z's interval is
-    narrower than the witnessed gap; dwindling guarantees termination.  The
+    narrower than the witnessed gap; dwindling guarantees termination.  A
+    direct z is read at the witness index first, then from as many indices
+    higher as the halvings from its width there down to the gap.  The
     returned witness certifies the chosen side at that index.
     """
     n0 = w.index
@@ -276,7 +303,8 @@ def cotrans_split(x: CReal, y: CReal, w: LtWitness, z: CReal) -> Split:
     if not x_hi < y_lo:
         raise ValueError("supplied witness does not certify x < y")
     gap = y_lo - x_hi
-    n = _first_index(lambda n: _narrower(z.interval(n), gap), n0, None, z._direct)
+    bits = gap.denominator.bit_length() - gap.numerator.bit_length()
+    n = _width_scan(z, lambda diff, den: _narrower(diff, den, gap), n0, None, n0, bits)
     if x_hi < z.interval(n).lo:
         return Split(SplitSide.LEFT_IS_LESS, LtWitness(n))
     return Split(SplitSide.RIGHT_IS_LESS, LtWitness(n))
@@ -291,7 +319,8 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
     its current interval, whichever avoids it.
     Widths are exactly 3^-n.  A direct real is read with no cap (a total,
     dwindling formula has such an index), and its gallop probes first at the
-    index step n-1 found, as the target shrinks by only a factor 3 a step;
+    index step n-1 found, as the target shrinks by only a factor 3 a step,
+    then from as many indices higher as the halvings its width there needs;
     any other real is scanned from 0 with 4*(n+2) indices at step n, and one
     that never narrows that far raises instead of hanging.
     """
@@ -304,7 +333,8 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
         budget = None if xn._direct else 4 * (n + 2)
-        m = _first_index(lambda m: _narrower(xn.interval(m), target), 0, budget, xn._direct, last)
+        m = _width_scan(xn, lambda diff, den: _narrower(diff, den, target), 0, budget, last,
+                        target.denominator.bit_length())
         if m is None:
             raise FuelExhausted(
                 f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")

@@ -197,6 +197,30 @@ def test_negative_precision_certificates():
     assert out.endswith("certified: |f(x) - y| < 2/1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "1/3", "-p", "-65537"],
+    ["eval", "1/3", "-p", "-1000000000000000000"],
+    ["ivt", "--map", "id", "--y", "1/3", "-p", "-65537"],
+    ["ivt", "--map", "id", "--y", "1/3", "-p", "-1000000000000000000"],
+    ["ivt", "--map", "id", "--y", "1/3", "-p", "-1000000000000000000", "--mode", "lnc"],
+])
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_precisions_below_the_floor_are_rejected_before_any_work(monkeypatch, argv, fmt):
+    # 2^|p| would be built as an integer: a MemoryError at this size.
+    monkeypatch.setattr(cli, "_parse_expr", lambda text: pytest.fail("parsed an expression"))
+    code, out, err = _invoke([*argv, "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == f"error: -p {argv[argv.index('-p') + 1]} is below the least precision -65536\n"
+
+
+def test_precision_at_the_floor_answers():
+    code, out, err = _invoke(["eval", "1/3", "-p", "-65536"])
+    assert (code, out, err) == (0, "-2/3 .. 4/3\n", "")
+    code, out, err = _invoke(["ivt", "--map", "id", "--y", "1/3", "-p", "-65536", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["certificate"]["certified_below"] == streams._decimal(2 ** 65536) + "/1"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["eval", "1000000 * sqrt2", "-p", "-1", "--fuel", "1"],
      "error: no interval of width <= 2^1 within 1 indices\n"),
@@ -290,11 +314,11 @@ def test_pi_digit_counts_over_the_limit_are_rejected_before_any_batch(monkeypatc
 def test_pi_digit_counts_at_the_limit_are_accepted(monkeypatch):
     # An early hit reads the first batch alone, whatever the budget.
     assert _invoke(["hunt", "--digit", "9", "--run", "2", "--budget", "65536"]) == (0, "found: 43\n", "")
-    # pi reads up to the 65,536-digit batch; a stand-in 3000...0 keeps this quick.
+    # pi prints floor(pi * 10^65536) alone; a stand-in 3000...0 keeps this quick.
     sizes = []
-    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or 3 * 10 ** size)
+    monkeypatch.setattr(cli, "_pi_floor", lambda size: sizes.append(size) or 3 * 10 ** size)
     assert _invoke(["pi", "--digits", "65536"]) == (0, "0" * 65536 + "\n", "")
-    assert sizes == [64 << k for k in range(11)]
+    assert sizes == [65536]
 
 
 _pi_floor = functools.cache(streams._pi_floor)  # one 65,536-digit batch for the cases below

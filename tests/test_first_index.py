@@ -7,6 +7,7 @@ one a linear scan from the start gives.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -246,8 +247,9 @@ def test_diagonal_of_direct_reals_matches_the_linear_scan(leaves, ops):
         assert _outcome(lambda: new.interval(n)) == _outcome(lambda: old.interval(n))
 
 
-# Probes: approx and diagonal start a direct real's gallop where the answer is
-# expected.  A probe far off costs reads, never a different answer or a read past the fuel.
+# Probes: the width scans start a direct real's gallop where the answer is expected,
+# moved up by the halvings a too-wide probe's width needs.  A probe far off costs
+# reads, never a different answer or a read past the fuel.
 
 class _CountingDirect(CReal):
     """A direct real that lists the indices read through it."""
@@ -296,6 +298,36 @@ def test_unresolved_rho0_reads_no_pi_digit_past_the_fuel():
         assert spec._clear <= fuel + 1
 
 
+def _slow_third(n):  # 1/3 -+ 2^-(n // 4): the width halves every fourth index
+    return RationalInterval(Fraction(1, 3) - half_pow(n // 4), Fraction(1, 3) + half_pow(n // 4))
+
+
+def _late_point(n):  # [0, 1] up to index 39, then the point 1/2
+    return RationalInterval(Fraction(0), Fraction(1)) if n < 40 else RationalInterval(
+        Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("make", [lambda: CReal(_slow_third), lambda: CReal(_late_point),
+                                  lambda: rho0(spike(45))], ids=["slow", "late_point", "rho0"])
+def test_a_width_that_does_not_halve_per_index_moves_only_the_reads(make):
+    # The jump from the probe assumes one halving per index; these widths break
+    # that rule, so the scans must still find the least index and stay within the fuel.
+    for p, fuel in ((4, 60), (10, 60), (30, 200), (60, 200), (10, 30), (30, 41), (-2, 5)):
+        x = _CountingDirect(make())
+        got = _outcome(lambda: x.approx(p, fuel))
+        assert got == _outcome(lambda: _linear_approx(make(), p, fuel))
+        assert max(x.reads) <= fuel and len(x.reads) == len(set(x.reads))
+    for lo, hi in ((Fraction(-1), Fraction(1, 3) - half_pow(20)), (Fraction(-3), Fraction(-1, 1000))):
+        x, y = CReal.from_rational(lo), CReal.from_rational(hi)
+        w = _linear_lt(x, y, 40)
+        z = _CountingDirect(make())
+        assert cotrans_split(x, y, w, z) == _linear_split(x, y, w, make())
+    new, old = (diagonal(lambda n: _CountingDirect(make())),
+                _linear_diagonal(lambda n: _CountingDirect(make())))
+    for n in range(12):
+        assert new.interval(n) == old.interval(n)
+
+
 # Read counts, deterministic.  Galloping from 0 with no probe, diagonal to step
 # 48 read 534 input intervals, a cold approx up to 16 and each of the falling
 # precisions 4 to 12.
@@ -309,7 +341,30 @@ def test_diagonal_reads_half_the_input_intervals_of_a_search_from_zero():
         return made[-1]
 
     diagonal(xs).interval(48)
-    assert sum(len(x._cache) for x in made) <= 534 // 2
+    # The last step's index as probe read 146; moving it by its width's halvings, 129.
+    assert sum(len(x._cache) for x in made) <= 534 // 4
+
+
+def _random_tree(rng, leaves):
+    """A random tree over + - * abs neg with ``leaves`` leaves, up to 240 in size."""
+    if leaves == 1:
+        return sqrt2() if rng.random() < 0.3 else CReal.from_rational(
+            Fraction(rng.randint(0, 240), rng.randint(1, 40)))
+    left = rng.randint(1, leaves - 1)
+    a, b = _random_tree(rng, left), _random_tree(rng, leaves - left)
+    node = rng.choice((lambda: a + b, lambda: a + b, lambda: a - b, lambda: a * b))()
+    wrap = rng.random()
+    return abs(node) if wrap < 0.15 else -node if wrap < 0.25 else node
+
+
+def test_cold_approx_of_a_wide_tree_reads_three_root_intervals():
+    # Width constants up to 2^80: probing index p alone read 6.9 intervals on average, up to 10.
+    for seed in range(60):
+        rng = random.Random(seed)
+        leaves, p, tree_seed = rng.randint(6, 9), rng.randint(180, 240), rng.random()
+        x, fresh = (_random_tree(random.Random(tree_seed), leaves) for _ in range(2))
+        assert x.approx(p, p + 256) == _linear_approx(fresh, p, p + 256)
+        assert len(x._cache) <= 3
 
 
 def test_cold_approx_of_a_rational_reads_at_most_four_intervals():

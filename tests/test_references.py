@@ -30,7 +30,7 @@ from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, 
                      rho1, sqrt2, try_apart, try_lt, verify_lt)
 from conreal.cli import run
 from conreal.ivt import _thirds_depth, require_range
-from conreal.real import _lt, _narrower, half_pow
+from conreal.real import _lt, _narrower, _width, half_pow
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -699,7 +699,7 @@ def test_lt_kernel_is_the_comparison(x, y, pick):
 def test_width_kernel_is_the_width_test(iv, bound, at, nudge):
     if at == "width":
         bound = iv.width + Fraction(nudge, 1 << 300)
-    assert _narrower(iv, bound) is (iv.width < bound)
+    assert _narrower(*_width(iv), bound) is (iv.width < bound)
 
 
 @settings(max_examples=1500, deadline=None)
