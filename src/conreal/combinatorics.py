@@ -96,6 +96,17 @@ def _validate_arrow_args(M: int, n: int, k: int, r: int) -> None:
         raise ValueError("need r >= 1")
 
 
+def _colorings_exceed_guard(M: int, k: int, r: int) -> bool:
+    """Whether r^C(M, k) > 2^30, building no huge C(M, k) or power: for r >= 2 it
+    holds once C(M, j), rising with j up to M/2, passes 30."""
+    c = 1
+    for j in range(min(k, M - k) if r > 1 else 0):
+        c = c * (M - j) // (j + 1)  # C(M, j + 1), exactly
+        if c > 30:
+            return True
+    return min(r, COLORING_GUARD + 1) ** c > COLORING_GUARD
+
+
 def avoiding_coloring(M: int, n: int, k: int, r: int, star: bool = False) -> list[int] | None:
     """The lexicographically first r-coloring of the k-tuples over M with no
     monochromatic candidate, or None when every coloring has one.  Candidates
@@ -103,10 +114,9 @@ def avoiding_coloring(M: int, n: int, k: int, r: int, star: bool = False) -> lis
     (length at least n and equal to the first entry).  The colors are listed
     in the order of ``itertools.combinations(range(M), k)``."""
     _validate_arrow_args(M, n, k, r)
+    if _colorings_exceed_guard(M, k, r):  # before any slot is listed
+        raise TooLarge(f"{r}^C({M},{k}) colorings exceed the 2^30 guard")
     slots = list(itertools.combinations(range(M), k))
-    total = r ** len(slots)
-    if total > COLORING_GUARD:  # before any candidate is listed
-        raise TooLarge(f"{r}^C({M},{k}) = {total} colorings exceed the 2^30 guard")
     slot_index = {s: i for i, s in enumerate(slots)}
     # Each candidate is filed under its largest slot: the slot whose color closes it.
     closing: list[list[list[int]]] = [[] for _ in slots]

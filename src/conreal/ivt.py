@@ -294,9 +294,8 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     Bisection: at each midpoint m the enclosure of f(m) and the current
     approximation of y are narrowed below 2^-(p+1), at the least level
     where both are, and the half keeping the crossing is selected.  y's
-    least narrow level is found once, before the bisection; a direct y is
-    read at index p + 1 first, then from as many indices higher as the
-    halvings its width there needs.  A real's intervals are nested, so y
+    least narrow level is found once, before the bisection, by a width scan
+    (a direct y is probed at index p + 1).  A real's intervals are nested, so y
     stays narrow above it, and each step encloses f from that level up.
     The uniform modulus gives an a-priori depth of modulus(p+1) + 2, or 0
     where that is negative.  The returned real keeps bisecting lazily
@@ -304,7 +303,7 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     """
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
-    y_level = _width_scan(y, lambda diff, den: _narrower(diff, den, eps), 0, fuel, p + 1, p + 1)
+    y_level = _width_scan(y, lambda diff, den: _narrower(diff, den, eps), 0, fuel, p + 1)
     if y_level is None:
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
@@ -345,9 +344,9 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
 
 
 def _thirds_depth(target: int) -> int:
-    # Smallest d with (2/3)^d <= 2^-target; 0 when target <= 0.
+    # Smallest d with (2/3)^d <= 2^-target, 0 when target <= 0; once true it stays true: gallop.
     target = max(target, 0)
-    return _first_index(lambda d: 3 ** d >= 1 << (d + target), 0, None, False)
+    return _first_index(lambda d: 3 ** d >= 1 << (d + target), 0, None, True)
 
 
 def ivt_countable_exceptions(f: ContinuousMap, y: CReal,

@@ -127,14 +127,14 @@ class CReal:
         total formulas.  The (precision, index) pair is replaced as one
         tuple, so racing threads only see true facts.
 
-        A direct real's gallop first reads index p, or that start if higher,
-        then moves up by the halvings its width there still needs (``_width_scan``).
+        A direct real is probed at index p, or at that n if higher, as every
+        width scan is (``_width_scan``).
         """
         if fuel is not None and fuel < 1:
             raise ValueError("fuel must be >= 1")
         last_p, last_n = self._scanned
         lo = last_n if p >= last_p else 0
-        n = _width_scan(self, lambda diff, den: _narrow(diff, den, p), lo, fuel, p, p)
+        n = _width_scan(self, lambda diff, den: _narrow(diff, den, p), lo, fuel, p)
         if n is None:
             raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
         self._scanned = (p, n)
@@ -197,23 +197,22 @@ def _mark_direct(real: CReal, *parts: CReal) -> CReal:
 
 
 def _width_scan(x: CReal, ok: Callable[[int, int], bool], lo: int, hi: int | None,
-                start: int, bits: int) -> int | None:
+                bits: int) -> int | None:
     """Least n in lo..hi (hi None: no end) with ok(diff, den), diff/den the width
     of x.interval(n), or None; ok tests against a bound of about 2^-bits.
 
-    A direct real's gallop reads index max(lo, start) first, once.  If ok holds
-    there it gallops down below it; if not, that width diff/den needs
-    about diff.bit_length() - den.bit_length() + bits more halvings, and the
-    gallop restarts that many indices higher (at least one), since a direct
-    real's widths are about c * 2^-n whatever c is.  Bit lengths only: a huge
-    |bits| builds no huge integer.  A probe past hi is clamped to hi by
-    ``_first_index``, so nothing past hi is read.  Any other real is read one
-    index at a time from lo.  The answer does not depend on the probe.
+    A direct real's widths are about c * 2^-n, so its gallop reads index
+    max(lo, bits) first, once.  If ok holds there it gallops down below it; if
+    not, that width diff/den needs about diff.bit_length() - den.bit_length() +
+    bits more halvings, and the gallop restarts that many indices higher (at
+    least one).  Bit lengths only: a huge |bits| builds no huge integer.  A
+    probe past hi is clamped to hi, so nothing past hi is read.  Any other real
+    is read one index at a time from lo.  The answer does not depend on the probe.
     """
     def pred(n: int) -> bool:
         return ok(*_width(x.interval(n)))
 
-    start = max(lo, start)
+    start = max(lo, bits)
     if x._direct and (hi is None or start <= hi):
         diff, den = _width(x.interval(start))
         if ok(diff, den):
@@ -292,19 +291,16 @@ def cotrans_split(x: CReal, y: CReal, w: LtWitness, z: CReal) -> Split:
     """Given a witness of x < y, decide x < z or z < y.  Total: no fuel needed.
 
     Finds the least index from the witness index on where z's interval is
-    narrower than the witnessed gap; dwindling guarantees termination.  A
-    direct z is read at the witness index first, then from as many indices
-    higher as the halvings from its width there down to the gap.  The
-    returned witness certifies the chosen side at that index.
+    narrower than the witnessed gap; dwindling guarantees termination (a
+    direct z is probed as ``_width_scan`` says).  The returned witness
+    certifies the chosen side at that index.
     """
-    n0 = w.index
-    x_hi = x.interval(n0).hi
-    y_lo = y.interval(n0).lo
+    x_hi, y_lo = x.interval(w.index).hi, y.interval(w.index).lo
     if not x_hi < y_lo:
         raise ValueError("supplied witness does not certify x < y")
     gap = y_lo - x_hi
     bits = gap.denominator.bit_length() - gap.numerator.bit_length()
-    n = _width_scan(z, lambda diff, den: _narrower(diff, den, gap), n0, None, n0, bits)
+    n = _width_scan(z, lambda diff, den: _narrower(diff, den, gap), w.index, None, bits)
     if x_hi < z.interval(n).lo:
         return Split(SplitSide.LEFT_IS_LESS, LtWitness(n))
     return Split(SplitSide.RIGHT_IS_LESS, LtWitness(n))
@@ -318,27 +314,21 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
     real is direct), and the construction takes the lower or upper third of
     its current interval, whichever avoids it.
     Widths are exactly 3^-n.  A direct real is read with no cap (a total,
-    dwindling formula has such an index), and its gallop probes first at the
-    index step n-1 found, as the target shrinks by only a factor 3 a step,
-    then from as many indices higher as the halvings its width there needs;
-    any other real is scanned from 0 with 4*(n+2) indices at step n, and one
-    that never narrows that far raises instead of hanging.
+    dwindling formula has such an index); any other real is scanned from 0
+    with 4*(n+2) indices at step n, and one that never narrows that far
+    raises instead of hanging.
     """
-    last = 0  # the index found at the last step; steps run in order under one lock
-
     def step(prev: RationalInterval, n: int) -> RationalInterval:
-        nonlocal last
         lo, hi = prev
         one_third, two_thirds = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
         budget = None if xn._direct else 4 * (n + 2)
-        m = _width_scan(xn, lambda diff, den: _narrower(diff, den, target), 0, budget, last,
+        m = _width_scan(xn, lambda diff, den: _narrower(diff, den, target), 0, budget,
                         target.denominator.bit_length())
         if m is None:
             raise FuelExhausted(
                 f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")
-        last = m
         if one_third < xn.interval(m).lo:
             return RationalInterval(lo, one_third)
         return RationalInterval(two_thirds, hi)

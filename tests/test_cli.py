@@ -139,6 +139,10 @@ def test_ramsey_guard():
     code, _, err = _invoke(["ramsey", "--M", "20", "--n", "3", "--k", "2", "--r", "2"])
     assert code == 2
     assert err.startswith("error:")
+    # Decided before any slot is listed: no C(M, 2)-digit count is printed.
+    for M in ("200", "1000000000"):
+        code, out, err = _invoke(["ramsey", "--M", M, "--n", "3", "--k", "2", "--r", "2"])
+        assert (code, out, err) == (2, "", f"error: 2^C({M},2) colorings exceed the 2^30 guard\n")
 
 
 def test_fuel_exhausted_exit_code():

@@ -10,6 +10,7 @@ from conreal import (Coloring, DicksonInstance, NatStream, TooLarge,
                      almost_full_witness, arrow_check, arrow_star_check,
                      avoiding_coloring, dickson_witness, encode, euclid_extend,
                      monochromatic_witness)
+from conreal.combinatorics import _colorings_exceed_guard
 
 
 def _is_prime(n):
@@ -107,6 +108,18 @@ def test_arrow_validation_and_guard():
         arrow_check(3, 4, 2, 2)
     with pytest.raises(TooLarge):
         arrow_check(20, 3, 2, 2)
+
+
+def test_coloring_guard_matches_the_count():
+    # r^C > 2^30 exactly when r^min(C, 31) > 2^30, as 2^31 > 2^30: the full power
+    # would have up to 10^11 digits.
+    for M in range(1, 41):
+        for k in range(1, M + 1):
+            for r in range(1, 6):
+                expected = r ** min(math.comb(M, k), 31) > 2 ** 30
+                assert _colorings_exceed_guard(M, k, r) is expected, (M, k, r)
+    assert not _colorings_exceed_guard(10 ** 9, 10 ** 9, 2 ** 30)
+    assert _colorings_exceed_guard(10 ** 9, 10 ** 9, 2 ** 30 + 1)
 
 
 def _pentagon_coloring():

@@ -19,7 +19,7 @@ from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, 
                      NatStream, RationalInterval, Split, SplitSide, approx_ivt, cantor_point,
                      cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, rho0,
                      rho1, sqrt2, try_apart, try_lt)
-from conreal.real import _first_index, half_pow, half_pow_text
+from conreal.real import _first_index, _narrow, _width, _width_scan, half_pow, half_pow_text
 
 
 def _search(threshold, lo, hi, gallop, start=None):
@@ -247,9 +247,9 @@ def test_diagonal_of_direct_reals_matches_the_linear_scan(leaves, ops):
         assert _outcome(lambda: new.interval(n)) == _outcome(lambda: old.interval(n))
 
 
-# Probes: the width scans start a direct real's gallop where the answer is expected,
-# moved up by the halvings a too-wide probe's width needs.  A probe far off costs
-# reads, never a different answer or a read past the fuel.
+# Probes: a width scan against a bound of about 2^-bits starts a direct real's gallop
+# at index max(lo, bits), moved up by the halvings a too-wide probe's width needs.
+# A probe far off costs reads, never a different answer or a read past the fuel.
 
 class _CountingDirect(CReal):
     """A direct real that lists the indices read through it."""
@@ -263,6 +263,16 @@ class _CountingDirect(CReal):
     def interval(self, n):
         self.reads.append(n)
         return super().interval(n)
+
+
+def test_cotrans_split_probes_the_bits_of_a_gap_above_the_witness():
+    # The gap at index 10 is exactly 2^-60: z is read at index 60 first, not at 10.
+    x, y = CReal.from_rational(0), CReal.from_rational(Fraction(1, 2 ** 9) + Fraction(1, 2 ** 60))
+    w = LtWitness(10)
+    assert y.interval(10).lo - x.interval(10).hi == Fraction(1, 2 ** 60)
+    z = _CountingDirect(sqrt2())
+    assert cotrans_split(x, y, w, z) == _linear_split(x, y, w, sqrt2())
+    assert z.reads[0] == 60
 
 
 def test_diagonal_over_fast_and_slow_reals_matches_the_linear_scan():
@@ -328,6 +338,28 @@ def test_a_width_that_does_not_halve_per_index_moves_only_the_reads(make):
         assert new.interval(n) == old.interval(n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(kind=st.integers(0, 5), lo=st.integers(0, 80), span=st.none() | st.integers(0, 120),
+       t=st.integers(-4, 70), bits=st.integers(-40, 400), strict=st.booleans())
+def test_width_scan_finds_the_least_index_from_any_probe(kind, lo, span, t, bits, strict):
+    # bits is only where the gallop starts: below lo, inside lo..hi, past hi or
+    # negative, and far from the bound 2^-t that ok tests.
+    make = [lambda: CReal.from_rational(Fraction(2, 7)), sqrt2,
+            lambda: sqrt2() * CReal.from_rational(Fraction(1000, 3)), lambda: CReal(_slow_third),
+            lambda: CReal(_late_point), lambda: rho0(spike(45))][kind]
+    hi = None if span is None else lo + span
+
+    def ok(diff, den):
+        return diff * (1 << max(t, 0)) < den << max(-t, 0) if strict else _narrow(diff, den, t)
+
+    x, fresh = _CountingDirect(make()), make()
+    expected = next((n for n in (itertools.count(lo) if hi is None else range(lo, hi + 1))
+                     if ok(*_width(fresh.interval(n)))), None)
+    assert _width_scan(x, ok, lo, hi, bits) == expected
+    assert all(lo <= n and (hi is None or n <= hi) for n in x.reads)
+    assert len(x.reads) == len(set(x.reads))
+
+
 # Read counts, deterministic.  Galloping from 0 with no probe, diagonal to step
 # 48 read 534 input intervals, a cold approx up to 16 and each of the falling
 # precisions 4 to 12.
@@ -341,8 +373,9 @@ def test_diagonal_reads_half_the_input_intervals_of_a_search_from_zero():
         return made[-1]
 
     diagonal(xs).interval(48)
-    # The last step's index as probe read 146; moving it by its width's halvings, 129.
-    assert sum(len(x._cache) for x in made) <= 534 // 4
+    # The last step's index as probe read 146; moving it by its width's halvings, 129;
+    # probing index bits, the bit length of 3^(n+1), as every width scan does, 120.
+    assert sum(len(x._cache) for x in made) <= 120
 
 
 def _random_tree(rng, leaves):

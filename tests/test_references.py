@@ -482,6 +482,11 @@ def test_thirds_depth_matches_loop():
     for t in range(0, 301):
         assert _value_or_error(lambda: _thirds_depth(t)) == \
             _value_or_error(lambda: _old_thirds_depth(t)), t
+    # The gallop at a target the loop takes seconds over: checked by the two
+    # inequalities that define the least depth d.
+    t = 20000
+    d = _thirds_depth(t)
+    assert 3 ** d >= 1 << (d + t) and 3 ** (d - 1) < 1 << (d - 1 + t)
 
 
 def _old_solve_omega2(g):
