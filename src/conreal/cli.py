@@ -182,7 +182,9 @@ class _Answer(NamedTuple):
     code: int = 0
 
 
-# The least -p of eval and ivt: their bound 2^65536 prints in 19,729 digits.
+# The least -p of eval and ivt: their bound 2^65536 prints in 19,729 digits.  Its
+# magnitude is also the largest -p of ivt's lnc mode, whose depth search builds
+# 3^d and 2^(d + p) for d up to about 2.4 p.
 _PRECISION_FLOOR = -65536
 
 
@@ -228,9 +230,7 @@ def _cmd_hunt(args) -> _Answer:
     # A later start below it meets a mismatch within the limit, so none fires.
     position = fugitive_least(spec, min(args.budget, _PI_DIGITS_LIMIT + 1 - args.run) - 1)
     if position is None and args.budget + args.run - 1 > _PI_DIGITS_LIMIT:
-        start = _PI_DIGITS_LIMIT
-        while digits[start - 1] == args.digit:
-            start -= 1
+        start = digits._open_run(_PI_DIGITS_LIMIT - 1, args.digit)  # its batch ends at the limit
         if start < args.budget:
             raise TooLarge(f"--budget {args.budget} with --run {args.run} needs pi digits "
                            f"past the limit of {_PI_DIGITS_LIMIT}")
@@ -367,6 +367,9 @@ def _parse_map(text: str) -> ContinuousMap:
 
 def _cmd_ivt(args) -> _Answer:
     _check_precision(args.precision)
+    if args.mode == "lnc" and args.precision > -_PRECISION_FLOOR:
+        raise TooLarge(f"-p {args.precision} is above the largest lnc precision "
+                       f"{-_PRECISION_FLOOR}")
     f = _parse_map(args.map)
     y = _parse_expr(args.y)
     p = args.precision

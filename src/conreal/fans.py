@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coding import encode
+from .coding import _prime, encode
 from .errors import TooLarge
 from .streams import _first_index
 
@@ -48,6 +48,9 @@ def finite_subbar(bar: DecidableBar) -> list[int] | NotBarWithinDepth:
     (so returned codes are pairwise incompatible, in lexicographic order),
     and the first uncovered full-length path aborts the search.  One path
     is kept; after an element its trailing 1s go and its last 0 becomes 1.
+    Codes are built along the path, as ``encode`` would build them: a stack
+    holds the product of p(j)^path[j] over each prefix, so a step costs one
+    multiply or two.
     Raises TooLarge before the member test that would exceed the work budget.
     """
     if bar.max_depth < 0:
@@ -55,24 +58,28 @@ def finite_subbar(bar: DecidableBar) -> list[int] | NotBarWithinDepth:
     member = bar.member
     elements: list[int] = []
     path: list[int] = []
+    products = [1]  # products[i] = prod_{j<i} p(j)^path[j], so the code is p(L-1) products[L] - 1
     work = 0
     while True:
         work += len(path) + 1
         if work > _WORK_BUDGET:
             raise TooLarge(f"subbar search exceeds its budget of {_WORK_BUDGET} path entries "
                            "(each member test counts its path length + 1)")
-        code = encode(path)
+        code = _prime(len(path) - 1) * products[-1] - 1 if path else 0
         if member(code):
             elements.append(code)
             while path and path[-1] == 1:
                 path.pop()
+                products.pop()
             if not path:
                 return elements
             path[-1] = 1
+            products[-1] = products[-2] * _prime(len(path) - 1)
         elif len(path) == bar.max_depth:
             return NotBarWithinDepth(tuple(path))
         else:
             path.append(0)
+            products.append(products[-1])
 
 
 @dataclass(frozen=True)

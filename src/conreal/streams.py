@@ -183,22 +183,40 @@ def _pi_floor(size: int) -> int:
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
+class _PiDigits(NatStream):
+    """The stream of ``pi_digits``; ``_batch(n)`` is the batch that holds digit n."""
+
+    def __init__(self):
+        self._batches: dict[int, bytes] = {}
+        super().__init__(lambda n: self._batch(n)[n + 1])
+
+    def _batch(self, n: int) -> bytes:
+        """The batch for the least size in 64, 128, 256, ... above n: byte i + 1 is
+        digit i for every i below that size, byte 0 the leading 3."""
+        return _memo(self._batches, 64 << (n // 64).bit_length(), _pi_batch)
+
+    def _open_run(self, n: int, digit: int) -> int:
+        """Where the run of ``digit`` that ends the batch holding digit n starts:
+        the batch's size when its last digit is another."""
+        return len(self._batch(n).rstrip(bytes([digit]))) - 1
+
+
+def _pi_batch(size: int) -> bytes:
+    return _decimal(_pi_floor(size)).encode().translate(_DIGIT_VALUES)
+
+
 def pi_digits() -> NatStream:
     """Decimal digits of pi after the point: index 0 is 1, index 1 is 4, ...
 
     Digit n is read from floor(pi * 10^size) for the least size in 64, 128,
     256, ... above n, so no precision is fixed up front and no earlier index
-    is read.  A batch is bytes, the digit values of that floor from its leading 3.
+    is read.  A batch is bytes, the digit values of that floor from its leading 3;
+    ``pattern_indicator`` searches these bytes directly.
     Each batch is computed once per stream by ``_pi_floor``: the Chudnovsky
     series summed exactly, then one division, within E = 2 (isqrt floor < 0.032, last
     floor < 1, tail < 10^-5), and released only when both ends agree above the guard.
     """
-    batches: dict[int, bytes] = {}
-
-    def batch(size: int) -> bytes:
-        return _decimal(_pi_floor(size)).encode().translate(_DIGIT_VALUES)
-
-    return NatStream(lambda n: _memo(batches, 64 << (n // 64).bit_length(), batch)[n + 1])
+    return _PiDigits()
 
 
 class FugitiveSpec:
@@ -224,7 +242,12 @@ class FugitiveCompare(enum.Enum):
 
 
 def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> FugitiveSpec:
-    """Fugitive spec firing at j when digits[j..j+run_length-1] all equal ``digit``."""
+    """Fugitive spec firing at j when digits[j..j+run_length-1] all equal ``digit``.
+
+    Its finder reads any stream digit by digit in one pass.  On a ``pi_digits()``
+    stream it instead searches the batch bytes with ``bytes.find``, and computes
+    exactly the batches that the one pass would read.
+    """
     if not 0 <= digit <= 9:
         raise ValueError("digit must be in 0..9")
     if run_length < 1:
@@ -245,7 +268,19 @@ def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> Fugitiv
             i += 1
         return None
 
-    return FugitiveSpec(NatStream(hit), find)
+    def find_in_batches(lo: int, hi: int) -> int | None:
+        # The batches the one pass would read, in its order: the next one only
+        # while the run of the digit open at this batch's end starts at or below hi.
+        run, start, n = bytes([digit]) * run_length, lo, lo
+        while start <= hi:
+            batch = digits._batch(n)
+            at = batch.find(run, start + 1, hi + run_length + 1)
+            if at >= 0:
+                return at - 1
+            start, n = max(start, digits._open_run(n, digit)), len(batch) - 1
+        return None
+
+    return FugitiveSpec(NatStream(hit), find_in_batches if isinstance(digits, _PiDigits) else find)
 
 
 def fugitive_least(f: FugitiveSpec, n: int) -> int | None:

@@ -207,14 +207,21 @@ def test_negative_precision_certificates():
     ["ivt", "--map", "id", "--y", "1/3", "-p", "-65537"],
     ["ivt", "--map", "id", "--y", "1/3", "-p", "-1000000000000000000"],
     ["ivt", "--map", "id", "--y", "1/3", "-p", "-1000000000000000000", "--mode", "lnc"],
+    # lnc's depth builds 3^d and 2^(d + p) for d up to about 2.4 p: also rejected above 65,536.
+    ["ivt", "--map", "id", "--y", "1/3", "-p", "65537", "--mode", "lnc"],
+    ["ivt", "--map", "id", "--y", "1/3", "-p", "1000000000000000000", "--mode", "lnc"],
 ])
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_precisions_below_the_floor_are_rejected_before_any_work(monkeypatch, argv, fmt):
     # 2^|p| would be built as an integer: a MemoryError at this size.
     monkeypatch.setattr(cli, "_parse_expr", lambda text: pytest.fail("parsed an expression"))
+    monkeypatch.setattr(cli, "_thirds_depth", lambda target: pytest.fail("sought a depth"))
     code, out, err = _invoke([*argv, "--format", fmt])
     assert (code, out) == (2, "")
-    assert err == f"error: -p {argv[argv.index('-p') + 1]} is below the least precision -65536\n"
+    p = argv[argv.index("-p") + 1]
+    bound = ("below the least precision -65536" if p.startswith("-")
+             else "above the largest lnc precision 65536")
+    assert err == f"error: -p {p} is {bound}\n"
 
 
 def test_precision_at_the_floor_answers():
@@ -366,6 +373,42 @@ def test_hunt_within_the_limit_reads_what_one_scan_reads(monkeypatch, budget):
             assert read == scan
             assert (code, out) == ((3, f"unresolved after {budget} digits\n") if expected is None
                                    else (0, f"found: {expected}\n"))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 60, 300])
+def test_hunt_computes_the_pi_batches_one_scan_computes(monkeypatch, budget):
+    # hunt finds runs in pi's batch bytes; the one-pass loop over a plain stream of the
+    # same digits computes the same batches, in the same order.
+    sizes = []
+    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
+    for digit in range(10):
+        for run_length in (1, 2, 3):
+            del sizes[:]
+            plain = streams.NatStream(streams.pi_digits().__getitem__)
+            expected = streams.fugitive_least(
+                streams.pattern_indicator(plain, digit, run_length), budget - 1)
+            scanned = sizes[:]
+            del sizes[:]
+            code, out, _ = _invoke(["hunt", "--digit", str(digit), "--run", str(run_length),
+                                    "--budget", str(budget)])
+            assert sizes == scanned
+            assert (code, out) == ((3, f"unresolved after {budget} digits\n") if expected is None
+                                   else (0, f"found: {expected}\n"))
+
+
+@pytest.mark.parametrize("argv,code,sizes", [
+    (["hunt", "--digit", "9", "--run", "2", "--budget", "65536"], 0, [64]),
+    (["hunt", "--digit", "5", "--run", "3", "--budget", "300"], 0, [64, 128, 256]),
+    (["hunt", "--digit", "5", "--run", "99", "--budget", "300"], 3, [64, 128, 256, 512]),
+    # The scan stops in the 32,768-digit batch; the run open at the limit needs the last one.
+    (["hunt", "--digit", "3", "--run", "40000", "--budget", "65536"], 2,
+     [64 << k for k in range(11)]),
+])
+def test_hunt_pi_batches_are_pinned(monkeypatch, argv, code, sizes):
+    computed = []
+    monkeypatch.setattr(streams, "_pi_floor",
+                        lambda size: computed.append(size) or _pi_floor(size))
+    assert (_invoke(argv)[0], computed) == (code, sizes)
 
 
 @pytest.mark.parametrize("mode", ["approx", "lnc", "countable"])

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import same_interval, spike
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
                      LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
-                     approx_ivt, certified_within, cotrans_split, decode, diagonal,
+                     TooLarge, approx_ivt, certified_within, cotrans_split, decode, diagonal,
                      encode, enumerated_witnesses, fans, fugitive_least, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle, pwl,
                      rho1, sqrt2, try_apart, try_lt, verify_lt)
@@ -130,7 +130,13 @@ class _OldUncovered(Exception):
 
 
 def _old_finite_subbar(bar):
+    work = 0
+
     def visit(path):
+        nonlocal work
+        work += len(path) + 1  # the budget rule: a member test costs its path length + 1
+        if work > fans._WORK_BUDGET:
+            raise TooLarge("over the budget")
         code = encode(path)
         if bar.member(code):
             return [code]
@@ -314,24 +320,31 @@ def _random_cut(rng, path, depth):
     return _random_cut(rng, path + (0,), depth) | _random_cut(rng, path + (1,), depth)
 
 
-def test_finite_subbar_matches_recursive_walk():
+def test_finite_subbar_matches_recursive_walk(monkeypatch):
     rng = random.Random(604)
     outcomes_seen = set()
     for _ in range(300):
         depth = rng.randint(0, 8)
         prefixes = _random_cut(rng, (), depth)
-        outcomes = []
-        for walk in (fans.finite_subbar, _old_finite_subbar):
-            visits = []
+        # At the real budget, then at a small one: both walks raise after the same visits.
+        for budget in (fans._WORK_BUDGET, rng.randint(1, 80)):
+            monkeypatch.setattr(fans, "_WORK_BUDGET", budget)
+            outcomes = []
+            for walk in (fans.finite_subbar, _old_finite_subbar):
+                visits = []
 
-            def member(code, visits=visits):
-                visits.append(code)
-                return tuple(decode(code)) in prefixes
+                def member(code, visits=visits):
+                    visits.append(code)
+                    return tuple(decode(code)) in prefixes
 
-            outcomes.append((walk(fans.DecidableBar(member, depth)), visits))
-        assert outcomes[0] == outcomes[1], (depth, prefixes)
-        outcomes_seen.add(type(outcomes[0][0]))
-    assert outcomes_seen == {list, fans.NotBarWithinDepth}
+                try:
+                    outcome = walk(fans.DecidableBar(member, depth))
+                except TooLarge:
+                    outcome = TooLarge
+                outcomes.append((outcome, visits))
+            assert outcomes[0] == outcomes[1], (depth, prefixes, budget)
+            outcomes_seen.add(outcome if outcome is TooLarge else type(outcome))
+    assert outcomes_seen == {list, fans.NotBarWithinDepth, TooLarge}
 
 
 # --- sqrt2 ------------------------------------------------------------------------

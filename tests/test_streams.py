@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import machin_pi_digits, random_indicator, spike
@@ -431,3 +432,79 @@ def test_racing_threads_share_one_pattern_spec():
     # Later calls re-read the tail of the last run, but each digit is generated once.
     assert set(generated) == set(range(153))
     assert max(generated.values()) == 1
+
+
+# --- the pi batch finder --------------------------------------------------------------
+
+def _floor_of(digit_at):
+    """floor(x * 10^size) for x = 3.d0 d1 d2 ..., di = digit_at(i): a stand-in for _pi_floor."""
+    return lambda size: int("3" + "".join(str(digit_at(i)) for i in range(size)))
+
+
+_PI_FLOORS = {
+    "pi": functools.cache(streams._pi_floor),
+    # Runs of seven 9s cross every multiple of 64; 7 i mod 9 is never 9.
+    "nines_across_edges": functools.cache(
+        _floor_of(lambda i: 9 if (i + 4) % 64 < 7 else 7 * i % 9)),
+}
+_NEAR_EDGE = st.builds(lambda edge, offset: max(edge + offset, 0),
+                       st.sampled_from([63, 64, 127, 128, 255, 256]), st.integers(-8, 8))
+# Digits 63, 127 and 255 are 3, 0 and 5 in pi and 9 in the stand-in: a run of one of
+# these is open at a batch end.
+_DIGIT = st.one_of(st.sampled_from([0, 3, 5, 9]), st.integers(0, 9))
+
+
+@pytest.mark.parametrize("floor", sorted(_PI_FLOORS))
+@given(_DIGIT, st.integers(1, 8), _NEAR_EDGE, st.lists(_NEAR_EDGE, min_size=1, max_size=4))
+@example(3, 2, 63, [63])  # pi: the run of 3s open at 63 ends at 64, in the next batch
+@example(9, 6, 0, [62])  # stand-in: the run of 9s from 60 is found in the next batch
+@example(9, 6, 62, [63])  # stand-in: that run, entered at 62, is too short from there
+def test_pi_batch_finder_matches_the_one_pass_loop(floor, digit, run_length, lo, queries):
+    # On pi_digits() the finder searches the batch bytes; on a plain NatStream over the
+    # same digits it is the one-pass loop.  Scans carried on from lo agree in answer,
+    # frontier and the batches computed, in order.
+    seen = []
+    for digits_of in (lambda pi: pi, lambda pi: NatStream(pi.__getitem__)):
+        sizes = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(streams, "_pi_floor",
+                          lambda size: sizes.append(size) or _PI_FLOORS[floor](size))
+            spec = pattern_indicator(digits_of(pi_digits()), digit, run_length)
+            spec._clear = lo  # as if earlier scans had cleared 0..lo-1
+            scans = [(fugitive_least(spec, n), spec._clear, spec._fired) for n in sorted(queries)]
+        seen.append((scans, sizes))
+    assert seen[0] == seen[1]
+
+
+def test_racing_threads_share_one_pi_pattern_spec(monkeypatch):
+    # pi's first run of three 9s starts at 761, in the 1,024-digit batch.
+    sizes = _count_pi_batches(monkeypatch)
+    queries = range(0, 800, 3)
+    alone = pattern_indicator(pi_digits(), 9, 3)
+    serial = {n: fugitive_least(alone, n) for n in queries}
+    assert serial[798] == 761 and serial[759] is None
+    del sizes[:]
+    spec = pattern_indicator(pi_digits(), 9, 3)
+    threads_n = 8
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker(offset):
+        barrier.wait()
+        # Each thread starts at its own query, so batches are sought under contention.
+        order = list(queries[offset * 30:]) + list(queries[:offset * 30])
+        seen.append({n: fugitive_least(spec, n) for n in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [serial] * threads_n
+    assert sizes == [64, 128, 256, 512, 1024]  # each batch computed once, in order
