@@ -281,19 +281,19 @@ def _cmd_ramsey(args) -> _Answer:
                    f"holds: {'true' if holds else 'false'}")
 
 
-def _parse_bar_spec(spec: str) -> Callable[[int], bool]:
+def _parse_bar_spec(spec: str) -> Callable[[tuple[int, ...]], bool]:
     m = re.fullmatch(r"len=(\d+)", spec)
     if m:
         size = int(m.group(1))
-        return lambda code: len(coding.decode(code)) == size
+        return lambda path: len(path) == size
     m = re.fullmatch(r"has1@(\d+)", spec)
     if m:
         window = int(m.group(1))
-        return lambda code: 1 in coding.decode(code)[:window]
+        return lambda path: 1 in path[:window]
     m = re.fullmatch(r"sum>=(\d+)", spec)
     if m:
         target = int(m.group(1))
-        return lambda code: sum(coding.decode(code)) >= target
+        return lambda path: sum(path) >= target
     raise ValueError(f"unknown bar spec '{spec}' (use len=K, has1@K or sum>=K)")
 
 
@@ -306,10 +306,8 @@ def _cmd_subbar(args) -> _Answer:
         return _Answer(inputs, {"not_a_bar": True, "path": list(outcome.path)},
                        {"uncovered_path": list(outcome.path)},
                        f"not a bar within depth {args.depth}: {path}")
-    elements = [coding.decode(code) for code in outcome]
-    plain = "\n".join(_fmt_list(e) for e in elements) if elements else "(empty bar)"
-    return _Answer(inputs, {"not_a_bar": False, "elements": elements}, {"elements": elements},
-                   plain)
+    plain = "\n".join(_fmt_list(e) for e in outcome) if outcome else "(empty bar)"
+    return _Answer(inputs, {"not_a_bar": False, "elements": outcome}, {"elements": outcome}, plain)
 
 
 def _parse_game_predicate(text: str, first: str) -> Callable[[int, int], bool]:
@@ -323,11 +321,17 @@ def _parse_game_predicate(text: str, first: str) -> Callable[[int, int], bool]:
     return lambda a, b: (a if var == first else b) == value
 
 
+# The largest --bound of game's omega2 mode: a counter-strategy lists one reply per move.
+_GAME_BOUND_LIMIT = 65536
+
+
 def _cmd_game(args) -> _Answer:
     in_c = _parse_game_predicate(args.c, "n" if args.mode == "omega2" else "i")
     if args.mode == "omega2":
         if args.bound is None:
             raise ValueError("--bound is required for --mode omega2")
+        if args.bound > _GAME_BOUND_LIMIT:
+            raise TooLarge(f"--bound {args.bound} exceeds the limit of {_GAME_BOUND_LIMIT}")
         outcome = fans.solve_omega2(fans.GameSpecOmega2(in_c, args.bound))
         inputs = {"mode": "omega2", "c": args.c, "bound": args.bound}
         if isinstance(outcome, fans.WinningMove):
@@ -461,7 +465,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("game", parents=[common], help="two-move game solvers")
     p.add_argument("--mode", choices=("omega2", "2omega"), default="omega2")
     p.add_argument("--c", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None,
+                   help=f"moves considered in omega2 mode, at most {_GAME_BOUND_LIMIT}")
     p.add_argument("--p0", type=int, default=None)
     p.add_argument("--p1", type=int, default=None)
     p.set_defaults(fn=_cmd_game)

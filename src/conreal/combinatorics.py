@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .coding import _least_divisor, encode
+from .coding import _least_divisor
 from .errors import TooLarge
 from .streams import NatStream
 
@@ -177,9 +177,9 @@ def arrow_star_check(M: int, n: int, k: int, r: int) -> bool:
     return avoiding_coloring(M, n, k, r, star=True) is None
 
 
-def almost_full_witness(a_member: Callable[[int], bool], zeta: NatStream,
+def almost_full_witness(a_member: Callable[[tuple[int, ...]], bool], zeta: NatStream,
                         fuel: int) -> tuple[int, ...] | None:
-    """An increasing index tuple s with the code of zeta∘s in A, searched over
+    """An increasing index tuple s with the tuple zeta∘s in A, searched over
     values < fuel in length-then-lexicographic order.  The stream must be
     strictly increasing on the inspected prefix."""
     if fuel < 1:
@@ -190,6 +190,6 @@ def almost_full_witness(a_member: Callable[[int], bool], zeta: NatStream,
             raise ValueError(f"stream not strictly increasing at index {i}")
     for size in range(fuel + 1):
         for s in itertools.combinations(range(fuel), size):
-            if a_member(encode([values[i] for i in s])):
+            if a_member(tuple(values[i] for i in s)):
                 return s
     return None

@@ -1,13 +1,14 @@
 """Finite subbar extraction over binary sequences and two-move game solvers.
 
-A decidable bar is a total boolean predicate on sequence codes.  The
-extractor searches the binary tree up to a cutoff depth: a node is covered
-when it is in the bar or both children are; a covered root yields the
-minimal bar elements actually used, an uncovered root yields an explicit
-counterexample path.  The bounded cutoff is essential: an unbounded
-decidable bar has no computable depth bound in general.  A search is
-also bounded in work: each member test costs its path length + 1, and a
-search that needs more than 2^22 in all is rejected with ``TooLarge``.
+A decidable bar is a total boolean predicate on binary paths: finite
+sequences of 0s and 1s, given as tuples.  The extractor searches the binary
+tree up to a cutoff depth: a node is covered when it is in the bar or both
+children are; a covered root yields the minimal bar elements actually used,
+as paths, an uncovered root yields an explicit counterexample path.  The
+bounded cutoff is essential: an unbounded decidable bar has no computable
+depth bound in general.  A search is also bounded in work: each member test
+costs its path length + 1, and a search that needs more than 2^22 in all is
+rejected with ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coding import _prime, encode
 from .errors import TooLarge
 from .streams import _first_index
 
@@ -24,9 +24,9 @@ _WORK_BUDGET = 1 << 22
 
 @dataclass(frozen=True)
 class DecidableBar:
-    """A pure, total membership test on binary-sequence codes plus a search cutoff."""
+    """A pure, total membership test on binary paths (tuples of 0/1) plus a search cutoff."""
 
-    member: Callable[[int], bool]
+    member: Callable[[tuple[int, ...]], bool]
     max_depth: int
 
 
@@ -36,50 +36,39 @@ class NotBarWithinDepth:
 
     path: tuple[int, ...]
 
-    @property
-    def code(self) -> int:
-        return encode(list(self.path))
 
-
-def finite_subbar(bar: DecidableBar) -> list[int] | NotBarWithinDepth:
+def finite_subbar(bar: DecidableBar) -> list[tuple[int, ...]] | NotBarWithinDepth:
     """Minimal bar elements covering every binary sequence of length max_depth.
 
     Depth-first, left branch first: an element of the bar stops the descent
-    (so returned codes are pairwise incompatible, in lexicographic order),
+    (so the returned paths are pairwise incompatible, in lexicographic order),
     and the first uncovered full-length path aborts the search.  One path
     is kept; after an element its trailing 1s go and its last 0 becomes 1.
-    Codes are built along the path, as ``encode`` would build them: a stack
-    holds the product of p(j)^path[j] over each prefix, so a step costs one
-    multiply or two.
     Raises TooLarge before the member test that would exceed the work budget.
     """
     if bar.max_depth < 0:
         raise ValueError("max_depth must be a natural")
     member = bar.member
-    elements: list[int] = []
+    elements: list[tuple[int, ...]] = []
     path: list[int] = []
-    products = [1]  # products[i] = prod_{j<i} p(j)^path[j], so the code is p(L-1) products[L] - 1
     work = 0
     while True:
         work += len(path) + 1
         if work > _WORK_BUDGET:
             raise TooLarge(f"subbar search exceeds its budget of {_WORK_BUDGET} path entries "
                            "(each member test counts its path length + 1)")
-        code = _prime(len(path) - 1) * products[-1] - 1 if path else 0
-        if member(code):
-            elements.append(code)
+        node = tuple(path)
+        if member(node):
+            elements.append(node)
             while path and path[-1] == 1:
                 path.pop()
-                products.pop()
             if not path:
                 return elements
             path[-1] = 1
-            products[-1] = products[-2] * _prime(len(path) - 1)
         elif len(path) == bar.max_depth:
-            return NotBarWithinDepth(tuple(path))
+            return NotBarWithinDepth(node)
         else:
             path.append(0)
-            products.append(products[-1])
 
 
 @dataclass(frozen=True)
@@ -130,6 +119,8 @@ def answer_strategy_2omega(g: GameSpec2Omega, p0: int, p1: int) -> int | None:
     Returns i with (i, p_i) in C, or None: the pair (p0, p1) wins against
     this check.
     """
+    if p0 < 0 or p1 < 0:
+        raise ValueError("replies must be naturals")
     if g.in_c(0, p0):
         return 0
     if g.in_c(1, p1):

@@ -172,18 +172,18 @@ def test_c09_fan_extraction():
                 t[key] = rng.random() < 0.25
             return t[key]
 
-        outcome = finite_subbar(DecidableBar(lambda code: pred(decode(code)), depth))
+        outcome = finite_subbar(DecidableBar(pred, depth))
         if isinstance(outcome, NotBarWithinDepth):
             assert not _coverage_oracle(pred, depth)
             assert not any(pred(list(outcome.path[:i])) for i in range(depth + 1))
         else:
             assert _coverage_oracle(pred, depth)
-            assert all(pred(decode(code)) for code in outcome)
+            assert all(pred(element) for element in outcome)
             for bits in itertools.product((0, 1), repeat=depth):
-                assert any(is_prefix(code, encode(list(bits))) for code in outcome)
-    uniform = finite_subbar(DecidableBar(lambda code: len(decode(code)) == 3, 4))
+                assert any(bits[:len(element)] == element for element in outcome)
+    uniform = finite_subbar(DecidableBar(lambda path: len(path) == 3, 4))
     assert isinstance(uniform, list) and len(uniform) == 8
-    empty = finite_subbar(DecidableBar(lambda code: False, 5))
+    empty = finite_subbar(DecidableBar(lambda path: False, 5))
     assert isinstance(empty, NotBarWithinDepth) and empty.path == (0,) * 5
     _report("9. fan extraction: 200 bars vs coverage oracle, uniform and empty cases", started)
 

@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cli_cases import CASES
-from conreal import CReal, FuelExhausted, cli, streams
+from conreal import CReal, FuelExhausted, cli, fans, streams
 from conreal.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -462,6 +463,39 @@ def test_subbar_over_work_budget():
     assert (code, out) == (2, "")
     assert err == ("error: subbar search exceeds its budget of 4194304 path entries "
                    "(each member test counts its path length + 1)\n")
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_bar_specs_match_their_definitions_on_lists(k):
+    definitions = {f"len={k}": lambda xs: len(xs) == k,
+                   f"has1@{k}": lambda xs: any(xs[i] == 1 for i in range(min(k, len(xs)))),
+                   f"sum>={k}": lambda xs: xs.count(1) >= k}
+    for spec, defined in definitions.items():
+        member = cli._parse_bar_spec(spec)
+        for n in range(8):
+            for path in itertools.product((0, 1), repeat=n):
+                assert member(path) == defined(list(path)), (spec, path)
+
+
+@pytest.mark.parametrize("p0,p1", [("-1", "2"), ("2", "-1"), ("-3", "-3")])
+def test_game_2omega_rejects_a_negative_reply(p0, p1):
+    code, out, err = _invoke(["game", "--mode", "2omega", "--c", "n=3", "--p0", p0, "--p1", p1])
+    assert (code, out, err) == (2, "", "error: replies must be naturals\n")
+
+
+@pytest.mark.parametrize("bound", ["65537", "100000000"])
+def test_game_bound_over_the_limit_is_rejected_before_any_work(monkeypatch, bound):
+    games = []
+    monkeypatch.setattr(fans, "solve_omega2", games.append)
+    code, out, err = _invoke(["game", "--mode", "omega2", "--c", "none", "--bound", bound])
+    assert (code, out, games) == (2, "", [])
+    assert err == f"error: --bound {bound} exceeds the limit of 65536\n"
+
+
+def test_game_bound_at_the_limit_answers():
+    code, out, err = _invoke(["game", "--mode", "omega2", "--c", "none", "--bound", "65536"])
+    assert (code, err) == (0, "")
+    assert out == "counter strategy: [" + ",".join(["0"] * 65536) + "]\n"
 
 
 @pytest.mark.parametrize("expr", [

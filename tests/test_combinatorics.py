@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conreal import (Coloring, DicksonInstance, NatStream, TooLarge,
                      almost_full_witness, arrow_check, arrow_star_check,
-                     avoiding_coloring, dickson_witness, encode, euclid_extend,
+                     avoiding_coloring, dickson_witness, euclid_extend,
                      monochromatic_witness)
 from conreal.combinatorics import _colorings_exceed_guard
 
@@ -194,44 +194,37 @@ def test_arrow_star_monotone_in_M():
 
 def test_almost_full_examples():
     identity = NatStream.from_function(lambda n: n)
-    found = almost_full_witness(lambda code: len_of(code) >= 1, identity, 3)
+    found = almost_full_witness(lambda values: len(values) >= 1, identity, 3)
     assert found == (0,)
     evens = NatStream.from_function(lambda n: 2 * n)
     found = almost_full_witness(_pair_first_even, evens, 4)
     assert found == (0, 1)
-    assert almost_full_witness(lambda code: False, identity, 4) is None
+    assert almost_full_witness(lambda values: False, identity, 4) is None
 
 
-def len_of(code):
-    from conreal import decode
-    return len(decode(code))
-
-
-def _pair_first_even(code):
-    from conreal import decode
-    values = decode(code)
+def _pair_first_even(values):
     return len(values) == 2 and values[0] % 2 == 0
 
 
 def test_almost_full_requires_increasing():
     decreasing = NatStream.from_function(lambda n: 10 - n if n < 10 else n)
     with pytest.raises(ValueError):
-        almost_full_witness(lambda code: True, decreasing, 5)
+        almost_full_witness(lambda values: True, decreasing, 5)
 
 
 def test_almost_full_found_reverifies():
     rng = random.Random(41)
     member_table = {}
 
-    def member(code):
-        if code not in member_table:
-            member_table[code] = rng.random() < 0.1
-        return member_table[code]
+    def member(values):
+        if values not in member_table:
+            member_table[values] = rng.random() < 0.1
+        return member_table[values]
 
     zeta = NatStream.from_function(lambda n: 3 * n + 1)
     found = almost_full_witness(member, zeta, 6)
     if found is not None:
-        assert member(encode([zeta[i] for i in found]))
+        assert member(tuple(zeta[i] for i in found))
 
 
 def test_arrow_monotone_in_M():

@@ -5,37 +5,35 @@ import pytest
 
 from conreal import (CounterStrategyPrefix, DecidableBar, GameSpec2Omega,
                      GameSpecOmega2, NotBarWithinDepth, TooLarge, WinningMove,
-                     answer_strategy_2omega, decode, encode, fans, finite_subbar,
-                     is_prefix, solve_omega2)
+                     answer_strategy_2omega, fans, finite_subbar, solve_omega2)
 
 
-def _bar_from_predicate(pred, depth):
-    return DecidableBar(lambda code: pred(decode(code)), depth)
+def _is_prefix(s, t):
+    return t[:len(s)] == s
 
 
 def test_uniform_bar():
-    outcome = finite_subbar(_bar_from_predicate(lambda s: len(s) == 3, 4))
-    expected = [encode(list(bits)) for bits in itertools.product((0, 1), repeat=3)]
+    outcome = finite_subbar(DecidableBar(lambda s: len(s) == 3, 4))
+    expected = list(itertools.product((0, 1), repeat=3))
     assert outcome == expected
 
 
 def test_not_a_bar_reports_all_zero_path():
     # "Contains a 1 among the first 4 entries" misses the all-zero sequence.
-    outcome = finite_subbar(_bar_from_predicate(lambda s: 1 in s[:4], 6))
+    outcome = finite_subbar(DecidableBar(lambda s: 1 in s[:4], 6))
     assert isinstance(outcome, NotBarWithinDepth)
     assert outcome.path == (0,) * 6
-    assert outcome.code == encode([0] * 6)
 
 
 def test_empty_bar():
-    outcome = finite_subbar(_bar_from_predicate(lambda s: False, 2))
+    outcome = finite_subbar(DecidableBar(lambda s: False, 2))
     assert isinstance(outcome, NotBarWithinDepth)
     assert outcome.path == (0, 0)
 
 
 def test_root_in_bar():
-    outcome = finite_subbar(_bar_from_predicate(lambda s: True, 5))
-    assert outcome == [0]
+    outcome = finite_subbar(DecidableBar(lambda s: True, 5))
+    assert outcome == [()]
 
 
 def _coverage_oracle(pred, depth):
@@ -63,7 +61,7 @@ def test_subbar_against_coverage_oracle():
     for _ in range(120):
         depth = rng.randint(1, 6)
         pred = _random_predicate(rng)
-        outcome = finite_subbar(_bar_from_predicate(pred, depth))
+        outcome = finite_subbar(DecidableBar(pred, depth))
         if isinstance(outcome, NotBarWithinDepth):
             assert not _coverage_oracle(pred, depth)
             path = list(outcome.path)
@@ -71,13 +69,12 @@ def test_subbar_against_coverage_oracle():
             assert not any(pred(path[:i]) for i in range(depth + 1))
         else:
             assert _coverage_oracle(pred, depth)
-            for code in outcome:
-                assert pred(decode(code))
+            for element in outcome:
+                assert pred(element)
             for a, b in itertools.combinations(outcome, 2):
-                assert not is_prefix(a, b) and not is_prefix(b, a)
+                assert not _is_prefix(a, b) and not _is_prefix(b, a)
             for bits in itertools.product((0, 1), repeat=depth):
-                full = encode(list(bits))
-                assert any(is_prefix(code, full) for code in outcome)
+                assert any(_is_prefix(element, bits) for element in outcome)
 
 
 def test_solve_omega2_examples():
@@ -115,7 +112,7 @@ def test_answer_strategy_examples():
 
 def test_bad_depth():
     with pytest.raises(ValueError):
-        finite_subbar(DecidableBar(lambda code: True, -1))
+        finite_subbar(DecidableBar(lambda path: True, -1))
 
 
 def test_work_budget_boundary(monkeypatch):
@@ -124,8 +121,8 @@ def test_work_budget_boundary(monkeypatch):
     monkeypatch.setattr(fans, "_WORK_BUDGET", 105)
     calls = []
 
-    def member(code):
-        calls.append(code)
+    def member(path):
+        calls.append(path)
         return False
 
     assert finite_subbar(DecidableBar(member, 13)) == NotBarWithinDepth((0,) * 13)
@@ -138,7 +135,7 @@ def test_work_budget_boundary(monkeypatch):
 def test_work_budget_of_a_full_bar(monkeypatch):
     # Every sequence of length K is in the bar: K * 2^(K+1) + 1 in all.
     k = 6
-    bar = _bar_from_predicate(lambda s: len(s) == k, k)
+    bar = DecidableBar(lambda s: len(s) == k, k)
     monkeypatch.setattr(fans, "_WORK_BUDGET", k * 2 ** (k + 1) + 1)
     assert len(finite_subbar(bar)) == 2 ** k
     monkeypatch.setattr(fans, "_WORK_BUDGET", k * 2 ** (k + 1))

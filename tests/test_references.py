@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from conftest import same_interval, spike
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
                      LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
-                     TooLarge, approx_ivt, certified_within, cotrans_split, decode, diagonal,
-                     encode, enumerated_witnesses, fans, fugitive_least, identity_map,
+                     TooLarge, approx_ivt, certified_within, cotrans_split, diagonal,
+                     enumerated_witnesses, fans, fugitive_least, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle, pwl,
                      rho1, sqrt2, try_apart, try_lt, verify_lt)
 from conreal.cli import run
@@ -137,9 +137,8 @@ def _old_finite_subbar(bar):
         work += len(path) + 1  # the budget rule: a member test costs its path length + 1
         if work > fans._WORK_BUDGET:
             raise TooLarge("over the budget")
-        code = encode(path)
-        if bar.member(code):
-            return [code]
+        if bar.member(tuple(path)):
+            return [tuple(path)]
         if len(path) == bar.max_depth:
             raise _OldUncovered(path)
         return visit(path + [0]) + visit(path + [1])
@@ -333,9 +332,9 @@ def test_finite_subbar_matches_recursive_walk(monkeypatch):
             for walk in (fans.finite_subbar, _old_finite_subbar):
                 visits = []
 
-                def member(code, visits=visits):
-                    visits.append(code)
-                    return tuple(decode(code)) in prefixes
+                def member(path, visits=visits):
+                    visits.append(path)
+                    return path in prefixes
 
                 try:
                     outcome = walk(fans.DecidableBar(member, depth))
