@@ -25,7 +25,8 @@ from .ivt import (ContinuousMap, _UNCERTIFIED, _thirds_depth, approx_ivt, certif
                   enumerated_witnesses, f0, f1, f2, identity_map, ivt_countable_exceptions,
                   ivt_locally_nonconstant, middle_third_oracle, require_range)
 from .real import CReal, RationalInterval, half_pow, rho0, rho1, rho2, sqrt2
-from .streams import NatStream, _decimal, _pi_floor, fugitive_least, pattern_indicator, pi_digits
+from .streams import (_PI_DIGITS_LIMIT, NatStream, _decimal, _pi_floor, fugitive_least,
+                      pattern_indicator, pi_digits)
 
 
 def _fmt_frac(q: Fraction) -> str:
@@ -203,10 +204,6 @@ def _cmd_eval(args) -> _Answer:
                    _fmt_interval(iv))
 
 
-# The largest --digits of pi and --budget of hunt: the 65,536-digit pi batch takes under 1 s.
-_PI_DIGITS_LIMIT = 65536
-
-
 def _check_pi_digits(flag: str, n: int) -> None:
     if n < 1:
         raise ValueError(f"{flag} must be >= 1")
@@ -222,18 +219,11 @@ def _cmd_pi(args) -> _Answer:
 
 def _cmd_hunt(args) -> _Answer:
     _check_pi_digits("--budget", args.budget)
-    digits = pi_digits()
-    spec = pattern_indicator(digits, args.digit, args.run)
-    # First the starts whose runs end within the limit.  A later start is settled
-    # by a digit within the limit unless it lies in the run of the sought digit
-    # that ends at the limit; that run is shorter than --run, and start is its first.
-    # A later start below it meets a mismatch within the limit, so none fires.
-    position = fugitive_least(spec, min(args.budget, _PI_DIGITS_LIMIT + 1 - args.run) - 1)
-    if position is None and args.budget + args.run - 1 > _PI_DIGITS_LIMIT:
-        start = digits._open_run(_PI_DIGITS_LIMIT - 1, args.digit)  # its batch ends at the limit
-        if start < args.budget:
-            raise TooLarge(f"--budget {args.budget} with --run {args.run} needs pi digits "
-                           f"past the limit of {_PI_DIGITS_LIMIT}")
+    spec = pattern_indicator(pi_digits(), args.digit, args.run)
+    try:
+        position = fugitive_least(spec, args.budget - 1)
+    except TooLarge as e:  # the stream's own limit, with the flags that reached it
+        raise TooLarge(f"--budget {args.budget} with --run {args.run} {e}") from None
     inputs = {"digit": args.digit, "run": args.run, "budget": args.budget}
     if position is None:
         return _Answer(inputs, None, None, f"unresolved after {args.budget} digits", code=3)
@@ -306,8 +296,8 @@ def _cmd_subbar(args) -> _Answer:
         return _Answer(inputs, {"not_a_bar": True, "path": list(outcome.path)},
                        {"uncovered_path": list(outcome.path)},
                        f"not a bar within depth {args.depth}: {path}")
-    plain = "\n".join(_fmt_list(e) for e in outcome) if outcome else "(empty bar)"
-    return _Answer(inputs, {"not_a_bar": False, "elements": outcome}, {"elements": outcome}, plain)
+    return _Answer(inputs, {"not_a_bar": False, "elements": outcome}, {"elements": outcome},
+                   "\n".join(_fmt_list(e) for e in outcome))
 
 
 def _parse_game_predicate(text: str, first: str) -> Callable[[int, int], bool]:

@@ -367,21 +367,31 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
 
 # Convenience oracle builders (the procedures re-verify whatever these claim).
 
-def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
-    """Searches a fixed grid of middle-third rationals for an apartness witness.
-
-    Each scan probes first at the index of the last witness this oracle found
-    (try_apart's ``start``): the witness index moves by about one a round.
-    """
+def _witness_search(f: ContinuousMap, y: CReal, fuel: int):
+    """q -> try_apart(f.at(q), y, fuel, last) or None, where last is the index of
+    the last witness found: the witness index moves by about one a round, so each
+    scan probes first there (try_apart's ``start``)."""
     last = None  # a racing caller can only get a worse probe, never another answer
 
-    def oracle(a: Fraction, b: Fraction) -> tuple[Fraction, Apartness]:
+    def search(q: Fraction) -> Apartness | None:
         nonlocal last
+        w = try_apart(f.at(q), y, fuel, last)
+        if w is not None:
+            last = w.witness.index
+        return w
+    return search
+
+
+def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
+    """Searches a fixed grid of middle-third rationals for an apartness witness,
+    each through one ``_witness_search``."""
+    search = _witness_search(f, y, fuel)
+
+    def oracle(a: Fraction, b: Fraction) -> tuple[Fraction, Apartness]:
         for num in (4, 3, 5, 2, 6, 1, 7):  # eighths of the span, midpoint first
             q = _mix(num, 8, a, b)
-            w = try_apart(f.at(q), y, fuel, last)
+            w = search(q)
             if w is not None:
-                last = w.witness.index
                 return q, w
         raise FuelExhausted("no apartness witness found in the middle third")
     return oracle
@@ -389,19 +399,13 @@ def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
 
 def enumerated_witnesses(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
     """apart_at for ivt_countable_exceptions: a witness of f(q) # y at the
-    rational q, searched with try_apart.
-
-    Each scan probes first at the index of the last witness found, as
-    middle_third_oracle's do.
-    """
-    last = None
+    rational q, searched through one ``_witness_search``."""
+    search = _witness_search(f, y, fuel)
 
     def apart_at(q: Fraction) -> Apartness:
-        nonlocal last
-        w = try_apart(f.at(q), y, fuel, last)
+        w = search(q)
         if w is None:
             raise FuelExhausted(f"no apartness witness at q = "
                                 f"{_decimal(q.numerator)}/{_decimal(q.denominator)}")
-        last = w.witness.index
         return w
     return apart_at

@@ -15,6 +15,8 @@ import sys
 import threading
 from typing import Callable, Sequence
 
+from .errors import TooLarge
+
 
 def _memo(cache: dict, key, compute: Callable):
     """The cached value at key, computing and storing it on a miss.
@@ -182,6 +184,9 @@ def _pi_floor(size: int) -> int:
 
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
+# The digits of pi a read may reach: the 65,536-digit batch takes under 1 s.
+_PI_DIGITS_LIMIT = 65536
+
 
 class _PiDigits(NatStream):
     """The stream of ``pi_digits``; ``_batch(n)`` is the batch that holds digit n."""
@@ -193,12 +198,9 @@ class _PiDigits(NatStream):
     def _batch(self, n: int) -> bytes:
         """The batch for the least size in 64, 128, 256, ... above n: byte i + 1 is
         digit i for every i below that size, byte 0 the leading 3."""
+        if n >= _PI_DIGITS_LIMIT:
+            raise TooLarge(f"needs pi digits past the limit of {_PI_DIGITS_LIMIT}")
         return _memo(self._batches, 64 << (n // 64).bit_length(), _pi_batch)
-
-    def _open_run(self, n: int, digit: int) -> int:
-        """Where the run of ``digit`` that ends the batch holding digit n starts:
-        the batch's size when its last digit is another."""
-        return len(self._batch(n).rstrip(bytes([digit]))) - 1
 
 
 def _pi_batch(size: int) -> bytes:
@@ -211,7 +213,9 @@ def pi_digits() -> NatStream:
     Digit n is read from floor(pi * 10^size) for the least size in 64, 128,
     256, ... above n, so no precision is fixed up front and no earlier index
     is read.  A batch is bytes, the digit values of that floor from its leading 3;
-    ``pattern_indicator`` searches these bytes directly.
+    ``pattern_indicator`` searches these bytes directly.  No read computes a digit
+    past index 65,535: reading one raises ``TooLarge`` before its batch is computed,
+    and leaves the stream, and any spec or real reading it, as it was.
     Each batch is computed once per stream by ``_pi_floor``: the Chudnovsky
     series summed exactly, then one division, within E = 2 (isqrt floor < 0.032, last
     floor < 1, tail < 10^-5), and released only when both ends agree above the guard.
@@ -270,14 +274,15 @@ def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> Fugitiv
 
     def find_in_batches(lo: int, hi: int) -> int | None:
         # The batches the one pass would read, in its order: the next one only
-        # while the run of the digit open at this batch's end starts at or below hi.
+        # while the run of the digit open at this batch's end (it starts at the
+        # batch's size when the last digit is another) starts at or below hi.
         run, start, n = bytes([digit]) * run_length, lo, lo
         while start <= hi:
             batch = digits._batch(n)
             at = batch.find(run, start + 1, hi + run_length + 1)
             if at >= 0:
                 return at - 1
-            start, n = max(start, digits._open_run(n, digit)), len(batch) - 1
+            start, n = max(start, len(batch.rstrip(run[:1])) - 1), len(batch) - 1
         return None
 
     return FugitiveSpec(NatStream(hit), find_in_batches if isinstance(digits, _PiDigits) else find)

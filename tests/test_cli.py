@@ -412,6 +412,27 @@ def test_hunt_pi_batches_are_pinned(monkeypatch, argv, code, sizes):
     assert (_invoke(argv)[0], computed) == (code, sizes)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "rho0(9,99)", "-p", "300000", "--fuel", "300001"],
+    ["eval", "rho0(9,99)", "-p", "1000000", "--fuel", "1000001"],
+    ["ivt", "--map", "f0:9,99", "--y", "1/2", "-p", "70000", "--fuel", "70010"],
+])
+def test_reals_over_pi_past_the_limit_exit_2(monkeypatch, argv):
+    # No run of 99 nines starts in pi's first 65,536 digits: the scan reaches the
+    # stream's limit, which rejects the read before computing a larger batch.
+    sizes = []
+    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
+    assert _invoke(argv) == (2, "", "error: needs pi digits past the limit of 65536\n")
+    assert max(sizes) == 65536
+
+
+def test_reals_over_pi_within_the_limit_answer(monkeypatch):
+    monkeypatch.setattr(streams, "_pi_floor", _pi_floor)
+    bound = "1/" + streams._decimal(2 ** 65001)
+    assert _invoke(["eval", "rho0(9,99)", "-p", "65000", "--fuel", "66000"]) == (
+        0, f"-{bound} .. {bound}\n", "")
+
+
 @pytest.mark.parametrize("mode", ["approx", "lnc", "countable"])
 def test_ivt_target_outside_range(mode):
     # y = 2 lies above f(1) = 1: every mode rejects it as a usage error.
@@ -455,6 +476,13 @@ def test_subbar_deep_uncovered_path():
     code, out, err = _invoke(["subbar", "--spec", "has1@1200", "--depth", "1200"])
     assert (code, err) == (0, "")
     assert out == "not a bar within depth 1200: [" + ",".join(["0"] * 1200) + "]\n"
+
+
+def test_subbar_root_in_the_bar():
+    # The root alone covers every sequence: one element, the empty path.
+    assert _invoke(["subbar", "--spec", "len=0", "--depth", "0"]) == (0, "[]\n", "")
+    code, out, _ = _invoke(["subbar", "--spec", "len=0", "--depth", "0", "--format", "json"])
+    assert (code, json.loads(out)["result"]) == (0, {"not_a_bar": False, "elements": [[]]})
 
 
 def test_subbar_over_work_budget():

@@ -15,7 +15,7 @@ from conftest import machin_pi_digits, random_indicator, spike
 from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
                      RationalInterval, encode, fugitive_compare,
                      fugitive_equal, fugitive_least, identity_map,
-                     pattern_indicator, pi_digits, prefix_of_stream, rho0)
+                     TooLarge, pattern_indicator, pi_digits, prefix_of_stream, rho0)
 from conreal import streams
 from conreal.streams import _decimal, _first_index
 
@@ -474,6 +474,43 @@ def test_pi_batch_finder_matches_the_one_pass_loop(floor, digit, run_length, lo,
             scans = [(fugitive_least(spec, n), spec._clear, spec._fired) for n in sorted(queries)]
         seen.append((scans, sizes))
     assert seen[0] == seen[1]
+
+
+def _count_cached_pi_batches(monkeypatch) -> list[int]:
+    """As _count_pi_batches, each size computed once in this module."""
+    sizes = []
+    monkeypatch.setattr(streams, "_pi_floor",
+                        lambda size: sizes.append(size) or _PI_FLOORS["pi"](size))
+    return sizes
+
+
+def test_pi_digit_past_the_limit_raises_before_any_batch(monkeypatch):
+    sizes = _count_cached_pi_batches(monkeypatch)
+    d = pi_digits()
+    with pytest.raises(TooLarge, match="^needs pi digits past the limit of 65536$"):
+        d[65536]
+    assert sizes == []
+    assert d[65535] == 3  # the last digit within the limit
+    assert sizes == [65536]
+
+
+def test_real_over_pi_past_the_limit_raises_and_stays_usable(monkeypatch):
+    sizes = _count_cached_pi_batches(monkeypatch)
+    spec = pattern_indicator(pi_digits(), 9, 99)  # no such run in the first 65,536 digits
+    x = rho0(spec)
+    before = x.approx(1000, 1001)
+    cached, frontier = dict(x._cache), (spec._clear, spec._fired)
+    with pytest.raises(TooLarge, match="^needs pi digits past the limit of 65536$"):
+        x.approx(70000, 70001)
+    assert max(sizes) == 65536
+    # The failed read stored nothing: the spec's frontier and the real's cache are as they were.
+    assert (spec._clear, spec._fired) == frontier
+    assert cached.items() <= x._cache.items()
+    assert x.approx(1000, 1001) == before
+    h = Fraction(1, 1 << 60001)
+    assert x.approx(60000, 60001) == RationalInterval(-h, h)
+    assert (spec._clear, spec._fired) == (60002, None)  # interval 60001 read it through 60001
+    assert max(sizes) == 65536
 
 
 def test_racing_threads_share_one_pi_pattern_spec(monkeypatch):
