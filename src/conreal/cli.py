@@ -169,8 +169,8 @@ class _ExprParser:
         raise ValueError(f"unknown token '{tok}' in expression")
 
 
-def _parse_expr(text: str) -> CReal:
-    return _ExprParser(text, pi_digits()).parse()
+def _parse_expr(text: str, digits: NatStream) -> CReal:
+    return _ExprParser(text, digits).parse()
 
 
 class _Answer(NamedTuple):
@@ -196,7 +196,7 @@ def _check_precision(p: int) -> None:
 
 def _cmd_eval(args) -> _Answer:
     _check_precision(args.precision)
-    x = _parse_expr(args.expr)
+    x = _parse_expr(args.expr, pi_digits())
     iv = x.approx(args.precision, args.fuel)
     return _Answer({"expr": args.expr, "p": args.precision, "fuel": args.fuel},
                    {"lo": _fmt_frac(iv.lo), "hi": _fmt_frac(iv.hi)},
@@ -340,14 +340,13 @@ def _cmd_game(args) -> _Answer:
     return _Answer(inputs, {"answer": answer}, {"move_in_c": answer}, f"answer: {answer}")
 
 
-def _parse_map(text: str) -> ContinuousMap:
+def _parse_map(text: str, digits: NatStream) -> ContinuousMap:
     if text == "id":
         return identity_map()
     m = re.fullmatch(r"(f0|f1|f2):(\d+(?:,\d+)*)", text)
     if not m:
         raise ValueError(f"unknown map '{text}' (use id, f0:D,L, f1:D,L or f2:D,L,D2,L2)")
     name, params = m.group(1), [int(v) for v in m.group(2).split(",")]
-    digits = pi_digits()
     if name in ("f0", "f1"):
         if len(params) != 2:
             raise ValueError(f"{name} takes two parameters D,L")
@@ -364,8 +363,9 @@ def _cmd_ivt(args) -> _Answer:
     if args.mode == "lnc" and args.precision > -_PRECISION_FLOOR:
         raise TooLarge(f"-p {args.precision} is above the largest lnc precision "
                        f"{-_PRECISION_FLOOR}")
-    f = _parse_map(args.map)
-    y = _parse_expr(args.y)
+    digits = pi_digits()  # one stream: the map and y share its batches
+    f = _parse_map(args.map, digits)
+    y = _parse_expr(args.y, digits)
     p = args.precision
     fuel = args.fuel
     inputs = {"map": args.map, "y": args.y, "p": p, "mode": args.mode}

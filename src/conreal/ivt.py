@@ -337,10 +337,16 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
         a, b = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)
         q, w = oracle(a, b)
         if not (_lt(a, q) and _lt(q, b)):
-            raise ValueError(f"oracle point {q} outside the middle third ({a}, {b})")
+            raise ValueError(f"oracle point {_text(q)} outside the middle third "
+                             f"({_text(a)}, {_text(b)})")
         return q, _below(f, q, y, w, "oracle")
 
     return _bisection(pick, depth)
+
+
+def _text(q) -> str:
+    """str(q) for a Fraction or int q of any size (``_decimal``)."""
+    return _decimal(q.numerator) + ("" if q.denominator == 1 else "/" + _decimal(q.denominator))
 
 
 def _thirds_depth(target: int) -> int:
@@ -367,30 +373,12 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
 
 # Convenience oracle builders (the procedures re-verify whatever these claim).
 
-def _witness_search(f: ContinuousMap, y: CReal, fuel: int):
-    """q -> try_apart(f.at(q), y, fuel, last) or None, where last is the index of
-    the last witness found: the witness index moves by about one a round, so each
-    scan probes first there (try_apart's ``start``)."""
-    last = None  # a racing caller can only get a worse probe, never another answer
-
-    def search(q: Fraction) -> Apartness | None:
-        nonlocal last
-        w = try_apart(f.at(q), y, fuel, last)
-        if w is not None:
-            last = w.witness.index
-        return w
-    return search
-
-
 def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
-    """Searches a fixed grid of middle-third rationals for an apartness witness,
-    each through one ``_witness_search``."""
-    search = _witness_search(f, y, fuel)
-
+    """Searches a fixed grid of middle-third rationals q for a witness of f(q) # y."""
     def oracle(a: Fraction, b: Fraction) -> tuple[Fraction, Apartness]:
         for num in (4, 3, 5, 2, 6, 1, 7):  # eighths of the span, midpoint first
             q = _mix(num, 8, a, b)
-            w = search(q)
+            w = try_apart(f.at(q), y, fuel)
             if w is not None:
                 return q, w
         raise FuelExhausted("no apartness witness found in the middle third")
@@ -398,12 +386,9 @@ def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
 
 
 def enumerated_witnesses(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
-    """apart_at for ivt_countable_exceptions: a witness of f(q) # y at the
-    rational q, searched through one ``_witness_search``."""
-    search = _witness_search(f, y, fuel)
-
+    """apart_at for ivt_countable_exceptions: a witness of f(q) # y at the rational q."""
     def apart_at(q: Fraction) -> Apartness:
-        w = search(q)
+        w = try_apart(f.at(q), y, fuel)
         if w is None:
             raise FuelExhausted(f"no apartness witness at q = "
                                 f"{_decimal(q.numerator)}/{_decimal(q.denominator)}")

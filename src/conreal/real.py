@@ -103,6 +103,7 @@ class CReal:
     """
 
     _direct = False
+    _witness: int | None = None  # index of the last apartness witness found against this real
 
     def __init__(self, generate: Callable[[int], RationalInterval]):
         self._generate = generate
@@ -258,20 +259,23 @@ def try_lt(x: CReal, y: CReal, fuel: int) -> LtWitness | None:
     return None if n is None else LtWitness(n)
 
 
-def try_apart(x: CReal, y: CReal, fuel: int, start: int | None = None) -> Apartness | None:
+def try_apart(x: CReal, y: CReal, fuel: int) -> Apartness | None:
     """The least index in 0..fuel that proves x < y or y < x, and which one it proves.
 
-    When x and y are both direct the gallop reads index ``start`` first (a
-    caller's guess, such as the index of a nearby witness), as separated
-    nested intervals stay separated; otherwise the scan runs from 0 and
-    ignores it.  The answer does not depend on ``start``, only the reads do.
+    The index is recorded on both reals.  When both are direct the gallop reads
+    first y's recorded index, or x's if y has none (the IVT oracles scan one y
+    again and again), as separated nested intervals stay separated; otherwise
+    the scan runs from 0.  The probe changes the reads, never the answer: a
+    racing thread can only leave a worse one.
     """
     def apart(n: int) -> bool:
         a, b = x.interval(n), y.interval(n)
         return _lt(a.hi, b.lo) or _lt(b.hi, a.lo)
-    n = _first_index(apart, 0, fuel, x._direct and y._direct, start)
+    n = _first_index(apart, 0, fuel, x._direct and y._direct,
+                     x._witness if y._witness is None else y._witness)
     if n is None:
         return None
+    x._witness = y._witness = n
     less = _lt(x.interval(n).hi, y.interval(n).lo)
     return Apartness(Direction.LESS if less else Direction.GREATER, LtWitness(n))
 

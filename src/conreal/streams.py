@@ -182,8 +182,6 @@ def _pi_floor(size: int) -> int:
         guard *= 2
 
 
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-
 # The digits of pi a read may reach: the 65,536-digit batch takes under 1 s.
 _PI_DIGITS_LIMIT = 65536
 
@@ -193,18 +191,15 @@ class _PiDigits(NatStream):
 
     def __init__(self):
         self._batches: dict[int, bytes] = {}
-        super().__init__(lambda n: self._batch(n)[n + 1])
+        super().__init__(lambda n: self._batch(n)[n + 1] - 48)
 
     def _batch(self, n: int) -> bytes:
         """The batch for the least size in 64, 128, 256, ... above n: byte i + 1 is
-        digit i for every i below that size, byte 0 the leading 3."""
+        the ASCII of digit i for every i below that size, byte 0 the leading 3."""
         if n >= _PI_DIGITS_LIMIT:
             raise TooLarge(f"needs pi digits past the limit of {_PI_DIGITS_LIMIT}")
-        return _memo(self._batches, 64 << (n // 64).bit_length(), _pi_batch)
-
-
-def _pi_batch(size: int) -> bytes:
-    return _decimal(_pi_floor(size)).encode().translate(_DIGIT_VALUES)
+        return _memo(self._batches, 64 << (n // 64).bit_length(),
+                     lambda size: _decimal(_pi_floor(size)).encode())
 
 
 def pi_digits() -> NatStream:
@@ -212,7 +207,7 @@ def pi_digits() -> NatStream:
 
     Digit n is read from floor(pi * 10^size) for the least size in 64, 128,
     256, ... above n, so no precision is fixed up front and no earlier index
-    is read.  A batch is bytes, the digit values of that floor from its leading 3;
+    is read.  A batch is bytes, that floor in ASCII digits as ``_decimal`` prints it;
     ``pattern_indicator`` searches these bytes directly.  No read computes a digit
     past index 65,535: reading one raises ``TooLarge`` before its batch is computed,
     and leaves the stream, and any spec or real reading it, as it was.
@@ -276,7 +271,7 @@ def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> Fugitiv
         # The batches the one pass would read, in its order: the next one only
         # while the run of the digit open at this batch's end (it starts at the
         # batch's size when the last digit is another) starts at or below hi.
-        run, start, n = bytes([digit]) * run_length, lo, lo
+        run, start, n = bytes([48 + digit]) * run_length, lo, lo
         while start <= hi:
             batch = digits._batch(n)
             at = batch.find(run, start + 1, hi + run_length + 1)

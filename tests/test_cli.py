@@ -433,6 +433,20 @@ def test_reals_over_pi_within_the_limit_answer(monkeypatch):
         0, f"-{bound} .. {bound}\n", "")
 
 
+@pytest.mark.parametrize("mode,answer", [
+    ("approx", "x in 57/256 .. 29/128\nf(x) - y in 1/24576 .. 175/24576\n"),
+    ("lnc", "x in 7/32 .. 57/256\nf(x) - y in -143/24576 .. 31/24576\n"),
+    ("countable", "x in 7/32 .. 57/256\nf(x) - y in -143/24576 .. 31/24576\n"),
+])
+def test_ivt_reads_pi_once_for_the_map_and_y(monkeypatch, mode, answer):
+    # The map and y read one pi stream: its 64-digit batch is computed once, not once each.
+    sizes = []
+    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
+    argv = ["ivt", "--map", "f0:9,99", "--y", "rho0(9,99) + 1/3", "-p", "8", "--mode", mode]
+    assert _invoke(argv) == (0, answer + "certified: |f(x) - y| < 1/256\n", "")
+    assert sizes == [64]
+
+
 @pytest.mark.parametrize("mode", ["approx", "lnc", "countable"])
 def test_ivt_target_outside_range(mode):
     # y = 2 lies above f(1) = 1: every mode rejects it as a usage error.

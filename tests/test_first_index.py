@@ -211,30 +211,36 @@ def test_galloping_matches_linear_on_direct_graphs(leaves, ops, calls):
 @settings(max_examples=60, deadline=None)
 @given(**_GRAPHS, i=st.integers(0, 99), j=st.integers(0, 99), fuel=st.integers(1, 40))
 def test_try_apart_answers_the_same_from_every_probe(leaves, ops, i, j, fuel):
-    # The oracles pass the index of their last witness: a probe below, at or above
-    # the answer, past the fuel or far past it gives the answer of no probe.
+    # try_apart probes the index recorded on y, or on x when y has none: a probe
+    # below, at or above the answer, past the fuel or far past it gives the answer
+    # of no probe, and the answer's index is recorded on both reals.
     nodes, fresh = _build(leaves, ops), _build(leaves, ops)
     x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
     expected = _linear_apart(fresh[i % len(fresh)], fresh[j % len(fresh)], fuel)
     for start in [None, *range(fuel + 6), 10 ** 6]:
-        assert try_apart(x, y, fuel, start) == expected
+        for owner, other in ((y, x), (x, y)):
+            other._witness, owner._witness = None, start
+            assert try_apart(x, y, fuel) == expected
+            if expected is not None:
+                assert x._witness == y._witness == expected.witness.index
 
 
 def test_try_apart_on_a_real_that_is_not_direct_ignores_the_probe():
-    def reads_of(start):
+    def reads_of(start, on_y):
         reads = []
 
         def third(n):  # 1/3 -+ 2^-n, read one index at a time
             reads.append(n)
             return RationalInterval(Fraction(1, 3) - half_pow(n), Fraction(1, 3) + half_pow(n))
 
-        found = try_apart(CReal(third), CReal.from_rational(Fraction(1, 3) + half_pow(10)), 40, start)
-        return found, reads
+        x, y = CReal(third), CReal.from_rational(Fraction(1, 3) + half_pow(10))
+        (y if on_y else x)._witness = start
+        return try_apart(x, y, 40), reads
 
-    linear = reads_of(None)
+    linear = reads_of(None, True)
     assert linear == (Apartness(Direction.LESS, LtWitness(12)), list(range(13)))
     for start in (0, 5, 12, 30, 40, 41, 10 ** 6):
-        assert reads_of(start) == linear
+        assert reads_of(start, True) == reads_of(start, False) == linear
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,9 @@ from conreal import (Apartness, CReal, Direction, FugitiveSpec, FuelExhausted, L
                      middle_third_oracle, pattern_indicator, pi_digits, pwl,
                      sqrt2, try_apart, zero)
 
+from conreal import ivt
 from conreal.ivt import _ceil_log2
+from conreal.streams import _decimal
 
 half = Fraction(1, 2)
 
@@ -619,3 +621,86 @@ def test_racing_callers_of_one_oracle_get_the_serial_witnesses():
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == threads_n
     assert all(got == expected for got in seen)
+
+
+@pytest.mark.parametrize("make", [identity_map, lambda: f0(spike(5))], ids=["id", "f0_spike5"])
+@pytest.mark.parametrize("mode", ["lnc", "countable"])
+def test_each_oracle_scan_reads_the_last_witness_index_first(monkeypatch, make, mode):
+    # y records each witness found against it; the next scan of y reads that index first.
+    f, y = make(), sqrt2() - CReal.from_rational(1)
+    interval, scans, scan = y.interval, [], None
+
+    def reading(n):
+        if scan is not None:
+            scan.append(n)
+        return interval(n)
+
+    def scanning(x, target, fuel):
+        nonlocal scan
+        scan = []
+        w = try_apart(x, target, fuel)
+        scans.append((scan, w))
+        scan = None
+        return w
+
+    y.interval = reading
+    monkeypatch.setattr(ivt, "try_apart", scanning)
+    if mode == "lnc":
+        ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=16)
+    else:
+        ivt_countable_exceptions(f, y, enumerated_witnesses(f, y, 64), depth=16)
+    assert len(scans) >= 16
+    last = None
+    for reads, w in scans:
+        assert reads[0] == (0 if last is None else last)
+        if w is not None:
+            last = w.witness.index
+    assert last > 0
+
+
+def test_racing_scans_against_one_shared_y_match_a_serial_run():
+    # Eight threads scan their own direct x against one y and race to record their
+    # witnesses on it: a scan can only get a worse probe, never another witness.
+    threads_n = 8
+
+    def build():
+        y = sqrt2() - CReal.from_rational(1)
+        return y, [[y + CReal.from_rational(Fraction((-1) ** k, 2 ** (3 * k + t + 1)))
+                    for k in range(12)] for t in range(threads_n)]
+
+    y, xs = build()
+    expected = [[try_apart(x, y, 80) for x in row] for row in xs]
+    y, xs = build()
+    barrier = threading.Barrier(threads_n)
+    seen = [None] * threads_n
+
+    def worker(t):
+        barrier.wait()
+        seen[t] = [try_apart(x, y, 80) for x in xs[t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == expected
+    assert None not in sum(expected, [])
+
+
+@pytest.mark.parametrize("q,text", [
+    (Fraction(1, 3 ** 10000), "1/" + _decimal(3 ** 10000)),  # over 4,300 digits
+    (5, "5"), (Fraction(5), "5"), (Fraction(1, 9), "1/9"), (Fraction(-1, 9), "-1/9"),
+], ids=["huge", "int", "whole", "ninth", "negative"])
+def test_an_oracle_point_outside_the_middle_third_is_named_in_full(q, text):
+    # Printed as str(q) prints it, with no limit on the digits of its integers.
+    f, y = identity_map(), CReal.from_rational(half)
+    w = Apartness(Direction.LESS, LtWitness(0))
+    with pytest.raises(ValueError) as info:
+        ivt_locally_nonconstant(f, y, lambda a, b: (q, w), depth=1)
+    assert str(info.value) == f"oracle point {text} outside the middle third (1/3, 2/3)"
