@@ -100,6 +100,16 @@ class CReal:
     scans gallop and may read ahead up to the fuel.  Others
     (``from_steps`` reals, caller generators) are scanned one index at a time,
     as a read past the answer may raise.  Answers are least indices either way.
+
+    Every real also has a private integer form of interval n, ``_ends(n)``:
+    a triple (lo_num, hi_num, den) with den > 0, not reduced, memoized like
+    ``interval``.  ``from_rational``, ``sqrt2``, ``rho0/1/2`` and ``+ - * abs
+    neg`` of direct reals compute it from their parts' triples and build no
+    ``Fraction``; their interval n is the reduced pair lo_num/den, hi_num/den,
+    built only when ``interval(n)`` is read.  Any other real (``from_steps``
+    reals, caller generators, ``pwl`` point values) derives its triple from
+    its interval.  An operator with a part that is not direct keeps the
+    ``Fraction`` formulas, so a caller generator's ``int`` ends stay ``int``.
     """
 
     _direct = False
@@ -108,6 +118,7 @@ class CReal:
     def __init__(self, generate: Callable[[int], RationalInterval]):
         self._generate = generate
         self._cache: dict[int, RationalInterval] = {}
+        self._triples: dict[int, tuple[int, int, int]] = {}
         # (p, n): every interval below index n is wider than 2^-p (and cached, unless direct).
         self._scanned = (0, 0)
 
@@ -115,6 +126,16 @@ class CReal:
         if n < 0:
             raise IndexError("interval indices are naturals")
         return _memo(self._cache, n, self._generate)
+
+    def _ends(self, n: int) -> tuple[int, int, int]:
+        """Interval n as (lo_num, hi_num, den) over one denominator den > 0."""
+        return _memo(self._triples, n, self._triple)
+
+    def _triple(self, n: int) -> tuple[int, int, int]:
+        # Derived from the interval; a real built by _from_ends has its own formula instead.
+        lo, hi = self.interval(n)
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        return ln * hd, hn * ld, ld * hd
 
     def approx(self, p: int, fuel: int | None) -> RationalInterval:
         """First interval (among indices 0..fuel; fuel None: no end, for direct
@@ -145,9 +166,8 @@ class CReal:
     def from_rational(cls, q) -> "CReal":
         q = Fraction(q)
         qn, qd = q.numerator, q.denominator
-        # q -+ 2^-n, one normalizing Fraction per end.
-        return _mark_direct(cls(lambda n: RationalInterval(Fraction((qn << n) - qd, qd << n),
-                                                            Fraction((qn << n) + qd, qd << n))))
+        # q -+ 2^-n over qd 2^n.
+        return _from_ends(cls, lambda n: ((qn << n) - qd, (qn << n) + qd, qd << n))
 
     @classmethod
     def from_steps(cls, first: RationalInterval,
@@ -158,21 +178,40 @@ class CReal:
     # Arithmetic: componentwise interval formulas.
 
     def __add__(self, other: "CReal") -> "CReal":
+        def ends(n: int) -> tuple[int, int, int]:
+            al, ah, ad = self._ends(n)
+            bl, bh, bd = other._ends(n)
+            g = math.gcd(ad, bd)
+            s, t = ad // g, bd // g  # over the least common denominator ad t = bd s
+            return al * t + bl * s, ah * t + bh * s, ad * t
+
         def gen(n: int) -> RationalInterval:
             a, b = self.interval(n), other.interval(n)
             return RationalInterval(a.lo + b.lo, a.hi + b.hi)
-        return _mark_direct(CReal(gen), self, other)
+        return _node(ends, gen, self, other)
 
     def __neg__(self) -> "CReal":
+        def ends(n: int) -> tuple[int, int, int]:
+            lo, hi, den = self._ends(n)
+            return -hi, -lo, den
+
         def gen(n: int) -> RationalInterval:
             a = self.interval(n)
             return RationalInterval(-a.hi, -a.lo)
-        return _mark_direct(CReal(gen), self)
+        return _node(ends, gen, self)
 
     def __sub__(self, other: "CReal") -> "CReal":
         return self + (-other)
 
     def __mul__(self, other: "CReal") -> "CReal":
+        def ends(n: int) -> tuple[int, int, int]:
+            al, ah, ad = self._ends(n)
+            bl, bh, bd = other._ends(n)
+            if al >= 0 and bl >= 0:
+                return al * bl, ah * bh, ad * bd
+            products = (al * bl, al * bh, ah * bl, ah * bh)
+            return min(products), max(products), ad * bd
+
         def gen(n: int) -> RationalInterval:
             a, b = self.interval(n), other.interval(n)
             if a.lo.numerator >= 0 and b.lo.numerator >= 0 and _lt(a.lo, a.hi) and _lt(b.lo, b.hi):
@@ -180,21 +219,47 @@ class CReal:
                 return RationalInterval(a.lo * b.lo, a.hi * b.hi)
             products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
             return RationalInterval(min(products), max(products))
-        return _mark_direct(CReal(gen), self, other)
+        return _node(ends, gen, self, other)
 
     def __abs__(self) -> "CReal":
+        def ends(n: int) -> tuple[int, int, int]:
+            lo, hi, den = self._ends(n)
+            return max(0, lo, -hi), max(-lo, hi), den
+
         def gen(n: int) -> RationalInterval:
             a = self.interval(n)
             lo = max(Fraction(0), a.lo, -a.hi)
             hi = max(abs(a.lo), abs(a.hi))
             return RationalInterval(lo, hi)
-        return _mark_direct(CReal(gen), self)
+        return _node(ends, gen, self)
 
 
 def _mark_direct(real: CReal, *parts: CReal) -> CReal:
     """Set real's direct bit: true when all its parts are direct, or it has none."""
     real._direct = all(part._direct for part in parts)
     return real
+
+
+def _from_ends(cls: type[CReal], ends: Callable[[int], tuple[int, int, int]]) -> CReal:
+    """The direct real whose triple n is ends(n); its interval n is built from
+    that triple when it is read."""
+    triples: dict[int, tuple[int, int, int]] = {}  # gen holds the memo, not the real: no cycle
+
+    def gen(n: int) -> RationalInterval:
+        lo, hi, den = _memo(triples, n, ends)
+        return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+    real = cls(gen)
+    real._direct, real._triples, real._triple = True, triples, ends
+    return real
+
+
+def _node(ends: Callable[[int], tuple[int, int, int]], gen: Callable[[int], RationalInterval],
+          *parts: CReal) -> CReal:
+    """An operator's real: by the triple formula ends when every part is direct,
+    else by the Fraction formula gen (not direct)."""
+    if all(part._direct for part in parts):
+        return _from_ends(CReal, ends)
+    return CReal(gen)
 
 
 def _width_scan(x: CReal, ok: Callable[[int, int], bool], lo: int, hi: int | None,
@@ -343,10 +408,10 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
 def sqrt2() -> CReal:
     """The square root of 2: interval n is [a/2^n, (a+1)/2^n] with a = isqrt(2 * 4^n),
     the n-th interval of the dyadic bisection of q^2 - 2 on [1, 2]; width 2^-n."""
-    def gen(n: int) -> RationalInterval:
+    def ends(n: int) -> tuple[int, int, int]:
         a = math.isqrt(2 << 2 * n)
-        return RationalInterval(Fraction(a, 1 << n), Fraction(a + 1, 1 << n))
-    return _mark_direct(CReal(gen))
+        return a, a + 1, 1 << n
+    return _from_ends(CReal, ends)
 
 
 def sqrt2_irrationality_witness(m: int, n: int) -> int:
@@ -360,27 +425,26 @@ def sqrt2_irrationality_witness(m: int, n: int) -> int:
 
 # Oscillating reals driven by a fugitive number.
 
-def _pinned(f: FugitiveSpec, value: Callable[[int], Fraction]) -> CReal:
-    """(-2^-n, 2^-n) while the fugitive is unseen at n, then the point value(k)
-    once the fugitive k is found."""
-    def gen(n: int) -> RationalInterval:
+def _pinned(f: FugitiveSpec, sign: Callable[[int], int]) -> CReal:
+    """(-2^-n, 2^-n) while the fugitive is unseen at n, then the point
+    sign(k) 2^-k once the fugitive k is found."""
+    def ends(n: int) -> tuple[int, int, int]:
         k = fugitive_least(f, n)
         if k is None:
-            h = Fraction(1, 1 << n)
-            return RationalInterval(-h, h)
-        v = value(k)
-        return RationalInterval(v, v)
-    return _mark_direct(CReal(gen))
+            return -1, 1, 1 << n
+        s = sign(k)
+        return s, s, 1 << k
+    return _from_ends(CReal, ends)
 
 
 def rho0(f: FugitiveSpec) -> CReal:
     """Oscillates above zero: (-2^-n, 2^-n) before the fugitive k, then pinned to 2^-k."""
-    return _pinned(f, lambda k: Fraction(1, 1 << k))
+    return _pinned(f, lambda k: 1)
 
 
 def rho1(f: FugitiveSpec) -> CReal:
     """Oscillates around zero: pinned to +2^-k for even k, -2^-k for odd k."""
-    return _pinned(f, lambda k: Fraction(1 if k % 2 == 0 else -1, 1 << k))
+    return _pinned(f, lambda k: 1 if k % 2 == 0 else -1)
 
 
 def rho2(f: FugitiveSpec) -> CReal:

@@ -1,12 +1,13 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, NatStream,
-                     SplitSide, cantor_point, cotrans_split, diagonal,
-                     pattern_indicator, pi_digits, rho0, rho1, rho2, sqrt2,
+                     RationalInterval, SplitSide, cantor_point, cotrans_split, diagonal,
+                     interval, pattern_indicator, pi_digits, rho0, rho1, rho2, sqrt2,
                      sqrt2_irrationality_witness, try_apart, try_lt, verify_lt,
                      zero)
 from conftest import fuel_for, random_real_tree, spike
@@ -318,3 +319,36 @@ def test_concurrent_interval_reads():
     for t in threads:
         t.join()
     assert all(r == seen[0] for r in seen)
+
+
+def test_interval_constructor_converts_ends_to_fractions():
+    for lo, hi in [(1, "3/2"), ("-1/3", Fraction(1, 3)), (Fraction(5, 7), 1), ("2", "2")]:
+        iv = interval(lo, hi)
+        assert iv == RationalInterval(Fraction(lo), Fraction(hi))
+        assert type(iv) is RationalInterval and {type(iv.lo), type(iv.hi)} == {Fraction}
+
+
+def test_interval_constructor_rejects_ends_out_of_order():
+    with pytest.raises(ValueError, match=r"^interval endpoints out of order: 2 > 1/2$"):
+        interval(2, "1/2")
+    with pytest.raises(ValueError, match=r"^interval endpoints out of order: -1/3 > -2/3$"):
+        interval(Fraction(-1, 3), "-2/3")
+
+
+@pytest.mark.parametrize("shape", ["sum", "mix"])
+def test_deep_direct_reals_answer_under_the_default_recursion_limit(shape):
+    # A read recurses once per level of the tree.  Under the default limit of 1000
+    # frames a read of 329-330 levels fails on Python 3.10 to 3.13, so 300 levels
+    # pass only while each level costs no more frames than the interval reads did.
+    assert sys.getrecursionlimit() == 1000
+    x, value = CReal.from_rational(1), Fraction(1)
+    for i in range(1, 300):
+        q = Fraction(1, i + 1)
+        if shape == "sum" or i % 3 == 0:
+            x, value = x + CReal.from_rational(q), value + q
+        elif i % 3 == 1:
+            x, value = x * CReal.from_rational(1 + q), value * (1 + q)
+        else:
+            x, value = -x, -value
+    iv = x.approx(4, 64)
+    assert iv.contains(value) and iv.width <= Fraction(1, 16)

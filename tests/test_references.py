@@ -13,6 +13,7 @@ intervals, answers, call orders and exceptions.
 """
 
 import io
+import math
 import operator
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, 
                      TooLarge, approx_ivt, certified_within, cotrans_split, diagonal,
                      enumerated_witnesses, fans, fugitive_least, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle, pwl,
-                     rho1, sqrt2, try_apart, try_lt, verify_lt)
+                     rho0, rho1, sqrt2, try_apart, try_lt, verify_lt)
 from conreal.cli import run
 from conreal.ivt import _thirds_depth, require_range
 from conreal.real import _lt, _narrower, _width, half_pow
@@ -733,6 +734,93 @@ def test_mul_matches_four_products(a, b):
 @given(q=_rationals, n=st.integers(0, 300))
 def test_from_rational_kernel_matches_fraction_sums(q, n):
     assert same_interval(CReal.from_rational(q).interval(n), _old_from_rational(Fraction(q), n))
+
+
+def _old_sqrt2(n):
+    a = math.isqrt(2 << 2 * n)
+    return RationalInterval(Fraction(a, 1 << n), Fraction(a + 1, 1 << n))
+
+
+def _old_pinned(fires, n, value):
+    if fires is None or fires > n:
+        h = Fraction(1, 1 << n)
+        return RationalInterval(-h, h)
+    v = value(fires)
+    return RationalInterval(v, v)
+
+
+def _pwl_point(a, b, t):
+    return pwl(PiecewiseLinearSpec((0, 1), (CReal.from_rational(a), CReal.from_rational(b)))).at(t)
+
+
+_small = st.one_of(st.just(Fraction(0)), st.fractions(-8, 8, max_denominator=40),
+                   st.fractions(Fraction(-1, 2 ** 20), Fraction(1, 2 ** 20), max_denominator=2 ** 30))
+_fires = st.one_of(st.none(), st.integers(0, 300))
+_direct_leaves = st.one_of(
+    st.tuples(st.just("q"), _small),
+    st.just(("sqrt2",)),
+    st.tuples(st.sampled_from(["rho0", "rho1"]), _fires),
+    st.tuples(st.just("pwl"), _small, _small, st.fractions(0, 1, max_denominator=16)))
+_direct_trees = st.recursive(_direct_leaves, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(["neg", "abs"]), sub),
+    st.tuples(st.sampled_from(["+", "-", "*"]), sub, sub)), max_leaves=5)
+
+
+def _direct_real(t):
+    """The library real of a tree, with every subtree's real as (tree, real) pairs."""
+    kind = t[0]
+    if kind == "q":
+        real = CReal.from_rational(t[1])
+    elif kind == "sqrt2":
+        real = sqrt2()
+    elif kind in ("rho0", "rho1"):
+        real = (rho0 if kind == "rho0" else rho1)(spike(t[1]))
+    elif kind == "pwl":
+        real = _pwl_point(*t[1:])
+    else:
+        parts = [_direct_real(u) for u in t[1:]]
+        reals = [r for r, _ in parts]
+        real = {"neg": operator.neg, "abs": abs, **_BINARY}[kind](*reals)
+        return real, [pair for _, pairs in parts for pair in pairs] + [(t, real)]
+    return real, [(t, real)]
+
+
+def _old_direct_interval(t, n):
+    """Interval n of a tree by the Fraction formulas real.py used before triples."""
+    kind = t[0]
+    if kind == "q":
+        return _old_from_rational(t[1], n)
+    if kind == "sqrt2":
+        return _old_sqrt2(n)
+    if kind == "rho0":
+        return _old_pinned(t[1], n, lambda k: Fraction(1, 1 << k))
+    if kind == "rho1":
+        return _old_pinned(t[1], n, lambda k: Fraction(1 if k % 2 == 0 else -1, 1 << k))
+    if kind == "pwl":
+        return _pwl_point(*t[1:]).interval(n)  # a fresh map: pwl's own formula, unchanged
+    a = _old_direct_interval(t[1], n)
+    if kind == "neg":
+        return RationalInterval(-a.hi, -a.lo)
+    if kind == "abs":
+        return RationalInterval(max(_ZERO, a.lo, -a.hi), max(abs(a.lo), abs(a.hi)))
+    b = _old_direct_interval(t[2], n)
+    if kind == "-":
+        kind, b = "+", RationalInterval(-b.hi, -b.lo)
+    if kind == "+":
+        return RationalInterval(a.lo + b.lo, a.hi + b.hi)
+    return _old_mul(a, b)
+
+
+@settings(max_examples=800, deadline=None)
+@given(t=_direct_trees, n=st.one_of(st.integers(0, 24), st.integers(0, 300)))
+def test_direct_triple_kernels_match_fraction_formulas(t, n):
+    # Every leaf and operator of a direct real against its Fraction formula: rationals
+    # below, at and above 0, sqrt2, rho0/rho1 before and after they fire (points),
+    # and a pwl point value, whose triple is derived from its interval.
+    real, subtrees = _direct_real(t)
+    assert real._direct
+    for u, sub in reversed(subtrees):
+        assert same_interval(sub.interval(n), _old_direct_interval(u, n)), (u, n)
 
 
 def _random_tree(rng, depth):
