@@ -23,8 +23,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import FuelExhausted, PreconditionFailed
-from .real import (Apartness, CReal, Direction, RationalInterval, _lt, _mark_direct, _mix,
-                   _narrower, _width, _width_scan, half_pow, rho0, rho1, rho2, try_apart, verify_lt)
+from .real import (Apartness, CReal, Direction, RationalInterval, _from_ends, _lt, _mix,
+                   _narrower, _reduced, _triple_of, _width, _width_scan, half_pow, rho0, rho1,
+                   rho2, try_apart, verify_lt)
 from .streams import FugitiveSpec, _decimal, _first_index, _memo
 
 _ZERO = Fraction(0)
@@ -82,12 +83,15 @@ class ContinuousMap:
         """The value at a rational point, cached per point: every call with
         an equal point returns the same real, the first one stored.
 
-        On a map with nodes, interval n is the raw enclosure of [q, q] at
-        precision n, and the real is direct when every node is.  It equals
-        ``apply``'s running intersection: a node approximation at a finer
-        precision comes from a later index of a nested real, and interpolation
-        with lam in [0, 1] is monotone in both node ends, so each enclosure
-        already lies inside the one before.
+        On a map with nodes, the real's triple n is the map's point triple
+        ``_point_ends(q, n)``: for a ``pwl`` map, the interpolation of the node
+        triples at precision n + 2 over one common denominator, with no
+        ``Fraction`` built.  Its interval n is that triple reduced, the raw
+        enclosure of [q, q] at precision n, and the real is direct when every
+        node is.  It equals ``apply``'s running intersection: a node
+        approximation at a finer precision comes from a later index of a
+        nested real, and interpolation with lam in [0, 1] is monotone in both
+        node ends, so each enclosure already lies inside the one before.
         """
         q = Fraction(q)
         if not _ZERO <= q <= _ONE:
@@ -95,11 +99,15 @@ class ContinuousMap:
         return _memo(self._points, q, self._point_value)
 
     def _point_value(self, q: Fraction) -> CReal:
-        point = RationalInterval(q, q)
         if self._nodes is None:
+            point = RationalInterval(q, q)
             return self.apply(CReal(lambda n: point))
-        enclose = self.enclose
-        return _mark_direct(CReal(lambda n: enclose(point, n)), *self._nodes)
+        point_ends = self._point_ends
+        return _from_ends(CReal, lambda n: point_ends(q, n), *self._nodes)
+
+    def _point_ends(self, q: Fraction, n: int) -> tuple[int, int, int]:
+        # The enclosure of [q, q] at precision n as a triple; pwl sets its own formula.
+        return _triple_of(self.enclose(RationalInterval(q, q), n))
 
 
 @dataclass(frozen=True)
@@ -131,21 +139,26 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     Enclosures evaluate the endpoints of each covered piece by linear
     interpolation over node approximations at precision p+2 and take the
     hull; on a linear piece the endpoint hull is an exact image enclosure.
-    A point interval gets its point's value, with no scan or hull.  Each
-    point's piece and place on it are found once per map, keyed by the
-    point's integer pair (numerator, denominator), each node
-    approximation once per map and precision; a direct node is read with no
-    index cap, since a total, dwindling formula always has a least index.
-    The modulus comes from a slope bound over all pieces.
+    A point interval gets its point's value, with no scan or hull.  A point
+    t at u/v of the way along the piece between nodes a and b has the value
+    triple ((v-u) lo_a bd + u lo_b ad, (v-u) hi_a bd + u hi_b ad, v ad bd)
+    from the node triples (lo_a, hi_a, ad) and (lo_b, hi_b, bd); the point
+    values ``f.at(t)`` are reals of these triples, and an enclosure reduces
+    them to a ``RationalInterval``.  Each point's piece and place on it are
+    found once per map, keyed by the point's integer pair (numerator,
+    denominator), each node triple once per map and precision; a direct node
+    is read with no index cap, since a total, dwindling formula always has a
+    least index.  The modulus comes from a slope bound over all pieces.
     """
     bps = spec.breakpoints
     values = spec.values
-    node_ivs: dict[tuple[int, int], RationalInterval] = {}
+    node_triples: dict[tuple[int, int], tuple[int, int, int]] = {}
     pieces: dict[tuple[int, int], tuple[int, int, int]] = {}
     fuels = [None if value._direct else _NODE_FUEL for value in values]
 
-    def node_iv(i: int, p: int) -> RationalInterval:
-        return _memo(node_ivs, (i, p), lambda key: values[i].approx(p, fuels[i]))
+    def node_ends(i: int, p: int) -> tuple[int, int, int]:
+        node = values[i]
+        return _memo(node_triples, (i, p), lambda key: node._ends(node._least(p, fuels[i])))
 
     def piece(key: tuple[int, int]) -> tuple[int, int, int]:
         # Rightmost piece i starting at or before t, and t's place u/v on it.
@@ -154,19 +167,22 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
         lam = (t - bps[i]) / (bps[i + 1] - bps[i])
         return i, lam.numerator, lam.denominator
 
-    def eval_point(t: Fraction, p: int) -> RationalInterval:
+    def point_ends(t: Fraction, p: int) -> tuple[int, int, int]:
+        # The value at t at precision p, from the node triples at precision p + 2.
         i, u, v = _memo(pieces, (t.numerator, t.denominator), piece)
-        a, b = node_iv(i, p), node_iv(i + 1, p)
-        return RationalInterval(_mix(u, v, a.lo, b.lo), _mix(u, v, a.hi, b.hi))
+        al, ah, ad = node_ends(i, p + 2)
+        bl, bh, bd = node_ends(i + 1, p + 2)
+        s, r = (v - u) * bd, u * ad
+        return s * al + r * bl, s * ah + r * bh, v * ad * bd
 
     def enclose(iv: RationalInterval, p: int) -> RationalInterval:
         lo, hi = iv
         if lo.numerator < 0 or _lt(hi, lo) or hi.numerator > hi.denominator:
             raise ValueError("enclose input must lie within [0, 1]")
         if not _lt(lo, hi):
-            return eval_point(lo, p + 2)
+            return _reduced(*point_ends(lo, p))
         points = [lo] + [t for t in bps if lo < t < hi] + [hi]
-        parts = [eval_point(t, p + 2) for t in points]
+        parts = [_reduced(*point_ends(t, p)) for t in points]
         return RationalInterval(min(part.lo for part in parts),
                                 max(part.hi for part in parts))
 
@@ -175,15 +191,18 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     def slope_exp(_key) -> int:
         bound = Fraction(0)
         for i in range(len(bps) - 1):
-            a, b = node_iv(i, 4), node_iv(i + 1, 4)
-            rise = max(abs(b.hi - a.lo), abs(a.hi - b.lo))
-            bound = max(bound, rise / (bps[i + 1] - bps[i]))
+            al, ah, ad = node_ends(i, 4)
+            bl, bh, bd = node_ends(i + 1, 4)
+            rise = max(abs(bh * ad - al * bd), abs(ah * bd - bl * ad))
+            bound = max(bound, Fraction(rise, ad * bd) / (bps[i + 1] - bps[i]))
         return _ceil_log2(bound)
 
     def modulus(p: int) -> int:
         return p + _memo(slope, None, slope_exp)
 
-    return ContinuousMap(enclose, modulus, values)
+    f = ContinuousMap(enclose, modulus, values)
+    f._point_ends = point_ends
+    return f
 
 
 def identity_map() -> ContinuousMap:

@@ -103,13 +103,18 @@ class CReal:
 
     Every real also has a private integer form of interval n, ``_ends(n)``:
     a triple (lo_num, hi_num, den) with den > 0, not reduced, memoized like
-    ``interval``.  ``from_rational``, ``sqrt2``, ``rho0/1/2`` and ``+ - * abs
-    neg`` of direct reals compute it from their parts' triples and build no
-    ``Fraction``; their interval n is the reduced pair lo_num/den, hi_num/den,
-    built only when ``interval(n)`` is read.  Any other real (``from_steps``
-    reals, caller generators, ``pwl`` point values) derives its triple from
-    its interval.  An operator with a part that is not direct keeps the
+    ``interval``.  ``from_rational``, ``sqrt2``, ``rho0/1/2``, ``pwl`` point
+    values and ``+ - * abs neg`` of direct reals compute it from their parts'
+    triples and build no ``Fraction``; their interval n is the reduced pair
+    lo_num/den, hi_num/den, built only when ``interval(n)`` is read.  Any
+    other real (``from_steps`` reals, caller generators) derives its triple
+    from its interval.  An operator with a part that is not direct keeps the
     ``Fraction`` formulas, so a caller generator's ``int`` ends stay ``int``.
+
+    Scans read triples: the width scans behind ``approx``, ``try_lt`` and
+    ``try_apart`` compare them by cross-multiplying.  An interval is built
+    when one is returned (``interval``, ``approx``) or a witness is checked
+    against it (``verify_lt``, ``cotrans_split``'s side, the IVT's checks).
     """
 
     _direct = False
@@ -133,25 +138,28 @@ class CReal:
 
     def _triple(self, n: int) -> tuple[int, int, int]:
         # Derived from the interval; a real built by _from_ends has its own formula instead.
-        lo, hi = self.interval(n)
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        return ln * hd, hn * ld, ld * hd
+        return _triple_of(self.interval(n))
 
     def approx(self, p: int, fuel: int | None) -> RationalInterval:
         """First interval (among indices 0..fuel; fuel None: no end, for direct
-        reals only) of width <= 2^-p.
+        reals only) of width <= 2^-p: ``interval(_least(p, fuel))``.
 
         The search starts at the least index n found by the last successful
         call, when that call asked for a precision at most p: the intervals
         below n are wider than the old bound, hence wider than 2^-p, so
         skipping them skips no answer.  Nor an exception: a real that is not
-        direct has them all cached, and those a direct real left unread are
-        total formulas.  The (precision, index) pair is replaced as one
-        tuple, so racing threads only see true facts.
+        direct has them all cached, as ``_ends`` derives its triples from its
+        intervals, and those a direct real left unread are total formulas.
+        The (precision, index) pair is replaced as one tuple, so racing
+        threads only see true facts.
 
         A direct real is probed at index p, or at that n if higher, as every
         width scan is (``_width_scan``).
         """
+        return self.interval(self._least(p, fuel))
+
+    def _least(self, p: int, fuel: int | None) -> int:
+        """The index of ``approx(p, fuel)``, found over triples: no interval is built."""
         if fuel is not None and fuel < 1:
             raise ValueError("fuel must be >= 1")
         last_p, last_n = self._scanned
@@ -160,7 +168,7 @@ class CReal:
         if n is None:
             raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
         self._scanned = (p, n)
-        return self._cache[n]  # read by the search
+        return n
 
     @classmethod
     def from_rational(cls, q) -> "CReal":
@@ -240,17 +248,29 @@ def _mark_direct(real: CReal, *parts: CReal) -> CReal:
     return real
 
 
-def _from_ends(cls: type[CReal], ends: Callable[[int], tuple[int, int, int]]) -> CReal:
-    """The direct real whose triple n is ends(n); its interval n is built from
-    that triple when it is read."""
+def _triple_of(iv: RationalInterval) -> tuple[int, int, int]:
+    """iv as a triple over the product of its ends' denominators."""
+    lo, hi = iv
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return ln * hd, hn * ld, ld * hd
+
+
+def _reduced(lo: int, hi: int, den: int) -> RationalInterval:
+    """The interval of a triple, its ends reduced."""
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _from_ends(cls: type[CReal], ends: Callable[[int], tuple[int, int, int]],
+               *parts: CReal) -> CReal:
+    """The real whose triple n is ends(n), direct when its parts are; its
+    interval n is built from that triple when it is read."""
     triples: dict[int, tuple[int, int, int]] = {}  # gen holds the memo, not the real: no cycle
 
     def gen(n: int) -> RationalInterval:
-        lo, hi, den = _memo(triples, n, ends)
-        return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+        return _reduced(*_memo(triples, n, ends))
     real = cls(gen)
-    real._direct, real._triples, real._triple = True, triples, ends
-    return real
+    real._triples, real._triple = triples, ends
+    return _mark_direct(real, *parts)
 
 
 def _node(ends: Callable[[int], tuple[int, int, int]], gen: Callable[[int], RationalInterval],
@@ -258,14 +278,15 @@ def _node(ends: Callable[[int], tuple[int, int, int]], gen: Callable[[int], Rati
     """An operator's real: by the triple formula ends when every part is direct,
     else by the Fraction formula gen (not direct)."""
     if all(part._direct for part in parts):
-        return _from_ends(CReal, ends)
+        return _from_ends(CReal, ends, *parts)
     return CReal(gen)
 
 
 def _width_scan(x: CReal, ok: Callable[[int, int], bool], lo: int, hi: int | None,
                 bits: int) -> int | None:
     """Least n in lo..hi (hi None: no end) with ok(diff, den), diff/den the width
-    of x.interval(n), or None; ok tests against a bound of about 2^-bits.
+    of interval n of x, read from its triple ``x._ends(n)``, or None; ok tests
+    against a bound of about 2^-bits.
 
     A direct real's widths are about c * 2^-n, so its gallop reads index
     max(lo, bits) first, once.  If ok holds there it gallops down below it; if
@@ -275,12 +296,16 @@ def _width_scan(x: CReal, ok: Callable[[int, int], bool], lo: int, hi: int | Non
     probe past hi is clamped to hi, so nothing past hi is read.  Any other real
     is read one index at a time from lo.  The answer does not depend on the probe.
     """
+    def width(n: int) -> tuple[int, int]:
+        lo_num, hi_num, den = x._ends(n)
+        return hi_num - lo_num, den
+
     def pred(n: int) -> bool:
-        return ok(*_width(x.interval(n)))
+        return ok(*width(n))
 
     start = max(lo, bits)
     if x._direct and (hi is None or start <= hi):
-        diff, den = _width(x.interval(start))
+        diff, den = width(start)
         if ok(diff, den):
             n = _first_index(pred, lo, start - 1, True, start - 1)
             return start if n is None else n
@@ -317,9 +342,14 @@ def verify_lt(x: CReal, y: CReal, w: LtWitness) -> bool:
     return _lt(x.interval(w.index).hi, y.interval(w.index).lo)
 
 
+def _ends_lt(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether the triple a lies wholly below the triple b: a's upper end below b's lower end."""
+    return a[1] * b[2] < b[0] * a[2]
+
+
 def try_lt(x: CReal, y: CReal, fuel: int) -> LtWitness | None:
     """The least index in 0..fuel that proves x < y; None means unknown, not refuted."""
-    n = _first_index(lambda n: _lt(x.interval(n).hi, y.interval(n).lo), 0, fuel,
+    n = _first_index(lambda n: _ends_lt(x._ends(n), y._ends(n)), 0, fuel,
                      x._direct and y._direct)
     return None if n is None else LtWitness(n)
 
@@ -334,14 +364,14 @@ def try_apart(x: CReal, y: CReal, fuel: int) -> Apartness | None:
     racing thread can only leave a worse one.
     """
     def apart(n: int) -> bool:
-        a, b = x.interval(n), y.interval(n)
-        return _lt(a.hi, b.lo) or _lt(b.hi, a.lo)
+        a, b = x._ends(n), y._ends(n)
+        return _ends_lt(a, b) or _ends_lt(b, a)
     n = _first_index(apart, 0, fuel, x._direct and y._direct,
                      x._witness if y._witness is None else y._witness)
     if n is None:
         return None
     x._witness = y._witness = n
-    less = _lt(x.interval(n).hi, y.interval(n).lo)
+    less = _ends_lt(x._ends(n), y._ends(n))
     return Apartness(Direction.LESS if less else Direction.GREATER, LtWitness(n))
 
 

@@ -88,7 +88,7 @@ def _outcome(call):
 # --- approx_ivt finds y's narrow level once per call -------------------------------
 
 class _CountedReal(CReal):
-    """A real that logs the index of every interval read."""
+    """A real that logs the index of every interval and triple read."""
 
     def __init__(self, generate, log):
         super().__init__(generate)
@@ -97,6 +97,10 @@ class _CountedReal(CReal):
     def interval(self, n):
         self._log.append(n)
         return super().interval(n)
+
+    def _ends(self, n):
+        self._log.append(n)
+        return super()._ends(n)
 
 
 def _slow(v, rate):

@@ -19,7 +19,8 @@ from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, 
                      NatStream, RationalInterval, Split, SplitSide, approx_ivt, cantor_point,
                      cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, rho0,
                      rho1, sqrt2, try_apart, try_lt)
-from conreal.real import _first_index, _narrow, _width, _width_scan, half_pow, half_pow_text
+from conreal.real import (_first_index, _narrow, _triple_of, _width, _width_scan, half_pow,
+                          half_pow_text)
 
 
 def _search(threshold, lo, hi, gallop, start=None):
@@ -258,7 +259,7 @@ def test_diagonal_of_direct_reals_matches_the_linear_scan(leaves, ops):
 # A probe far off costs reads, never a different answer or a read past the fuel.
 
 class _CountingDirect(CReal):
-    """A direct real that lists the indices read through it."""
+    """A direct real that lists the indices whose triples are read through it."""
 
     _direct = True
 
@@ -266,9 +267,12 @@ class _CountingDirect(CReal):
         super().__init__(real.interval)
         self.reads = []
 
-    def interval(self, n):
+    def _ends(self, n):
         self.reads.append(n)
-        return super().interval(n)
+        return super()._ends(n)
+
+    def _triple(self, n):
+        return _triple_of(CReal.interval(self, n))
 
 
 def test_cotrans_split_probes_the_bits_of_a_gap_above_the_witness():

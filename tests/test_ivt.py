@@ -108,6 +108,10 @@ class _CountingReal(CReal):
         self.reads += 1
         return super().interval(n)
 
+    def _ends(self, n):
+        self.reads += 1
+        return super()._ends(n)
+
 
 def test_pwl_reads_each_node_once_per_precision():
     nodes = tuple(_CountingReal.from_rational(q) for q in (0, Fraction(1, 3), 1))
@@ -560,14 +564,20 @@ def test_oracle_witnesses_equal_a_scan_with_no_probe(make, y):
 
 
 def _counting_encloses(f):
+    """Counts enclosures and point-triple builds, one per index of a point value."""
     calls = []
-    enclose = f.enclose
+    enclose, point_ends = f.enclose, f._point_ends
 
     def counting(iv, p):
         calls.append(p)
         return enclose(iv, p)
 
-    f.enclose = counting  # point values read f.enclose when first built
+    def counting_point(q, p):
+        calls.append(p)
+        return point_ends(q, p)
+
+    f.enclose = counting
+    f._point_ends = counting_point  # point values read f._point_ends when first built
     return calls
 
 
@@ -628,12 +638,12 @@ def test_racing_callers_of_one_oracle_get_the_serial_witnesses():
 def test_each_oracle_scan_reads_the_last_witness_index_first(monkeypatch, make, mode):
     # y records each witness found against it; the next scan of y reads that index first.
     f, y = make(), sqrt2() - CReal.from_rational(1)
-    interval, scans, scan = y.interval, [], None
+    ends, scans, scan = y._ends, [], None
 
     def reading(n):
         if scan is not None:
             scan.append(n)
-        return interval(n)
+        return ends(n)
 
     def scanning(x, target, fuel):
         nonlocal scan
@@ -643,7 +653,7 @@ def test_each_oracle_scan_reads_the_last_witness_index_first(monkeypatch, make, 
         scan = None
         return w
 
-    y.interval = reading
+    y._ends = reading
     monkeypatch.setattr(ivt, "try_apart", scanning)
     if mode == "lnc":
         ivt_locally_nonconstant(f, y, middle_third_oracle(f, y, 64), depth=16)

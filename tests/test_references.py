@@ -12,7 +12,9 @@ search, the fugitive frontier and pwl's piece lookup).  The new code must give t
 intervals, answers, call orders and exceptions.
 """
 
+import bisect
 import io
+import itertools
 import math
 import operator
 import random
@@ -24,14 +26,14 @@ from hypothesis import strategies as st
 
 from conftest import same_interval, spike
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
-                     LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
+                     LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, Split, SplitSide,
                      TooLarge, approx_ivt, certified_within, cotrans_split, diagonal,
                      enumerated_witnesses, fans, fugitive_least, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle, pwl,
                      rho0, rho1, sqrt2, try_apart, try_lt, verify_lt)
 from conreal.cli import run
 from conreal.ivt import _thirds_depth, require_range
-from conreal.real import _lt, _narrower, _width, half_pow
+from conreal.real import _lt, _mix, _narrower, _width, half_pow
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -572,15 +574,15 @@ def test_fugitive_least_reads_the_indicator_as_the_loop_did():
 
 
 class _LoggedReal(CReal):
-    """The rational v, logging every approx call as (tag, p, fuel)."""
+    """The rational v, logging every least-index search as (tag, p, fuel)."""
 
     def __init__(self, v, tag, log):
         super().__init__(lambda n: RationalInterval(v - half_pow(n), v + half_pow(n)))
         self._tag, self._log = tag, log
 
-    def approx(self, p, fuel):
+    def _least(self, p, fuel):
         self._log.append((self._tag, p, fuel))
-        return super().approx(p, fuel)
+        return super()._least(p, fuel)
 
 
 def _old_eval_point(values, bps, t, q):
@@ -955,3 +957,156 @@ def test_diagonal_matches_the_fraction_width_test():
             old.append(_old_diagonal_step(old[-1], n, trees[-1], read))
         d = diagonal(lambda i: _new_real(trees[i]))
         assert all(same_interval(d.interval(n), old[n]) for n in range(49)), trees
+
+
+# --- scans and pwl point values over triples, against the interval reads they replaced ---
+
+def _old_scan(pred, lo, hi):
+    """Least n in lo..hi (hi None: no end) with pred(n), read in order, or None."""
+    return next((n for n in (itertools.count(lo) if hi is None else range(lo, hi + 1)) if pred(n)),
+                None)
+
+
+def _old_narrow(x, p):
+    return lambda n: x.interval(n).width <= half_pow(p)
+
+
+def _old_below(x, y):
+    return lambda n: x.interval(n).hi < y.interval(n).lo
+
+
+def _old_approx(x, p, fuel):
+    n = _old_scan(_old_narrow(x, p), 0, fuel)
+    if n is None:
+        raise FuelExhausted(f"no interval of width <= 2^-{p} within {fuel} indices")
+    return x.interval(n)
+
+
+def _old_point_values(bps, values):
+    """``f.at`` of a pwl map as it was before triples: interval n is ``_mix`` over
+    the node approximations at precision n + 2, cached per (node, precision)."""
+    node_ivs, points = {}, {}
+
+    def node_iv(k, p):
+        if (k, p) not in node_ivs:
+            node_ivs[k, p] = _old_approx(values[k], p, None if values[k]._direct else 96)
+        return node_ivs[k, p]
+
+    def at(t):
+        if t not in points:
+            i = bisect.bisect_right(bps, t, 1, len(bps) - 1) - 1
+            lam = (t - bps[i]) / (bps[i + 1] - bps[i])
+            u, v = lam.numerator, lam.denominator
+
+            def gen(n):
+                a, b = node_iv(i, n + 2), node_iv(i + 1, n + 2)
+                return RationalInterval(_mix(u, v, a.lo, b.lo), _mix(u, v, a.hi, b.hi))
+            points[t] = CReal(gen)
+        return points[t]
+    return at
+
+
+_TRIPLE_LEAVES = st.one_of(
+    st.tuples(st.just("q"), st.fractions(-3, 3, max_denominator=4)),
+    st.tuples(st.just("sqrt2")),
+    st.tuples(st.sampled_from(["rho0", "rho1"]), st.none() | st.integers(0, 12)))
+# A pwl node: a leaf real (direct), a caller generator with Fraction ends or with int points.
+_TRIPLE_NODES = st.one_of(
+    st.tuples(st.just("leaf"), st.integers(0, 99)),
+    st.tuples(st.just("gen"), st.fractions(-3, 3, max_denominator=4)),
+    st.tuples(st.just("int"), st.integers(-2, 2)))
+_TRIPLE_MAPS = st.tuples(st.sets(st.fractions(Fraction(1, 8), Fraction(7, 8), max_denominator=8),
+                                 max_size=2),
+                         st.lists(_TRIPLE_NODES, min_size=4, max_size=4))
+_TRIPLE_STEPS = st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*"]), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.sampled_from(["neg", "abs"]), st.integers(0, 99), st.none()),
+    st.tuples(st.just("at"), st.integers(0, 99), st.fractions(0, 1, max_denominator=12)))
+
+
+def _triple_pool(leaves, maps, steps, log, point_values):
+    """The reals of one drawn graph: leaves, pwl point values (through
+    ``point_values(bps, values)``) and operators over earlier reals.  Every
+    caller generator call is logged as (map, node, index)."""
+    pool = []
+    for leaf in leaves:
+        if leaf[0] == "q":
+            pool.append(CReal.from_rational(leaf[1]))
+        elif leaf[0] == "sqrt2":
+            pool.append(sqrt2())
+        else:
+            pool.append((rho0 if leaf[0] == "rho0" else rho1)(spike(leaf[1])))
+
+    def logged(tag, interval):
+        def gen(n):
+            log.append((*tag, n))
+            return interval(n)
+        return CReal(gen)
+
+    ats = []
+    for m, (cuts, nodes) in enumerate(maps):
+        bps = (_ZERO, *sorted(cuts), _ONE)
+        values = []
+        for k, (kind, arg) in enumerate(nodes[:len(bps)]):
+            if kind == "leaf":
+                values.append(pool[arg % len(leaves)])
+            elif kind == "gen":
+                values.append(logged((m, k), lambda n, v=arg: RationalInterval(v - half_pow(n),
+                                                                                 v + half_pow(n))))
+            else:
+                values.append(logged((m, k), lambda n, k=arg: RationalInterval(k, k)))
+        ats.append(point_values(bps, tuple(values)))
+    for op, i, j in steps:
+        if op == "at":
+            pool.append(ats[i % len(ats)](j))
+        elif op in ("neg", "abs"):
+            pool.append((operator.neg if op == "neg" else abs)(pool[i % len(pool)]))
+        else:
+            pool.append(_BINARY[op](pool[i % len(pool)], pool[j % len(pool)]))
+    return pool
+
+
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@given(leaves=st.lists(_TRIPLE_LEAVES, min_size=1, max_size=4),
+       maps=st.lists(_TRIPLE_MAPS, min_size=1, max_size=2),
+       steps=st.lists(_TRIPLE_STEPS, min_size=1, max_size=6),
+       picks=st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)),
+       p=st.integers(-2, 30), fuel=st.none() | st.integers(1, 30), scan_fuel=st.integers(0, 30))
+def test_scans_and_point_values_over_triples_match_interval_reads(leaves, maps, steps, picks, p,
+                                                                  fuel, scan_fuel):
+    # The same graph twice: the library's, and one whose point values are the _mix
+    # references, scanned by the interval predicates.  Both must answer alike and
+    # call the caller generators in the same order.
+    new_log, old_log = [], []
+    new = _triple_pool(leaves, maps, steps, new_log,
+                       lambda bps, values: pwl(PiecewiseLinearSpec(bps, values)).at)
+    old = _triple_pool(leaves, maps, steps, old_log, _old_point_values)
+    x, y, z = (new[i % len(new)] for i in picks)
+    ox, oy, oz = (old[i % len(old)] for i in picks)
+    if fuel is None and not x._direct:
+        fuel = 30
+    got = _value_or_error(lambda: x.approx(p, fuel))
+    want = _value_or_error(lambda: _old_approx(ox, p, fuel))
+    assert got == want if isinstance(want, tuple) else same_interval(got, want)
+
+    w = try_lt(x, y, scan_fuel)
+    n = _old_scan(_old_below(ox, oy), 0, scan_fuel)
+    assert w == (None if n is None else LtWitness(n))
+    for a, b, oa, ob in ((x, y, ox, oy), (z, y, oz, oy), (x, z, ox, oz)):
+        apart = try_apart(a, b, scan_fuel)
+        n = _old_scan(lambda n: _old_below(oa, ob)(n) or _old_below(ob, oa)(n), 0, scan_fuel)
+        if n is None:
+            assert apart is None
+        else:
+            less = _old_below(oa, ob)(n)
+            assert apart == Apartness(Direction.LESS if less else Direction.GREATER, LtWitness(n))
+    if w is not None:
+        x_hi, y_lo = ox.interval(w.index).hi, oy.interval(w.index).lo
+        m = _old_scan(lambda n: oz.interval(n).width < y_lo - x_hi, w.index, None)
+        side = SplitSide.LEFT_IS_LESS if x_hi < oz.interval(m).lo else SplitSide.RIGHT_IS_LESS
+        assert cotrans_split(x, y, w, z) == Split(side, LtWitness(m))
+    assert new_log == old_log
+    for real, ref in zip(new, old):
+        for n in range(4):
+            assert same_interval(real.interval(n), ref.interval(n)), n
+    assert new_log == old_log
