@@ -6,9 +6,8 @@ batches, so the two methods cross-check).
 The expression-tree generator produces random constructive reals together
 with exact dwindling-rate and magnitude bounds derived from the tree shape.
 
-Every test runs under a time limit, 60 s unless a ``time_limit(seconds)``
-marker sets another: a test that hangs fails with ``TimeoutError`` instead
-of stalling the run.
+Every test runs under a time limit of 60 s: a test that hangs fails with
+``TimeoutError`` instead of stalling the run.
 """
 
 from __future__ import annotations
@@ -25,27 +24,19 @@ from conreal import CReal, FugitiveSpec, NatStream, rho0, rho1, sqrt2
 _TIME_LIMIT_S = 60  # about 20 times the slowest test
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", f"time_limit(seconds): fail with TimeoutError after this many seconds "
-                   f"instead of the default {_TIME_LIMIT_S}")
-
-
 @pytest.fixture(autouse=True)
-def _time_limit(request):
+def _time_limit():
     """Arm a real-time timer for the test and disarm it after.  Only where
     SIGALRM exists, and only in the main thread, which receives the signal."""
     if not hasattr(signal, "SIGALRM") or threading.current_thread() is not threading.main_thread():
         yield
         return
-    marker = request.node.get_closest_marker("time_limit")
-    seconds = marker.args[0] if marker else _TIME_LIMIT_S
 
     def expire(_signum, _frame):
-        raise TimeoutError(f"test ran past its time limit of {seconds} s")
+        raise TimeoutError(f"test ran past its time limit of {_TIME_LIMIT_S} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, _TIME_LIMIT_S)
     try:
         yield
     finally:

@@ -19,7 +19,7 @@ from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, 
                      NatStream, RationalInterval, Split, SplitSide, approx_ivt, cantor_point,
                      cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, rho0,
                      rho1, sqrt2, try_apart, try_lt)
-from conreal.real import (_first_index, _narrow, _triple_of, _width, _width_scan, half_pow,
+from conreal.real import (_first_index, _narrow, _width, _width_scan, half_pow,
                           half_pow_text)
 
 
@@ -270,9 +270,6 @@ class _CountingDirect(CReal):
     def _ends(self, n):
         self.reads.append(n)
         return super()._ends(n)
-
-    def _triple(self, n):
-        return _triple_of(CReal.interval(self, n))
 
 
 def test_cotrans_split_probes_the_bits_of_a_gap_above_the_witness():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import spike
-from conreal import (Apartness, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
+from conftest import same_interval, spike
+from conreal import (Apartness, ContinuousMap, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
                      NatStream, PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
                      approx_ivt, certified_within, distance_bound,
                      enumerated_witnesses, f0, f1, f2, identity_map,
@@ -222,6 +222,22 @@ def test_pwl_point_values_equal_running_intersections_random():
         inner = [Fraction(rng.randint(0, 64), 64) for _ in range(2)]
         assert f.at(half)._direct
         _assert_point_values_match(f, bps + middles + inner, rng)
+
+
+@pytest.mark.parametrize("direct", [True, False])
+def test_a_map_built_by_hand_with_nodes_takes_its_point_values_from_enclose(direct):
+    # No pwl point formula: the point triple is the enclosure of [q, q], reduced back.
+    third = RationalInterval(Fraction(1, 3), Fraction(1, 3))
+    middle = sqrt2() - CReal.from_rational(1) if direct else CReal(lambda n: third)
+    nodes = (CReal.from_rational(0), middle, CReal.from_rational(1))
+    base = pwl(PiecewiseLinearSpec((0, half, 1), nodes))
+    f = ContinuousMap(base.enclose, base.modulus, nodes)
+    for q in (0, Fraction(1, 3), half, Fraction(5, 7), 1):
+        value = f.at(q)
+        assert value._direct is direct
+        point = RationalInterval(Fraction(q), Fraction(q))
+        assert all(same_interval(value.interval(n), base.enclose(point, n)) for n in range(40))
+        assert value.approx(30, 60) == base.at(q).approx(30, 60)
 
 
 @pytest.mark.parametrize("build,bps", [
