@@ -103,13 +103,12 @@ class CReal:
 
     Every real also has a private integer form of interval n, ``_ends(n)``:
     a triple (lo_num, hi_num, den) with den > 0, not reduced, memoized like
-    ``interval``.  ``from_rational``, ``sqrt2``, ``rho0/1/2``, ``pwl`` point
-    values and ``+ - * abs neg`` of direct reals compute it from their parts'
-    triples and build no ``Fraction``; their interval n is the reduced pair
-    lo_num/den, hi_num/den, built only when ``interval(n)`` is read.  Any
-    other real (``from_steps`` reals, caller generators) derives its triple
-    from its interval.  An operator with a part that is not direct keeps the
-    ``Fraction`` formulas, so a caller generator's ``int`` ends stay ``int``.
+    ``interval``.  ``from_rational``, ``sqrt2``, ``rho0/1/2`` and ``pwl`` point
+    values compute it by a formula, and every ``+ - * abs neg`` computes it
+    from its parts' triples; none builds a ``Fraction``.  Their interval n is
+    the reduced pair lo_num/den, hi_num/den, built only when ``interval(n)``
+    is read.  Any other real (``from_steps`` reals, caller generators) derives
+    its triple from its interval.
 
     Scans read triples: the width scans behind ``approx``, ``try_lt`` and
     ``try_apart`` compare them by cross-multiplying.  An interval is built
@@ -148,8 +147,9 @@ class CReal:
         call, when that call asked for a precision at most p: the intervals
         below n are wider than the old bound, hence wider than 2^-p, so
         skipping them skips no answer.  Nor an exception: a real that is not
-        direct has them all cached, as ``_ends`` derives its triples from its
-        intervals, and those a direct real left unread are total formulas.
+        direct is scanned one index at a time, from 0 or from where an earlier
+        scan stopped, so every triple below n is cached; those a direct real
+        left unread are total formulas.
         The (precision, index) pair is replaced as one tuple, so racing
         threads only see true facts.
 
@@ -192,21 +192,13 @@ class CReal:
             g = math.gcd(ad, bd)
             s, t = ad // g, bd // g  # over the least common denominator ad t = bd s
             return al * t + bl * s, ah * t + bh * s, ad * t
-
-        def gen(n: int) -> RationalInterval:
-            a, b = self.interval(n), other.interval(n)
-            return RationalInterval(a.lo + b.lo, a.hi + b.hi)
-        return _node(ends, gen, self, other)
+        return _from_ends(CReal, ends, self, other)
 
     def __neg__(self) -> "CReal":
         def ends(n: int) -> tuple[int, int, int]:
             lo, hi, den = self._ends(n)
             return -hi, -lo, den
-
-        def gen(n: int) -> RationalInterval:
-            a = self.interval(n)
-            return RationalInterval(-a.hi, -a.lo)
-        return _node(ends, gen, self)
+        return _from_ends(CReal, ends, self)
 
     def __sub__(self, other: "CReal") -> "CReal":
         return self + (-other)
@@ -215,37 +207,17 @@ class CReal:
         def ends(n: int) -> tuple[int, int, int]:
             al, ah, ad = self._ends(n)
             bl, bh, bd = other._ends(n)
-            if al >= 0 and bl >= 0:
+            if 0 <= al <= ah and 0 <= bl <= bh:
                 return al * bl, ah * bh, ad * bd
             products = (al * bl, al * bh, ah * bl, ah * bh)
             return min(products), max(products), ad * bd
-
-        def gen(n: int) -> RationalInterval:
-            a, b = self.interval(n), other.interval(n)
-            if a.lo.numerator >= 0 and b.lo.numerator >= 0 and _lt(a.lo, a.hi) and _lt(b.lo, b.hi):
-                # lo*lo is the first least product and hi*hi the only greatest one.
-                return RationalInterval(a.lo * b.lo, a.hi * b.hi)
-            products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-            return RationalInterval(min(products), max(products))
-        return _node(ends, gen, self, other)
+        return _from_ends(CReal, ends, self, other)
 
     def __abs__(self) -> "CReal":
         def ends(n: int) -> tuple[int, int, int]:
             lo, hi, den = self._ends(n)
-            return max(0, lo, -hi), max(-lo, hi), den
-
-        def gen(n: int) -> RationalInterval:
-            a = self.interval(n)
-            lo = max(Fraction(0), a.lo, -a.hi)
-            hi = max(abs(a.lo), abs(a.hi))
-            return RationalInterval(lo, hi)
-        return _node(ends, gen, self)
-
-
-def _mark_direct(real: CReal, *parts: CReal) -> CReal:
-    """Set real's direct bit: true when all its parts are direct, or it has none."""
-    real._direct = all(part._direct for part in parts)
-    return real
+            return max(0, lo, -hi), max(abs(lo), abs(hi)), den
+        return _from_ends(CReal, ends, self)
 
 
 def _triple_of(iv: RationalInterval) -> tuple[int, int, int]:
@@ -262,24 +234,16 @@ def _reduced(lo: int, hi: int, den: int) -> RationalInterval:
 
 def _from_ends(cls: type[CReal], ends: Callable[[int], tuple[int, int, int]],
                *parts: CReal) -> CReal:
-    """The real whose triple n is ends(n), direct when its parts are; its
-    interval n is built from that triple when it is read."""
+    """The real whose triple n is ends(n), direct when all its parts are (or it
+    has none); its interval n is built from that triple when it is read."""
     triples: dict[int, tuple[int, int, int]] = {}  # gen holds the memo, not the real: no cycle
 
     def gen(n: int) -> RationalInterval:
         return _reduced(*_memo(triples, n, ends))
     real = cls(gen)
     real._triples, real._triple = triples, ends
-    return _mark_direct(real, *parts)
-
-
-def _node(ends: Callable[[int], tuple[int, int, int]], gen: Callable[[int], RationalInterval],
-          *parts: CReal) -> CReal:
-    """An operator's real: by the triple formula ends when every part is direct,
-    else by the Fraction formula gen (not direct)."""
-    if all(part._direct for part in parts):
-        return _from_ends(CReal, ends, *parts)
-    return CReal(gen)
+    real._direct = all(part._direct for part in parts)
+    return real
 
 
 def _width_scan(x: CReal, ok: Callable[[int, int], bool], lo: int, hi: int | None,

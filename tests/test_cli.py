@@ -1,3 +1,4 @@
+import ast
 import functools
 import io
 import itertools
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from cli_cases import CASES
+from cli_errors import ERRORS
 from conreal import CReal, FuelExhausted, cli, fans, streams
 from conreal.cli import run
 
@@ -562,3 +564,32 @@ def test_eval_expression_within_size_budget(expr, value):
     assert (code, err) == (0, "")
     lo, hi = (Fraction(end) for end in out.strip().split(" .. "))
     assert lo <= value <= hi and hi - lo <= Fraction(1, 256)
+
+
+@pytest.mark.parametrize("name,argv,expected_code,stderr", ERRORS, ids=[e[0] for e in ERRORS])
+def test_error_table(name, argv, expected_code, stderr):
+    code, out, err = _invoke(argv)
+    assert (code, err) == (expected_code, stderr + "\n" if stderr else "")
+    assert (out == "") is (code != 0)
+
+
+def test_error_table_has_a_row_for_every_message_cli_raises():
+    # A raise whose message is a literal or an f-string needs a row whose stderr
+    # holds its literal parts; the others raise argparse's message, the help
+    # text or a shared constant, whose rows are in the table by hand.
+    lines = [row[3] for row in ERRORS]
+    tree = ast.parse((SRC / "conreal" / "cli.py").read_text())
+    checked = 0
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.Constant):
+            pieces = [message.value]
+        elif isinstance(message, ast.JoinedStr):
+            pieces = [v.value for v in message.values if isinstance(v, ast.Constant)]
+        else:
+            continue
+        checked += 1
+        assert any(all(p in line for p in pieces) for line in lines), (node.lineno, pieces)
+    assert checked == 24

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, NatStream,
                      interval, pattern_indicator, pi_digits, rho0, rho1, rho2, sqrt2,
                      sqrt2_irrationality_witness, try_apart, try_lt, verify_lt,
                      zero)
-from conftest import fuel_for, random_real_tree, spike
+from conftest import fuel_for, random_real_tree, same_interval, spike
 
 half = Fraction(1, 2)
 
@@ -335,20 +336,72 @@ def test_interval_constructor_rejects_ends_out_of_order():
         interval(Fraction(-1, 3), "-2/3")
 
 
+def _steps_one():
+    """A from_steps real with the intervals of from_rational(1): (1 - 2^-n, 1 + 2^-n)."""
+    return CReal.from_steps(interval(0, 2),
+                            lambda iv, n: RationalInterval((iv.lo + 1) / 2, (iv.hi + 1) / 2))
+
+
 @pytest.mark.parametrize("shape", ["sum", "mix"])
 def test_deep_direct_reals_answer_under_the_default_recursion_limit(shape):
     # A read recurses once per level of the tree.  Under the default limit of 1000
     # frames a read of 329-330 levels fails on Python 3.10 to 3.13, so 300 levels
     # pass only while each level costs no more frames than the interval reads did.
+    # Over a from_steps leaf with the same intervals the tree is not direct: each
+    # operator reads the leaf's triple through its interval, scanned one index at
+    # a time, and must answer alike.
     assert sys.getrecursionlimit() == 1000
-    x, value = CReal.from_rational(1), Fraction(1)
-    for i in range(1, 300):
-        q = Fraction(1, i + 1)
-        if shape == "sum" or i % 3 == 0:
-            x, value = x + CReal.from_rational(q), value + q
-        elif i % 3 == 1:
-            x, value = x * CReal.from_rational(1 + q), value * (1 + q)
-        else:
-            x, value = -x, -value
-    iv = x.approx(4, 64)
-    assert iv.contains(value) and iv.width <= Fraction(1, 16)
+    answers = []
+    for leaf in (CReal.from_rational(1), _steps_one()):
+        x, value = leaf, Fraction(1)
+        for i in range(1, 300):
+            q = Fraction(1, i + 1)
+            if shape == "sum" or i % 3 == 0:
+                x, value = x + CReal.from_rational(q), value + q
+            elif i % 3 == 1:
+                x, value = x * CReal.from_rational(1 + q), value * (1 + q)
+            else:
+                x, value = -x, -value
+        assert x._direct is leaf._direct
+        iv = x.approx(4, 64)
+        assert iv.contains(value) and iv.width <= Fraction(1, 16)
+        answers.append(iv)
+    assert same_interval(*answers)
+
+
+def test_racing_threads_read_one_operator_real_over_parts_that_are_not_direct():
+    # Over a from_steps leaf and a caller generator with int ends: every read agrees
+    # with a serial run by value and by type, whichever thread computes it first.
+    def build():
+        steps, ints = _steps_one(), CReal(lambda n: RationalInterval(-3, -3))
+        return abs(-(steps * ints) + steps) * (ints + abs(ints * steps)) - steps
+
+    def reads(x, order):
+        got = {n: x.interval(n) for n in order}
+        return [x.approx(12, 64)] + [got[n] for n in range(40)]
+
+    expected = reads(build(), range(40))
+    assert all(type(iv.lo) is type(iv.hi) is Fraction for iv in expected)
+    x = build()
+    assert not x._direct
+    threads_n = 8
+    barrier = threading.Barrier(threads_n)
+    seen = []
+
+    def worker(offset):
+        barrier.wait()
+        seen.append(reads(x, [*range(offset, 40), *range(offset)]))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(5 * k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == threads_n
+    assert all(same_interval(a, b) for got in seen for a, b in zip(got, expected))

@@ -674,6 +674,11 @@ def _old_mul(a, b):
     return RationalInterval(min(products), max(products))
 
 
+def _as_fractions(iv):
+    """iv with Fraction ends: an operator real's ends are Fractions, whatever its parts' are."""
+    return RationalInterval(Fraction(iv.lo), Fraction(iv.hi))
+
+
 _rationals = st.one_of(
     st.integers(-2 ** 80, 2 ** 80),
     st.fractions(),
@@ -729,7 +734,23 @@ def test_mul_matches_four_products(a, b):
     # four products are compared; reversed intervals come from caller
     # generators that break the nesting contract.
     new = (CReal(lambda n: a) * CReal(lambda n: b)).interval(0)
-    assert same_interval(new, _old_mul(a, b)), (a, b)
+    assert same_interval(new, _as_fractions(_old_mul(a, b))), (a, b)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=_intervals(), b=_intervals())
+def test_add_neg_abs_over_caller_generators_match_the_fraction_formulas(a, b):
+    # A caller generator is not direct: each operator reads its triple from its
+    # interval, reversed ones included, and gives the Fraction formula's value.
+    x, y = CReal(lambda n: a), CReal(lambda n: b)
+    old = {"+": RationalInterval(a.lo + b.lo, a.hi + b.hi),
+           "-": RationalInterval(a.lo - b.hi, a.hi - b.lo),
+           "neg": RationalInterval(-a.hi, -a.lo),
+           "abs": RationalInterval(max(_ZERO, a.lo, -a.hi), max(abs(a.lo), abs(a.hi)))}
+    new = {"+": x + y, "-": x - y, "neg": -x, "abs": abs(x)}
+    for op, real in new.items():
+        assert not real._direct
+        assert same_interval(real.interval(0), _as_fractions(old[op])), (op, a, b)
 
 
 @settings(max_examples=600, deadline=None)
@@ -886,7 +907,8 @@ def _old_reader():
 
     def read(t, n):
         if (t, n) not in cache:
-            cache[t, n] = formula(t, n)
+            iv = formula(t, n)
+            cache[t, n] = iv if t[0] in ("q", "int", "sqrt2") else _as_fractions(iv)
         return cache[t, n]
     return read
 
