@@ -24,8 +24,8 @@ from typing import Callable
 
 from .errors import FuelExhausted, PreconditionFailed
 from .real import (Apartness, CReal, Direction, RationalInterval, _from_ends, _lt, _mix,
-                   _narrower, _reduced, _triple_of, _width, _width_scan, half_pow, rho0, rho1,
-                   rho2, try_apart, verify_lt)
+                   _narrower, _reduced, _triple_of, _width_scan, half_pow, rho0, rho1, rho2,
+                   try_apart, verify_lt)
 from .streams import FugitiveSpec, _decimal, _first_index, _memo
 
 _ZERO = Fraction(0)
@@ -83,13 +83,14 @@ class ContinuousMap:
         """The value at a rational point, cached per point: every call with
         an equal point returns the same real, the first one stored.
 
-        On a map with nodes, the real's triple n is the map's point triple
-        ``_point_ends(q, n)``: for a ``pwl`` map, the interpolation of the node
+        On a map with nodes, the real's triple n is ``_point(q)(n)``, the map's
+        one read at a point: for a ``pwl`` map, the interpolation of the node
         triples at precision n + 2 over one common denominator, with no
-        ``Fraction`` built.  Its interval n is that triple reduced, the raw
-        enclosure of [q, q] at precision n, and the real is direct when every
-        node is.  It equals ``apply``'s running intersection: a node
-        approximation at a finer precision comes from a later index of a
+        ``Fraction`` built; for a map built by hand, the enclosure of [q, q]
+        at precision n as a triple.  Its interval n is that triple reduced,
+        the raw enclosure of [q, q] at precision n, and the real is direct
+        when every node is.  It equals ``apply``'s running intersection: a
+        node approximation at a finer precision comes from a later index of a
         nested real, and interpolation with lam in [0, 1] is monotone in both
         node ends, so each enclosure already lies inside the one before.
         """
@@ -102,12 +103,12 @@ class ContinuousMap:
         if self._nodes is None:
             point = RationalInterval(q, q)
             return self.apply(CReal(lambda n: point))
-        point_ends = self._point_ends
-        return _from_ends(CReal, lambda n: point_ends(q, n), *self._nodes)
+        return _from_ends(CReal, self._point(q), *self._nodes)
 
-    def _point_ends(self, q: Fraction, n: int) -> tuple[int, int, int]:
-        # The enclosure of [q, q] at precision n as a triple; pwl sets its own formula.
-        return _triple_of(self.enclose(RationalInterval(q, q), n))
+    def _point(self, q: Fraction) -> Callable[[int], tuple[int, int, int]]:
+        # The value at q, precision n -> triple: the enclosure of [q, q]; pwl sets its own formula.
+        point = RationalInterval(q, q)
+        return lambda n: _triple_of(self.enclose(point, n))
 
 
 @dataclass(frozen=True)
@@ -138,51 +139,46 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
 
     Enclosures evaluate the endpoints of each covered piece by linear
     interpolation over node approximations at precision p+2 and take the
-    hull; on a linear piece the endpoint hull is an exact image enclosure.
-    A point interval gets its point's value, with no scan or hull.  A point
-    t at u/v of the way along the piece between nodes a and b has the value
-    triple ((v-u) lo_a bd + u lo_b ad, (v-u) hi_a bd + u hi_b ad, v ad bd)
-    from the node triples (lo_a, hi_a, ad) and (lo_b, hi_b, bd); the point
-    values ``f.at(t)`` are reals of these triples, and an enclosure reduces
-    them to a ``RationalInterval``.  Each point's piece and place on it are
-    found once per map, keyed by the point's integer pair (numerator,
-    denominator), each node triple once per map and precision; a direct node
-    is read with no index cap, since a total, dwindling formula always has a
-    least index.  The modulus comes from a slope bound over all pieces.
+    hull; on a linear piece the endpoint hull is an exact image enclosure,
+    and the hull of [t, t] is t's value.  A point t at u/v of the way along
+    the piece between nodes a and b has the value triple
+    ((v-u) lo_a bd + u lo_b ad, (v-u) hi_a bd + u hi_b ad, v ad bd) from the
+    node triples (lo_a, hi_a, ad) and (lo_b, hi_b, bd).  ``f._point(t)``
+    finds t's piece and place once and returns that formula of the
+    precision, which ``f.at(t)``, ``approx_ivt`` and ``enclose`` read.  Each
+    node triple is read once per map and precision; a direct node is read
+    with no index cap, since a total, dwindling formula always has a least
+    index.  The modulus comes from a slope bound over all pieces.
     """
     bps = spec.breakpoints
     values = spec.values
     node_triples: dict[tuple[int, int], tuple[int, int, int]] = {}
-    pieces: dict[tuple[int, int], tuple[int, int, int]] = {}
     fuels = [None if value._direct else _NODE_FUEL for value in values]
 
     def node_ends(i: int, p: int) -> tuple[int, int, int]:
         node = values[i]
         return _memo(node_triples, (i, p), lambda key: node._ends(node._least(p, fuels[i])))
 
-    def piece(key: tuple[int, int]) -> tuple[int, int, int]:
+    def point(t: Fraction) -> Callable[[int], tuple[int, int, int]]:
         # Rightmost piece i starting at or before t, and t's place u/v on it.
-        t = Fraction(*key)
         i = bisect.bisect_right(bps, t, 1, len(bps) - 1) - 1
         lam = (t - bps[i]) / (bps[i + 1] - bps[i])
-        return i, lam.numerator, lam.denominator
+        u, v = lam.numerator, lam.denominator
 
-    def point_ends(t: Fraction, p: int) -> tuple[int, int, int]:
-        # The value at t at precision p, from the node triples at precision p + 2.
-        i, u, v = _memo(pieces, (t.numerator, t.denominator), piece)
-        al, ah, ad = node_ends(i, p + 2)
-        bl, bh, bd = node_ends(i + 1, p + 2)
-        s, r = (v - u) * bd, u * ad
-        return s * al + r * bl, s * ah + r * bh, v * ad * bd
+        def ends(p: int) -> tuple[int, int, int]:
+            # The value at t at precision p, from the node triples at precision p + 2.
+            al, ah, ad = node_ends(i, p + 2)
+            bl, bh, bd = node_ends(i + 1, p + 2)
+            s, r = (v - u) * bd, u * ad
+            return s * al + r * bl, s * ah + r * bh, v * ad * bd
+        return ends
 
     def enclose(iv: RationalInterval, p: int) -> RationalInterval:
         lo, hi = iv
         if lo.numerator < 0 or _lt(hi, lo) or hi.numerator > hi.denominator:
             raise ValueError("enclose input must lie within [0, 1]")
-        if not _lt(lo, hi):
-            return _reduced(*point_ends(lo, p))
         points = [lo] + [t for t in bps if lo < t < hi] + [hi]
-        parts = [_reduced(*point_ends(t, p)) for t in points]
+        parts = [_reduced(*point(t)(p)) for t in points]
         return RationalInterval(min(part.lo for part in parts),
                                 max(part.hi for part in parts))
 
@@ -201,7 +197,7 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
         return p + _memo(slope, None, slope_exp)
 
     f = ContinuousMap(enclose, modulus, values)
-    f._point_ends = point_ends
+    f._point = point
     return f
 
 
@@ -315,24 +311,28 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     where both are, and the half keeping the crossing is selected.  y's
     least narrow level is found once, before the bisection, by a width scan
     (a direct y is probed at index p + 1).  A real's intervals are nested, so y
-    stays narrow above it, and each step encloses f from that level up.
+    stays narrow above it, and each step reads f(m)'s triples (``f._point``)
+    from that level up and decides by cross-multiplying, building no ``Fraction``.
     The uniform modulus gives an a-priori depth of modulus(p+1) + 2, or 0
     where that is negative.  The returned real keeps bisecting lazily
     beyond that depth.
     """
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
+    en, ed = eps.numerator, eps.denominator
     y_level = _width_scan(y, lambda diff, den: _narrower(diff, den, eps), 0, fuel, p + 1)
-    if y_level is None:
+    if y_level is None:  # y's approx claimed a width that its intervals never reach
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
     def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
         m = _mix(1, 2, lo, hi)
-        point = RationalInterval(m, m)
+        at_m = f._point(m)
         for level in range(y_level, fuel + 1):
-            s = f.enclose(point, level)
-            if _narrower(*_width(s), eps):
-                return m, s.hi < y.interval(level).lo + eps
+            s_lo, s_hi, s_den = at_m(level)
+            if _narrower(s_hi - s_lo, s_den, eps):
+                y_lo, _, y_den = y._ends(level)
+                # f(m).hi < y.lo + eps, over the common denominator s_den y_den ed.
+                return m, s_hi * y_den * ed < (y_lo * ed + en * y_den) * s_den
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
     x = _bisection(pick, max(f.modulus(p + 1) + 2, 0))

@@ -47,13 +47,6 @@ def half_pow(p: int) -> Fraction:
     return Fraction(1, 1 << p) if p >= 0 else Fraction(1 << -p)
 
 
-def _width(iv: RationalInterval) -> tuple[int, int]:
-    """iv.width as an unreduced pair (diff, den) of integers, den > 0."""
-    lo, hi = iv
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    return hn * ld - ln * hd, ld * hd
-
-
 def _narrow(diff: int, den: int, p: int) -> bool:
     """Whether the width diff/den is <= 2^-p, by cross-multiplying: no Fraction is built.
     A shift that would pass den's or diff's bit length is decided by the lengths

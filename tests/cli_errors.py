@@ -24,7 +24,8 @@ Raises that no argv reaches, and why:
   verification and an oracle point outside the middle third (the library's
   maps, scans and oracles keep their contracts), and ``approx_ivt``'s first
   "enclosures did not narrow" (``require_range`` has already found y's interval
-  at precision p + 4 within the fuel, which is narrow enough).
+  at precision p + 4 within the fuel, which is narrow enough; only a real whose
+  ``approx`` claims a width that its intervals never reach gets there).
 """
 
 ERRORS = [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import spike
 from conreal import CReal, FuelExhausted, RationalInterval, f0, rho1, sqrt2
-from conreal.real import _narrow, _width, half_pow, half_pow_text
+from conreal.real import _narrow, _triple_of, half_pow, half_pow_text
 
 
 class _Broken(Exception):
@@ -88,7 +88,8 @@ def test_narrow_is_the_width_test(a, b, p, shape, nudge):
     else:
         lo, hi = a, a + (0 if shape == "point" else half_pow(p + nudge))
     iv = RationalInterval(lo, hi)
-    assert _narrow(*_width(iv), p) == (iv.width <= half_pow(p))
+    lo, hi, den = _triple_of(iv)
+    assert _narrow(hi - lo, den, p) == (iv.width <= half_pow(p))
 
 
 class _Counting(CReal):

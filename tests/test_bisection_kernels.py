@@ -202,7 +202,7 @@ def test_y_never_narrowing_raises_on_every_read(procedure):
         assert log == list(range(fuel + 1))
 
 
-# --- pwl's enclosure guard and its per-map pieces ---------------------------------
+# --- pwl's enclosure guard and its point reads ------------------------------------
 
 def _twin(a):
     """An equal end of the other type (int for an integral Fraction), or an
@@ -244,7 +244,9 @@ def test_enclose_guard_matches_the_fraction_chain(a, b, shape, p):
         assert same_interval(new, old), (iv, p)
 
 
-def test_equal_points_share_one_piece(monkeypatch):
+def test_a_point_value_finds_its_piece_once(monkeypatch):
+    # The piece and place are found when f.at(q) is built, not per index read,
+    # and equal points of other types share one point value.
     lookups = []
     real_bisect_right = bisect.bisect_right
 
@@ -255,13 +257,17 @@ def test_equal_points_share_one_piece(monkeypatch):
     monkeypatch.setattr(bisect, "bisect_right", counted)
     values = tuple(CReal.from_rational(v) for v in _VALUES)
     f = pwl(PiecewiseLinearSpec(_BPS, values))
-    for first, second in [(0, _ZERO), (_ONE, 1), (Fraction(2, 3), Fraction(4, 6))]:
+    for first, second in [(0, _ZERO), (_ONE, 1), (Fraction(2, 3), Fraction(4, 6)),
+                          (Fraction(1, 7), Fraction(2, 14))]:
         del lookups[:]
-        a = f.enclose(RationalInterval(first, first), 5)
-        b = f.enclose(RationalInterval(second, second), 5)
+        a = f.at(first)
+        reads = [a.interval(n) for n in range(30)] + [a.approx(20, 40), a.interval(7)]
         assert len(lookups) == 1, (first, second)
-        assert same_interval(a, b), (first, second)
-        assert same_interval(a, _old_enclose(values, _BPS, RationalInterval(first, first), 5))
+        assert f.at(second) is a, (first, second)
+        assert len(lookups) == 1, (first, second)
+        point = RationalInterval(Fraction(first), Fraction(first))
+        assert all(same_interval(reads[n], _old_enclose(values, _BPS, point, n))
+                   for n in range(30)), first
 
 
 # --- bisection points and the clamp -----------------------------------------------

@@ -414,11 +414,14 @@ def test_hunt_pi_batches_are_pinned(monkeypatch, argv, code, sizes):
     assert (_invoke(argv)[0], computed) == (code, sizes)
 
 
-@pytest.mark.parametrize("argv", [
+_PAST_THE_PI_LIMIT = [
     ["eval", "rho0(9,99)", "-p", "300000", "--fuel", "300001"],
     ["eval", "rho0(9,99)", "-p", "1000000", "--fuel", "1000001"],
     ["ivt", "--map", "f0:9,99", "--y", "1/2", "-p", "70000", "--fuel", "70010"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_THE_PI_LIMIT)
 def test_reals_over_pi_past_the_limit_exit_2(monkeypatch, argv):
     # No run of 99 nines starts in pi's first 65,536 digits: the scan reaches the
     # stream's limit, which rejects the read before computing a larger batch.
@@ -426,6 +429,15 @@ def test_reals_over_pi_past_the_limit_exit_2(monkeypatch, argv):
     monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
     assert _invoke(argv) == (2, "", "error: needs pi digits past the limit of 65536\n")
     assert max(sizes) == 65536
+
+
+@pytest.mark.parametrize("argv", _PAST_THE_PI_LIMIT)
+def test_reals_over_pi_past_the_limit_exit_2_from_the_entry_point(argv):
+    # The same argv through ``python -m conreal.cli`` in a child process, so a
+    # read past the limit that hangs fails at _python's timeout.
+    proc = _python(["-m", "conreal.cli", *argv])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: needs pi digits past the limit of 65536\n"
 
 
 def test_reals_over_pi_within_the_limit_answer(monkeypatch):

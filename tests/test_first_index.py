@@ -19,7 +19,7 @@ from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, 
                      NatStream, RationalInterval, Split, SplitSide, approx_ivt, cantor_point,
                      cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, rho0,
                      rho1, sqrt2, try_apart, try_lt)
-from conreal.real import (_first_index, _narrow, _width, _width_scan, half_pow,
+from conreal.real import (_first_index, _narrow, _triple_of, _width_scan, half_pow,
                           half_pow_text)
 
 
@@ -359,9 +359,13 @@ def test_width_scan_finds_the_least_index_from_any_probe(kind, lo, span, t, bits
     def ok(diff, den):
         return diff * (1 << max(t, 0)) < den << max(-t, 0) if strict else _narrow(diff, den, t)
 
+    def width(iv):
+        lo_num, hi_num, den = _triple_of(iv)
+        return hi_num - lo_num, den
+
     x, fresh = _CountingDirect(make()), make()
     expected = next((n for n in (itertools.count(lo) if hi is None else range(lo, hi + 1))
-                     if ok(*_width(fresh.interval(n)))), None)
+                     if ok(*width(fresh.interval(n)))), None)
     assert _width_scan(x, ok, lo, hi, bits) == expected
     assert all(lo <= n and (hi is None or n <= hi) for n in x.reads)
     assert len(x.reads) == len(set(x.reads))

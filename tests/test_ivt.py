@@ -582,18 +582,22 @@ def test_oracle_witnesses_equal_a_scan_with_no_probe(make, y):
 def _counting_encloses(f):
     """Counts enclosures and point-triple builds, one per index of a point value."""
     calls = []
-    enclose, point_ends = f.enclose, f._point_ends
+    enclose, point = f.enclose, f._point
 
     def counting(iv, p):
         calls.append(p)
         return enclose(iv, p)
 
-    def counting_point(q, p):
-        calls.append(p)
-        return point_ends(q, p)
+    def counting_point(q):
+        ends = point(q)
+
+        def counted(p):
+            calls.append(p)
+            return ends(p)
+        return counted
 
     f.enclose = counting
-    f._point_ends = counting_point  # point values read f._point_ends when first built
+    f._point = counting_point  # point values read f._point when first built
     return calls
 
 

@@ -33,7 +33,7 @@ from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, 
                      rho0, rho1, sqrt2, try_apart, try_lt, verify_lt)
 from conreal.cli import run
 from conreal.ivt import _thirds_depth, require_range
-from conreal.real import _lt, _mix, _narrower, _width, half_pow
+from conreal.real import _lt, _mix, _narrower, _triple_of, half_pow
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -242,7 +242,7 @@ def _cases(seed, draw_depth):
 
 
 def _approx_case(rng, nodes):
-    p, fuel = rng.randint(1, 10), rng.choice([12, 40])
+    p, fuel = rng.randint(-3, 10), rng.choice([12, 40])
     return _build(nodes, 0)[0].modulus(p + 1) + 2, (p, fuel)
 
 
@@ -259,6 +259,21 @@ def test_approx_ivt_matches_reference():
 
     kinds = _compare(new, old, [None], _cases(601, _approx_case))
     assert {"ok", "need f(0) <="} <= kinds
+
+
+@pytest.mark.parametrize("p", range(9))
+def test_approx_ivt_keeps_the_lower_half_when_f_m_hi_is_exactly_y_lo_plus_eps(p):
+    # For the identity and a rational y the level found is p + 3; y is chosen so
+    # that f(1/2).hi == y.lo + eps there, which is not below: x keeps [0, 1/2].
+    eps, level, half = half_pow(p + 1), p + 3, Fraction(1, 2)
+    s = identity_map().enclose(RationalInterval(half, half), level)
+    target = s.hi - eps + half_pow(level)
+    assert s.hi == CReal.from_rational(target).interval(level).lo + eps
+    depth = identity_map().modulus(p + 1) + 2
+    outcomes = [_outcome(lambda: procedure(identity_map(), CReal.from_rational(target), p, 40),
+                         depth) for procedure in (approx_ivt, _old_approx_ivt)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == RationalInterval(_ZERO, half)
 
 
 def test_locally_nonconstant_matches_reference():
@@ -724,7 +739,8 @@ def test_lt_kernel_is_the_comparison(x, y, pick):
 def test_width_kernel_is_the_width_test(iv, bound, at, nudge):
     if at == "width":
         bound = iv.width + Fraction(nudge, 1 << 300)
-    assert _narrower(*_width(iv), bound) is (iv.width < bound)
+    lo, hi, den = _triple_of(iv)
+    assert _narrower(hi - lo, den, bound) is (iv.width < bound)
 
 
 @settings(max_examples=1500, deadline=None)
