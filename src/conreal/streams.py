@@ -271,7 +271,7 @@ def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> Fugitiv
         # The batches the one pass would read, in its order: the next one only
         # while the run of the digit open at this batch's end (it starts at the
         # batch's size when the last digit is another) starts at or below hi.
-        run, start, n = bytes([48 + digit]) * run_length, lo, lo
+        run, start, n = bytes([48 + digit]) * min(run_length, _PI_DIGITS_LIMIT + 2), lo, lo
         while start <= hi:
             batch = digits._batch(n)
             at = batch.find(run, start + 1, hi + run_length + 1)

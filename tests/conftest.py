@@ -7,19 +7,24 @@ The expression-tree generator produces random constructive reals together
 with exact dwindling-rate and magnitude bounds derived from the tree shape.
 
 Every test runs under a time limit of 60 s: a test that hangs fails with
-``TimeoutError`` instead of stalling the run.
+``TimeoutError`` instead of stalling the run.  Every threaded test runs its
+threads through ``race`` and has "racing" in its name, so that ``-k racing``
+selects them all.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import signal
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-from conreal import CReal, FugitiveSpec, NatStream, rho0, rho1, sqrt2
+from conreal import CReal, FugitiveSpec, NatStream, rho0, rho1, sqrt2, streams
 
 _TIME_LIMIT_S = 60  # about 20 times the slowest test
 
@@ -42,6 +47,76 @@ def _time_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def race(work, threads_n: int) -> list:
+    """[work(0), ..., work(threads_n - 1)], each run in its own thread.
+
+    One barrier releases the threads together, under a switch interval of
+    1 us, restored after, so that the interpreter switches threads often.
+    Each thread gets 30 s to finish.  A worker's exception is raised again
+    here, the first in thread order.
+    """
+    barrier = threading.Barrier(threads_n)
+    outcomes = [None] * threads_n
+
+    def run(k):
+        try:
+            barrier.wait()
+            outcomes[k] = (True, work(k))
+        except BaseException as error:  # raised again in the test's thread
+            outcomes[k] = (False, error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for done, value in outcomes:
+        if not done:
+            raise value
+    return [value for _, value in outcomes]
+
+
+cached_pi_floor = functools.cache(streams._pi_floor)  # each batch computed once per session
+
+
+@pytest.fixture
+def pi_batches(monkeypatch) -> list[int]:
+    """The sizes streams._pi_floor is called with during the test, in call order.
+    Each size is served from ``cached_pi_floor``."""
+    sizes = []
+    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or cached_pi_floor(size))
+    return sizes
+
+
+def coverage_oracle(pred, depth) -> bool:
+    """Brute force: does every binary sequence of length depth meet the bar?"""
+    for bits in itertools.product((0, 1), repeat=depth):
+        if not any(pred(list(bits[:i])) for i in range(depth + 1)):
+            return False
+    return True
+
+
+def arrow_star_oracle(M, n, k, r) -> bool:
+    """Independent per-coloring check using tuple colorings and direct search."""
+    slots = list(itertools.combinations(range(M), k))
+    for colors in itertools.product(range(r), repeat=len(slots)):
+        table = dict(zip(slots, colors))
+        if not any(
+            len({table[u] for u in itertools.combinations(t, k)}) <= 1
+            for p in range(n, M)
+            for rest in itertools.combinations(range(p + 1, M), p - 1)
+            for t in [(p,) + rest]
+        ):
+            return False
+    return True
 
 
 def machin_pi_digits(n: int) -> list[int]:

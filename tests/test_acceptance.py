@@ -15,7 +15,8 @@ import time
 from fractions import Fraction
 
 from cli_cases import CASES
-from conftest import fuel_for, machin_pi_digits, random_real_tree
+from conftest import (arrow_star_oracle, coverage_oracle, fuel_for, machin_pi_digits,
+                      random_real_tree)
 from conreal import (CReal, DecidableBar, Direction, DicksonInstance,
                      GameSpecOmega2, NatStream, NotBarWithinDepth,
                      WinningMove, arrow_check, arrow_star_check, certified_within,
@@ -152,13 +153,6 @@ def test_c08_thirds_ivt():
     _report("8. thirds IVT: identity, y=1/4, depth 20, certificate passes", started)
 
 
-def _coverage_oracle(pred, depth):
-    for bits in itertools.product((0, 1), repeat=depth):
-        if not any(pred(list(bits[:i])) for i in range(depth + 1)):
-            return False
-    return True
-
-
 def test_c09_fan_extraction():
     started = time.perf_counter()
     rng = random.Random(909)
@@ -174,10 +168,10 @@ def test_c09_fan_extraction():
 
         outcome = finite_subbar(DecidableBar(pred, depth))
         if isinstance(outcome, NotBarWithinDepth):
-            assert not _coverage_oracle(pred, depth)
+            assert not coverage_oracle(pred, depth)
             assert not any(pred(list(outcome.path[:i])) for i in range(depth + 1))
         else:
-            assert _coverage_oracle(pred, depth)
+            assert coverage_oracle(pred, depth)
             assert all(pred(element) for element in outcome)
             for bits in itertools.product((0, 1), repeat=depth):
                 assert any(bits[:len(element)] == element for element in outcome)
@@ -207,20 +201,6 @@ def test_c10_games():
     _report("10. games: 200 dichotomies re-verified, fugitive example wins at 4", started)
 
 
-def _arrow_star_oracle(M, n, k, r):
-    slots = list(itertools.combinations(range(M), k))
-    for colors in itertools.product(range(r), repeat=len(slots)):
-        table = dict(zip(slots, colors))
-        if not any(
-            len({table[u] for u in itertools.combinations(t, k)}) <= 1
-            for p in range(n, M)
-            for rest in itertools.combinations(range(p + 1, M), p - 1)
-            for t in [(p,) + rest]
-        ):
-            return False
-    return True
-
-
 def test_c11_ramsey_boundary_and_star():
     started = time.perf_counter()
     assert arrow_check(6, 3, 2, 2) is True
@@ -235,7 +215,7 @@ def test_c11_ramsey_boundary_and_star():
                 if r ** math.comb(M, k) > 2 ** 16:
                     continue
                 for n in range(k, M + 1):
-                    assert arrow_star_check(M, n, k, r) == _arrow_star_oracle(M, n, k, r)
+                    assert arrow_star_check(M, n, k, r) == arrow_star_oracle(M, n, k, r)
                     checked += 1
     assert checked >= 50
     _report(f"11. Ramsey: boundary 6->(3) vs 5-/>(3), star agrees on {checked} instances",

@@ -5,14 +5,12 @@ or the same exception with the same message, whatever the order of the
 precisions, the fuel, and whether the generator is nested or raises.
 """
 
-import sys
-import threading
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spike
+from conftest import race, spike
 from conreal import CReal, FuelExhausted, RationalInterval, f0, rho1, sqrt2
 from conreal.real import _narrow, _triple_of, half_pow, half_pow_text
 
@@ -153,25 +151,10 @@ def test_racing_threads_match_serial_run():
     expected = [_answer(serial_real, serial_f, q) for q in queries]
     assert any(isinstance(e, tuple) and e[0] is FuelExhausted for e in expected)
     real, f = _build()
-    threads_n = 6
-    barrier = threading.Barrier(threads_n)
-    seen = []
 
-    def worker(offset):
-        barrier.wait()
-        order = list(range(offset, len(queries))) + list(range(offset))
+    def worker(k):
+        order = list(range(15 * k, len(queries))) + list(range(15 * k))
         got = {i: _answer(real, f, queries[i]) for i in order}
-        seen.append([got[i] for i in range(len(queries))])
+        return [got[i] for i in range(len(queries))]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(15 * k,)) for k in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == [expected] * threads_n
+    assert race(worker, 6) == [expected] * 6

@@ -1,5 +1,4 @@
 import ast
-import functools
 import io
 import itertools
 import json
@@ -317,11 +316,9 @@ def test_seed_flag_rejected():
     ["hunt", "--digit", "7", "--run", "9", "--budget", "65537"],
     ["hunt", "--digit", "7", "--run", "9", "--budget", "100000000"],
 ])
-def test_pi_digit_counts_over_the_limit_are_rejected_before_any_batch(monkeypatch, argv):
-    sizes = []
-    monkeypatch.setattr(streams, "_pi_floor", sizes.append)
+def test_pi_digit_counts_over_the_limit_are_rejected_before_any_batch(pi_batches, argv):
     code, out, err = _invoke(argv)
-    assert (code, out, sizes) == (2, "", [])
+    assert (code, out, pi_batches) == (2, "", [])
     assert err == f"error: {argv[-2]} {argv[-1]} exceeds the limit of 65536 pi digits\n"
 
 
@@ -335,9 +332,6 @@ def test_pi_digit_counts_at_the_limit_are_accepted(monkeypatch):
     assert sizes == [65536]
 
 
-_pi_floor = functools.cache(streams._pi_floor)  # one 65,536-digit batch for the cases below
-
-
 @pytest.mark.parametrize("argv,expected", [
     # pi's digit 65,535 is 3 and digit 65,534 is 7: a run of 3s starting at
     # 65,535 is still open at the limit, and no earlier start can reach it.
@@ -349,11 +343,9 @@ _pi_floor = functools.cache(streams._pi_floor)  # one 65,536-digit batch for the
      (3, "unresolved after 65536 digits\n", "")),
     (["hunt", "--digit", "9", "--run", "2", "--budget", "65536"], (0, "found: 43\n", "")),
 ], ids=["run_open_at_the_limit", "run_open_past_the_budget", "no_run", "early_hit"])
-def test_hunt_reads_no_batch_past_the_limit(monkeypatch, argv, expected):
-    sizes = []
-    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
+def test_hunt_reads_no_batch_past_the_limit(pi_batches, argv, expected):
     assert _invoke(argv) == expected
-    assert sizes and max(sizes) <= 65536
+    assert pi_batches and max(pi_batches) <= 65536
 
 
 @pytest.mark.parametrize("budget", [1, 7, 60, 300])
@@ -379,22 +371,20 @@ def test_hunt_within_the_limit_reads_what_one_scan_reads(monkeypatch, budget):
 
 
 @pytest.mark.parametrize("budget", [1, 7, 60, 300])
-def test_hunt_computes_the_pi_batches_one_scan_computes(monkeypatch, budget):
+def test_hunt_computes_the_pi_batches_one_scan_computes(pi_batches, budget):
     # hunt finds runs in pi's batch bytes; the one-pass loop over a plain stream of the
     # same digits computes the same batches, in the same order.
-    sizes = []
-    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
     for digit in range(10):
         for run_length in (1, 2, 3):
-            del sizes[:]
+            del pi_batches[:]
             plain = streams.NatStream(streams.pi_digits().__getitem__)
             expected = streams.fugitive_least(
                 streams.pattern_indicator(plain, digit, run_length), budget - 1)
-            scanned = sizes[:]
-            del sizes[:]
+            scanned = pi_batches[:]
+            del pi_batches[:]
             code, out, _ = _invoke(["hunt", "--digit", str(digit), "--run", str(run_length),
                                     "--budget", str(budget)])
-            assert sizes == scanned
+            assert pi_batches == scanned
             assert (code, out) == ((3, f"unresolved after {budget} digits\n") if expected is None
                                    else (0, f"found: {expected}\n"))
 
@@ -406,12 +396,11 @@ def test_hunt_computes_the_pi_batches_one_scan_computes(monkeypatch, budget):
     # The scan stops in the 32,768-digit batch; the run open at the limit needs the last one.
     (["hunt", "--digit", "3", "--run", "40000", "--budget", "65536"], 2,
      [64 << k for k in range(11)]),
+    # A run longer than any batch is sought with a needle no longer than a batch.
+    (["hunt", "--digit", "1", "--run", "1000000000000", "--budget", "5"], 3, [64]),
 ])
-def test_hunt_pi_batches_are_pinned(monkeypatch, argv, code, sizes):
-    computed = []
-    monkeypatch.setattr(streams, "_pi_floor",
-                        lambda size: computed.append(size) or _pi_floor(size))
-    assert (_invoke(argv)[0], computed) == (code, sizes)
+def test_hunt_pi_batches_are_pinned(pi_batches, argv, code, sizes):
+    assert (_invoke(argv)[0], pi_batches) == (code, sizes)
 
 
 _PAST_THE_PI_LIMIT = [
@@ -422,13 +411,11 @@ _PAST_THE_PI_LIMIT = [
 
 
 @pytest.mark.parametrize("argv", _PAST_THE_PI_LIMIT)
-def test_reals_over_pi_past_the_limit_exit_2(monkeypatch, argv):
+def test_reals_over_pi_past_the_limit_exit_2(pi_batches, argv):
     # No run of 99 nines starts in pi's first 65,536 digits: the scan reaches the
     # stream's limit, which rejects the read before computing a larger batch.
-    sizes = []
-    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
     assert _invoke(argv) == (2, "", "error: needs pi digits past the limit of 65536\n")
-    assert max(sizes) == 65536
+    assert max(pi_batches) == 65536
 
 
 @pytest.mark.parametrize("argv", _PAST_THE_PI_LIMIT)
@@ -440,8 +427,7 @@ def test_reals_over_pi_past_the_limit_exit_2_from_the_entry_point(argv):
     assert proc.stderr == b"error: needs pi digits past the limit of 65536\n"
 
 
-def test_reals_over_pi_within_the_limit_answer(monkeypatch):
-    monkeypatch.setattr(streams, "_pi_floor", _pi_floor)
+def test_reals_over_pi_within_the_limit_answer(pi_batches):
     bound = "1/" + streams._decimal(2 ** 65001)
     assert _invoke(["eval", "rho0(9,99)", "-p", "65000", "--fuel", "66000"]) == (
         0, f"-{bound} .. {bound}\n", "")
@@ -452,13 +438,11 @@ def test_reals_over_pi_within_the_limit_answer(monkeypatch):
     ("lnc", "x in 7/32 .. 57/256\nf(x) - y in -143/24576 .. 31/24576\n"),
     ("countable", "x in 7/32 .. 57/256\nf(x) - y in -143/24576 .. 31/24576\n"),
 ])
-def test_ivt_reads_pi_once_for_the_map_and_y(monkeypatch, mode, answer):
+def test_ivt_reads_pi_once_for_the_map_and_y(pi_batches, mode, answer):
     # The map and y read one pi stream: its 64-digit batch is computed once, not once each.
-    sizes = []
-    monkeypatch.setattr(streams, "_pi_floor", lambda size: sizes.append(size) or _pi_floor(size))
     argv = ["ivt", "--map", "f0:9,99", "--y", "rho0(9,99) + 1/3", "-p", "8", "--mode", mode]
     assert _invoke(argv) == (0, answer + "certified: |f(x) - y| < 1/256\n", "")
-    assert sizes == [64]
+    assert pi_batches == [64]
 
 
 @pytest.mark.parametrize("mode", ["approx", "lnc", "countable"])

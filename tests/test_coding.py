@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import conreal
 from conreal import (NatStream, concat, decode, encode, incompatible,
-                     is_prefix, pair, prefix_of_stream, subsequence, unpair)
+                     is_prefix, length, pair, prefix_of_stream, subsequence, unpair)
 from conreal.coding import _prime
 
 lists_of_naturals = st.lists(st.integers(min_value=0, max_value=6), max_size=8)
@@ -63,6 +63,7 @@ def test_decode_examples():
 @given(lists_of_naturals)
 def test_round_trip(values):
     assert decode(encode(values)) == values
+    assert length(encode(values)) == len(values)
 
 
 def test_every_natural_is_a_code():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import arrow_star_oracle
 from conreal import (Coloring, DicksonInstance, NatStream, TooLarge,
                      almost_full_witness, arrow_check, arrow_star_check,
                      avoiding_coloring, dickson_witness, euclid_extend,
@@ -147,37 +148,17 @@ def test_k6_always_has_mono_triangle():
         assert all(table[u] == color for u in itertools.combinations(t, 2))
 
 
-def _arrow_star_oracle(M, n, k, r):
-    """Independent per-coloring check using tuple colorings and direct search."""
-    slots = list(itertools.combinations(range(M), k))
-    for colors in itertools.product(range(r), repeat=len(slots)):
-        table = dict(zip(slots, colors))
-        ok = False
-        for p in range(n, M):
-            for rest in itertools.combinations(range(p + 1, M), p - 1):
-                t = (p,) + rest
-                shades = {table[u] for u in itertools.combinations(t, k)}
-                if len(shades) <= 1:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
-
-
 def test_arrow_star_smallest_for_one():
     # The least M with the relatively-large property at (n, k, r) = (1, 1, 2),
     # computed by the independent oracle, is 2.
-    verdicts = [_arrow_star_oracle(M, 1, 1, 2) for M in range(1, 5)]
+    verdicts = [arrow_star_oracle(M, 1, 1, 2) for M in range(1, 5)]
     assert verdicts == [False, True, True, True]
     assert [arrow_star_check(M, 1, 1, 2) for M in range(1, 5)] == verdicts
 
 
 def test_arrow_star_direct_instance():
     assert arrow_star_check(3, 1, 1, 1) is True
-    assert _arrow_star_oracle(3, 1, 1, 1) is True
+    assert arrow_star_oracle(3, 1, 1, 1) is True
 
 
 def test_arrow_star_monotone_in_M():

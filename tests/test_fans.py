@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import coverage_oracle
 from conreal import (CounterStrategyPrefix, DecidableBar, GameSpec2Omega,
                      GameSpecOmega2, NotBarWithinDepth, TooLarge, WinningMove,
                      answer_strategy_2omega, fans, finite_subbar, solve_omega2)
@@ -36,14 +37,6 @@ def test_root_in_bar():
     assert outcome == [()]
 
 
-def _coverage_oracle(pred, depth):
-    """Brute force: does every binary sequence of length depth meet the bar?"""
-    for bits in itertools.product((0, 1), repeat=depth):
-        if not any(pred(list(bits[:i])) for i in range(depth + 1)):
-            return False
-    return True
-
-
 def _random_predicate(rng):
     table = {}
 
@@ -63,12 +56,12 @@ def test_subbar_against_coverage_oracle():
         pred = _random_predicate(rng)
         outcome = finite_subbar(DecidableBar(pred, depth))
         if isinstance(outcome, NotBarWithinDepth):
-            assert not _coverage_oracle(pred, depth)
+            assert not coverage_oracle(pred, depth)
             path = list(outcome.path)
             assert len(path) == depth
             assert not any(pred(path[:i]) for i in range(depth + 1))
         else:
-            assert _coverage_oracle(pred, depth)
+            assert coverage_oracle(pred, depth)
             for element in outcome:
                 assert pred(element)
             for a, b in itertools.combinations(outcome, 2):

@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 import time
 from fractions import Fraction
 
@@ -8,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import same_interval, spike
+from conftest import race, same_interval, spike
 from conreal import (Apartness, ContinuousMap, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
                      NatStream, PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
                      approx_ivt, certified_within, distance_bound,
@@ -170,29 +168,13 @@ def test_pwl_racing_enclosures_match_serial_run():
     serial = build()
     expected = [serial.enclose(iv, p) for iv, p in queries]
     shared = build()
-    threads_n = 6
-    barrier = threading.Barrier(threads_n)
-    seen = []
 
-    def worker(offset):
-        barrier.wait()
-        order = queries[offset:] + queries[:offset]
+    def worker(k):
+        order = queries[10 * k:] + queries[:10 * k]
         got = [shared.enclose(iv, p) for iv, p in order]
-        seen.append(got[len(queries) - offset:] + got[:len(queries) - offset])
+        return got[len(queries) - 10 * k:] + got[:len(queries) - 10 * k]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(10 * k,)) for k in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == threads_n
-    assert all(got == expected for got in seen)
+    assert all(got == expected for got in race(worker, 6))
 
 
 # Point values of pwl maps: the raw enclosure, read directly.
@@ -274,29 +256,13 @@ def test_pwl_racing_point_values_match_serial_run():
     expected = [serial.at(q).interval(n) for q, n in queries]
     shared = build()
     assert shared.at(half)._direct
-    threads_n = 6
-    barrier = threading.Barrier(threads_n)
-    seen = []
 
-    def worker(offset):
-        barrier.wait()
-        order = queries[offset:] + queries[:offset]
+    def worker(k):
+        order = queries[15 * k:] + queries[:15 * k]
         got = [shared.at(q).interval(n) for q, n in order]
-        seen.append(got[len(queries) - offset:] + got[:len(queries) - offset])
+        return got[len(queries) - 15 * k:] + got[:len(queries) - 15 * k]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(15 * k,)) for k in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == threads_n
-    assert all(got == expected for got in seen)
+    assert all(got == expected for got in race(worker, 6))
 
 
 def test_f0_plateau_value():
@@ -628,29 +594,13 @@ def test_racing_callers_of_one_oracle_get_the_serial_witnesses():
     f, y = build()
     expected = [try_apart(f.at(q), y, 64) for q in points]
     shared = enumerated_witnesses(*build(), 64)
-    threads_n = 6
-    barrier = threading.Barrier(threads_n)
-    seen = []
 
-    def worker(offset):
-        barrier.wait()
-        order = points[offset:] + points[:offset]
+    def worker(k):
+        order = points[3 * k:] + points[:3 * k]
         got = [shared(q) for q in order]
-        seen.append(got[len(points) - offset:] + got[:len(points) - offset])
+        return got[len(points) - 3 * k:] + got[:len(points) - 3 * k]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(3 * k,)) for k in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == threads_n
-    assert all(got == expected for got in seen)
+    assert all(got == expected for got in race(worker, 6))
 
 
 @pytest.mark.parametrize("make", [identity_map, lambda: f0(spike(5))], ids=["id", "f0_spike5"])
@@ -701,25 +651,7 @@ def test_racing_scans_against_one_shared_y_match_a_serial_run():
     y, xs = build()
     expected = [[try_apart(x, y, 80) for x in row] for row in xs]
     y, xs = build()
-    barrier = threading.Barrier(threads_n)
-    seen = [None] * threads_n
-
-    def worker(t):
-        barrier.wait()
-        seen[t] = [try_apart(x, y, 80) for x in xs[t]]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == expected
+    assert race(lambda t: [try_apart(x, y, 80) for x in xs[t]], threads_n) == expected
     assert None not in sum(expected, [])
 
 

@@ -1,7 +1,6 @@
 import math
 import random
 import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, NatStream,
                      interval, pattern_indicator, pi_digits, rho0, rho1, rho2, sqrt2,
                      sqrt2_irrationality_witness, try_apart, try_lt, verify_lt,
                      zero)
-from conftest import fuel_for, random_real_tree, same_interval, spike
+from conftest import fuel_for, race, random_real_tree, same_interval, spike
 
 half = Fraction(1, 2)
 
@@ -305,20 +304,9 @@ def test_rational_homomorphism():
             assert real.approx(20, 64).contains(exact)
 
 
-def test_concurrent_interval_reads():
-    import threading
-
+def test_racing_interval_reads_agree():
     x = sqrt2() * sqrt2() + CReal.from_rational(Fraction(1, 3))
-    seen = []
-
-    def reader():
-        seen.append([x.interval(n) for n in range(40)])
-
-    threads = [threading.Thread(target=reader) for _ in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    seen = race(lambda _: [x.interval(n) for n in range(40)], 6)
     assert all(r == seen[0] for r in seen)
 
 
@@ -384,24 +372,5 @@ def test_racing_threads_read_one_operator_real_over_parts_that_are_not_direct():
     assert all(type(iv.lo) is type(iv.hi) is Fraction for iv in expected)
     x = build()
     assert not x._direct
-    threads_n = 8
-    barrier = threading.Barrier(threads_n)
-    seen = []
-
-    def worker(offset):
-        barrier.wait()
-        seen.append(reads(x, [*range(offset, 40), *range(offset)]))
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(5 * k,)) for k in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == threads_n
+    seen = race(lambda k: reads(x, [*range(5 * k, 40), *range(5 * k)]), 8)
     assert all(same_interval(a, b) for got in seen for a, b in zip(got, expected))

@@ -47,6 +47,7 @@ def _old_verify_apart(z, y, w):
 
 
 def _old_approx_ivt(f, y, p, fuel):
+    """approx_ivt as first written: each step encloses f on [m, m] and reads y at one level, both from 0."""
     require_range(f, y, p, fuel)
     eps = half_pow(p + 1)
 

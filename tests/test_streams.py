@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import sys
-import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import machin_pi_digits, random_indicator, spike
+from conftest import cached_pi_floor, machin_pi_digits, race, random_indicator, spike
 from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
                      RationalInterval, encode, fugitive_compare,
                      fugitive_equal, fugitive_least, identity_map,
@@ -108,37 +107,21 @@ def test_decimal_matches_str_at_every_chunk_edge(limit):
     assert got == [_str_unlimited(n) for n in cases]
 
 
-def _count_pi_batches(monkeypatch) -> list[int]:
-    """The sizes _pi_floor is called with from here on, in call order."""
-    sizes = []
-    pi_floor = streams._pi_floor
-
-    def counted(size):
-        sizes.append(size)
-        return pi_floor(size)
-
-    monkeypatch.setattr(streams, "_pi_floor", counted)
-    return sizes
-
-
-def test_pi_digit_is_read_from_its_batch_alone(monkeypatch):
-    sizes = _count_pi_batches(monkeypatch)
+def test_pi_digit_is_read_from_its_batch_alone(pi_batches):
     assert pi_digits()[1000] == machin_pi_digits(1001)[1000]
-    assert sizes == [1024]
+    assert pi_batches == [1024]
 
 
-def test_pi_batches_read_in_order_are_each_computed_once(monkeypatch):
-    sizes = _count_pi_batches(monkeypatch)
+def test_pi_batches_read_in_order_are_each_computed_once(pi_batches):
     d = pi_digits()
     assert [d[i] for i in range(1024)] == machin_pi_digits(1024)
-    assert sizes == [64, 128, 256, 512, 1024]
+    assert pi_batches == [64, 128, 256, 512, 1024]
 
 
-def test_each_pi_stream_computes_its_own_batches(monkeypatch):
-    sizes = _count_pi_batches(monkeypatch)
+def test_each_pi_stream_computes_its_own_batches(pi_batches):
     first, second = pi_digits(), pi_digits()
     assert first[4] == second[4] == 9
-    assert sizes == [64, 64]  # no cache shared between streams
+    assert pi_batches == [64, 64]  # no cache shared between streams
 
 
 def test_pi_digits_at_batch_edges_in_shuffled_order():
@@ -174,30 +157,13 @@ def test_pi_floor_matches_the_machin_oracle():
 
 def test_racing_threads_share_one_pi_stream():
     d = pi_digits()
-    threads_n = 8
-    barrier = threading.Barrier(threads_n)
-    seen = []
 
-    def worker(offset):
-        barrier.wait()
+    def worker(k):
         # Each thread starts at its own index, so batches are built under contention.
-        order = list(range(offset * 90, 700)) + list(range(offset * 90))
-        seen.append({i: d[i] for i in order})
+        return {i: d[i] for i in [*range(k * 90, 700), *range(k * 90)]}
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == threads_n
     expected = machin_pi_digits(700)
-    for digits in seen:
+    for digits in race(worker, 8):
         assert [digits[i] for i in range(700)] == expected
 
 
@@ -263,20 +229,9 @@ def test_fugitive_equal_unique():
         assert len(hits) <= 1
 
 
-def test_concurrent_reads_are_consistent():
-    import threading
-
+def test_racing_reads_are_consistent():
     s = NatStream.from_function(lambda n: n * 7 + 1)
-    results = []
-
-    def reader():
-        results.append([s[i] for i in range(100)])
-
-    threads = [threading.Thread(target=reader) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    results = race(lambda _: [s[i] for i in range(100)], 8)
     expected = [i * 7 + 1 for i in range(100)]
     assert all(r == expected for r in results)
 
@@ -327,29 +282,10 @@ def test_racing_threads_see_the_first_write():
     f = identity_map()
     indicator = _CountingStream(lambda j: 1 if j == 150 else 0)
     spec = FugitiveSpec(indicator)
-    threads_n = 8
-    barrier = threading.Barrier(threads_n)
-    seen = []
-
-    def worker():
-        barrier.wait()
-        seen.append(([stream[i] for i in range(200)],
-                     [real.interval(i) for i in range(200)],
-                     f.at(Fraction(1, 3)),
-                     [fugitive_least(spec, n) for n in range(200)]))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == threads_n
+    seen = race(lambda _: ([stream[i] for i in range(200)],
+                           [real.interval(i) for i in range(200)],
+                           f.at(Fraction(1, 3)),
+                           [fugitive_least(spec, n) for n in range(200)]), 8)
     values, intervals, point, leasts = seen[0]
     for other_values, other_intervals, other_point, other_leasts in seen[1:]:
         assert other_values == values
@@ -408,26 +344,7 @@ def test_racing_threads_share_one_pattern_spec():
     spec = pattern_indicator(NatStream(counted), 9, 3)
     alone = pattern_indicator(NatStream(digit), 9, 3)
     serial = [fugitive_least(alone, n) for n in range(200)]
-    threads_n = 8
-    barrier = threading.Barrier(threads_n)
-    seen = []
-
-    def worker():
-        barrier.wait()
-        seen.append([fugitive_least(spec, n) for n in range(200)])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == [serial] * threads_n
+    assert race(lambda _: [fugitive_least(spec, n) for n in range(200)], 8) == [serial] * 8
     assert serial == [None] * 150 + [150] * 50
     # Later calls re-read the tail of the last run, but each digit is generated once.
     assert set(generated) == set(range(153))
@@ -442,7 +359,7 @@ def _floor_of(digit_at):
 
 
 _PI_FLOORS = {
-    "pi": functools.cache(streams._pi_floor),
+    "pi": cached_pi_floor,
     # Runs of seven 9s cross every multiple of 64; 7 i mod 9 is never 9.
     "nines_across_edges": functools.cache(
         _floor_of(lambda i: 9 if (i + 4) % 64 < 7 else 7 * i % 9)),
@@ -459,6 +376,7 @@ _DIGIT = st.one_of(st.sampled_from([0, 3, 5, 9]), st.integers(0, 9))
 @example(3, 2, 63, [63])  # pi: the run of 3s open at 63 ends at 64, in the next batch
 @example(9, 6, 0, [62])  # stand-in: the run of 9s from 60 is found in the next batch
 @example(9, 6, 62, [63])  # stand-in: that run, entered at 62, is too short from there
+@example(1, 10 ** 12, 0, [4, 200])  # a run longer than any batch: no batch-sized needle
 def test_pi_batch_finder_matches_the_one_pass_loop(floor, digit, run_length, lo, queries):
     # On pi_digits() the finder searches the batch bytes; on a plain NatStream over the
     # same digits it is the one-pass loop.  Scans carried on from lo agree in answer,
@@ -476,33 +394,23 @@ def test_pi_batch_finder_matches_the_one_pass_loop(floor, digit, run_length, lo,
     assert seen[0] == seen[1]
 
 
-def _count_cached_pi_batches(monkeypatch) -> list[int]:
-    """As _count_pi_batches, each size computed once in this module."""
-    sizes = []
-    monkeypatch.setattr(streams, "_pi_floor",
-                        lambda size: sizes.append(size) or _PI_FLOORS["pi"](size))
-    return sizes
-
-
-def test_pi_digit_past_the_limit_raises_before_any_batch(monkeypatch):
-    sizes = _count_cached_pi_batches(monkeypatch)
+def test_pi_digit_past_the_limit_raises_before_any_batch(pi_batches):
     d = pi_digits()
     with pytest.raises(TooLarge, match="^needs pi digits past the limit of 65536$"):
         d[65536]
-    assert sizes == []
+    assert pi_batches == []
     assert d[65535] == 3  # the last digit within the limit
-    assert sizes == [65536]
+    assert pi_batches == [65536]
 
 
-def test_real_over_pi_past_the_limit_raises_and_stays_usable(monkeypatch):
-    sizes = _count_cached_pi_batches(monkeypatch)
+def test_real_over_pi_past_the_limit_raises_and_stays_usable(pi_batches):
     spec = pattern_indicator(pi_digits(), 9, 99)  # no such run in the first 65,536 digits
     x = rho0(spec)
     before = x.approx(1000, 1001)
     cached, frontier = dict(x._cache), (spec._clear, spec._fired)
     with pytest.raises(TooLarge, match="^needs pi digits past the limit of 65536$"):
         x.approx(70000, 70001)
-    assert max(sizes) == 65536
+    assert max(pi_batches) == 65536
     # The failed read stored nothing: the spec's frontier and the real's cache are as they were.
     assert (spec._clear, spec._fired) == frontier
     assert cached.items() <= x._cache.items()
@@ -510,38 +418,21 @@ def test_real_over_pi_past_the_limit_raises_and_stays_usable(monkeypatch):
     h = Fraction(1, 1 << 60001)
     assert x.approx(60000, 60001) == RationalInterval(-h, h)
     assert (spec._clear, spec._fired) == (60002, None)  # interval 60001 read it through 60001
-    assert max(sizes) == 65536
+    assert max(pi_batches) == 65536
 
 
-def test_racing_threads_share_one_pi_pattern_spec(monkeypatch):
+def test_racing_threads_share_one_pi_pattern_spec(pi_batches):
     # pi's first run of three 9s starts at 761, in the 1,024-digit batch.
-    sizes = _count_pi_batches(monkeypatch)
     queries = range(0, 800, 3)
     alone = pattern_indicator(pi_digits(), 9, 3)
     serial = {n: fugitive_least(alone, n) for n in queries}
     assert serial[798] == 761 and serial[759] is None
-    del sizes[:]
+    del pi_batches[:]
     spec = pattern_indicator(pi_digits(), 9, 3)
-    threads_n = 8
-    barrier = threading.Barrier(threads_n)
-    seen = []
 
-    def worker(offset):
-        barrier.wait()
+    def worker(k):
         # Each thread starts at its own query, so batches are sought under contention.
-        order = list(queries[offset * 30:]) + list(queries[:offset * 30])
-        seen.append({n: fugitive_least(spec, n) for n in order})
+        return {n: fugitive_least(spec, n) for n in [*queries[k * 30:], *queries[:k * 30]]}
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == [serial] * threads_n
-    assert sizes == [64, 128, 256, 512, 1024]  # each batch computed once, in order
+    assert race(worker, 8) == [serial] * 8
+    assert pi_batches == [64, 128, 256, 512, 1024]  # each batch computed once, in order
