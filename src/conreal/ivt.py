@@ -8,10 +8,10 @@ an executable artifact cannot derive it, so the representation assumes it.
 
 Three intermediate-value procedures are provided: the approximate version
 (bisection to a uniform depth), the thirds construction for locally
-non-constant maps (driven by a caller-supplied apartness oracle, always
-re-verified), and bisection with apartness witnesses at its rational
-midpoints.  One interval check, ``certified_within``, certifies the point
-each of them builds.
+non-constant maps (driven by a caller-supplied apartness oracle whose every
+witness ``verify_lt`` checks), and bisection with apartness witnesses at its
+rational midpoints.  One interval check, ``certified_within``, certifies the
+point each of them builds.
 """
 
 from __future__ import annotations
@@ -294,8 +294,8 @@ def _bisection(pick: Callable[[Fraction, Fraction], tuple[Fraction, bool]], dept
 
 
 def _below(f: ContinuousMap, q: Fraction, y: CReal, w: Apartness, source: str) -> bool:
-    """Whether f(q) < y, as the witness w of f(q) # y claims; w is first checked
-    against the raw intervals in the direction it claims."""
+    """Whether f(q) < y, as the witness w of f(q) # y claims; w is first checked by
+    ``verify_lt`` in the direction it claims, on the ends of f(q) and y as triples."""
     z = f.at(q)
     below = w.direction is Direction.LESS
     if not (verify_lt(z, y, w.witness) if below else verify_lt(y, z, w.witness)):
@@ -348,9 +348,9 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
     a middle-third rational whose value is apart from y; the construction keeps
     the side where the crossing must lie.  Widths obey width(n) <= (2/3)^n.
 
-    Oracle answers are re-verified against raw intervals; a lying oracle is an
-    error.  ``depth`` rounds are forced eagerly; the returned real keeps
-    consulting the oracle lazily.
+    Oracle answers are re-verified by ``verify_lt`` on the ends as triples; a
+    lying oracle is an error.  ``depth`` rounds are forced eagerly; the returned
+    real keeps consulting the oracle lazily.
     """
     def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
         a, b = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)

@@ -103,10 +103,10 @@ class CReal:
     is read.  Any other real (``from_steps`` reals, caller generators) derives
     its triple from its interval.
 
-    Scans read triples: the width scans behind ``approx``, ``try_lt`` and
-    ``try_apart`` compare them by cross-multiplying.  An interval is built
-    when one is returned (``interval``, ``approx``) or a witness is checked
-    against it (``verify_lt``, ``cotrans_split``'s side, the IVT's checks).
+    Every comparison reads triples and cross-multiplies: the width scans behind
+    ``approx``, ``try_lt`` and ``try_apart``, ``verify_lt`` and the side tests of
+    ``cotrans_split`` and ``diagonal``.  An interval is built only where one leaves
+    the library: returned (``interval``, ``approx``) or handed to a map's ``enclose``.
     """
 
     _direct = False
@@ -295,8 +295,10 @@ class Apartness:
 
 
 def verify_lt(x: CReal, y: CReal, w: LtWitness) -> bool:
-    """Check a witness against the raw intervals."""
-    return _lt(x.interval(w.index).hi, y.interval(w.index).lo)
+    """Check a witness: x's upper end below y's lower end at its index, read as triples."""
+    if w.index < 0:
+        raise IndexError("interval indices are naturals")
+    return _ends_lt(x._ends(w.index), y._ends(w.index))
 
 
 def _ends_lt(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
@@ -351,15 +353,14 @@ def cotrans_split(x: CReal, y: CReal, w: LtWitness, z: CReal) -> Split:
     direct z is probed as ``_width_scan`` says).  The returned witness
     certifies the chosen side at that index.
     """
-    x_hi, y_lo = x.interval(w.index).hi, y.interval(w.index).lo
-    if not x_hi < y_lo:
+    if not verify_lt(x, y, w):
         raise ValueError("supplied witness does not certify x < y")
-    gap = y_lo - x_hi
+    a, b = x._ends(w.index), y._ends(w.index)
+    gap = Fraction(b[0] * a[2] - a[1] * b[2], a[2] * b[2])  # reduced: the probe reads its bits
     bits = gap.denominator.bit_length() - gap.numerator.bit_length()
     n = _width_scan(z, lambda diff, den: _narrower(diff, den, gap), w.index, None, bits)
-    if x_hi < z.interval(n).lo:
-        return Split(SplitSide.LEFT_IS_LESS, LtWitness(n))
-    return Split(SplitSide.RIGHT_IS_LESS, LtWitness(n))
+    side = SplitSide.LEFT_IS_LESS if _ends_lt(a, z._ends(n)) else SplitSide.RIGHT_IS_LESS
+    return Split(side, LtWitness(n))
 
 
 def diagonal(xs: Callable[[int], CReal]) -> CReal:
@@ -385,7 +386,8 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
         if m is None:
             raise FuelExhausted(
                 f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")
-        if one_third < xn.interval(m).lo:
+        x_lo, _, den = xn._ends(m)
+        if one_third.numerator * den < x_lo * one_third.denominator:
             return RationalInterval(lo, one_third)
         return RationalInterval(two_thirds, hi)
 

@@ -14,8 +14,8 @@ Raises that no argv reaches, and why:
   with an empty prefix: ``--seqs`` always splits into one part or more, and
   ``dickson`` rejects an empty part first.
 - ``NatStream`` reads at a negative index or of a negative value, and
-  ``CReal.interval`` at a negative index: the CLI reads naturals of streams of
-  naturals.
+  ``CReal.interval`` and ``verify_lt`` at a negative index: the CLI reads
+  naturals of streams of naturals, and its witnesses come from scans.
 - ``CReal._least`` with fuel below 1: ``run`` rejects ``--fuel 0`` first, and
   ``pwl`` nodes are read with fuel ``None`` or 96.
 - ``ivt``: the [0, 1] checks of ``_clamp01``, ``at`` and ``enclose`` (every

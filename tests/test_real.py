@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, NatStream,
+from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness, NatStream,
                      RationalInterval, SplitSide, cantor_point, cotrans_split, diagonal,
-                     interval, pattern_indicator, pi_digits, rho0, rho1, rho2, sqrt2,
-                     sqrt2_irrationality_witness, try_apart, try_lt, verify_lt,
+                     identity_map, interval, pattern_indicator, pi_digits, rho0, rho1, rho2,
+                     sqrt2, sqrt2_irrationality_witness, try_apart, try_lt, verify_lt,
                      zero)
 from conftest import fuel_for, race, random_real_tree, same_interval, spike
 
@@ -117,9 +117,22 @@ def test_cotrans_split_examples():
 
 def test_cotrans_split_rejects_bogus_witness():
     x, y = zero(), CReal.from_rational(1)
-    from conreal import LtWitness
     with pytest.raises(ValueError):
         cotrans_split(x, y, LtWitness(0), CReal.from_rational(half))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CReal.from_rational(half),
+    sqrt2,
+    lambda: identity_map().at(Fraction(1, 3)),  # its triple formula answers at index -1
+    lambda: sqrt2() + CReal.from_rational(half),
+    lambda: CReal(lambda n: RationalInterval(Fraction(-1, n + 1), Fraction(1, n + 1))),
+], ids=["rational", "sqrt2", "pwl point", "sum", "caller generator"])
+def test_a_negative_witness_index_is_an_error(build):
+    x, w = build(), LtWitness(-1)
+    for call in (lambda: verify_lt(x, x, w), lambda: cotrans_split(x, x, w, x)):
+        with pytest.raises(IndexError, match="^interval indices are naturals$"):
+            call()
 
 
 def test_cotrans_split_random():

@@ -1048,8 +1048,10 @@ def _old_point_values(bps, values):
 _TRIPLE_LEAVES = st.one_of(
     st.tuples(st.just("q"), st.fractions(-3, 3, max_denominator=4)),
     st.tuples(st.just("sqrt2")),
-    st.tuples(st.sampled_from(["rho0", "rho1"]), st.none() | st.integers(0, 12)))
-# A pwl node: a leaf real (direct), a caller generator with Fraction ends or with int points.
+    st.tuples(st.sampled_from(["rho0", "rho1"]), st.none() | st.integers(0, 12)),
+    # A caller generator: the int point [k, k], or k -+ 2^-n with its ends reversed.
+    st.tuples(st.sampled_from(["int", "reversed"]), st.integers(-2, 2)))
+# A pwl node: a leaf real, a caller generator with Fraction ends or with int points.
 _TRIPLE_NODES = st.one_of(
     st.tuples(st.just("leaf"), st.integers(0, 99)),
     st.tuples(st.just("gen"), st.fractions(-3, 3, max_denominator=4)),
@@ -1066,21 +1068,26 @@ _TRIPLE_STEPS = st.one_of(
 def _triple_pool(leaves, maps, steps, log, point_values):
     """The reals of one drawn graph: leaves, pwl point values (through
     ``point_values(bps, values)``) and operators over earlier reals.  Every
-    caller generator call is logged as (map, node, index)."""
-    pool = []
-    for leaf in leaves:
-        if leaf[0] == "q":
-            pool.append(CReal.from_rational(leaf[1]))
-        elif leaf[0] == "sqrt2":
-            pool.append(sqrt2())
-        else:
-            pool.append((rho0 if leaf[0] == "rho0" else rho1)(spike(leaf[1])))
-
+    caller generator call is logged as (map, node, index), or ("leaf", leaf, index)."""
     def logged(tag, interval):
         def gen(n):
             log.append((*tag, n))
             return interval(n)
         return CReal(gen)
+
+    pool = []
+    for i, leaf in enumerate(leaves):
+        if leaf[0] == "q":
+            pool.append(CReal.from_rational(leaf[1]))
+        elif leaf[0] == "sqrt2":
+            pool.append(sqrt2())
+        elif leaf[0] == "int":
+            pool.append(logged(("leaf", i), lambda n, k=leaf[1]: RationalInterval(k, k)))
+        elif leaf[0] == "reversed":
+            pool.append(logged(("leaf", i), lambda n, k=leaf[1]: RationalInterval(
+                k + half_pow(n), k - half_pow(n))))
+        else:
+            pool.append((rho0 if leaf[0] == "rho0" else rho1)(spike(leaf[1])))
 
     ats = []
     for m, (cuts, nodes) in enumerate(maps):
@@ -1115,7 +1122,8 @@ def test_scans_and_point_values_over_triples_match_interval_reads(leaves, maps, 
                                                                   fuel, scan_fuel):
     # The same graph twice: the library's, and one whose point values are the _mix
     # references, scanned by the interval predicates.  Both must answer alike and
-    # call the caller generators in the same order.
+    # call the caller generators in the same order, and verify_lt must agree with
+    # the comparison of reduced ends at every index the scans may reach.
     new_log, old_log = [], []
     new = _triple_pool(leaves, maps, steps, new_log,
                        lambda bps, values: pwl(PiecewiseLinearSpec(bps, values)).at)
@@ -1145,6 +1153,10 @@ def test_scans_and_point_values_over_triples_match_interval_reads(leaves, maps, 
         side = SplitSide.LEFT_IS_LESS if x_hi < oz.interval(m).lo else SplitSide.RIGHT_IS_LESS
         assert cotrans_split(x, y, w, z) == Split(side, LtWitness(m))
     assert new_log == old_log
+    # After the log check, so that the scans above read cold caches.
+    for a, b, oa, ob in ((x, y, ox, oy), (z, y, oz, oy), (x, z, ox, oz)):
+        for n in range(scan_fuel + 1):
+            assert verify_lt(a, b, LtWitness(n)) == _old_below(oa, ob)(n), n
     for real, ref in zip(new, old):
         for n in range(4):
             assert same_interval(real.interval(n), ref.interval(n)), n
