@@ -16,7 +16,6 @@ point each of them builds.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +23,8 @@ from typing import Callable
 
 from .errors import FuelExhausted, PreconditionFailed
 from .real import (Apartness, CReal, Direction, RationalInterval, _from_ends, _lt, _mix,
-                   _narrower, _reduced, _triple_of, _width_scan, half_pow, rho0, rho1, rho2,
-                   try_apart, verify_lt)
+                   _narrower, _triple_of, _width_scan, half_pow, rho0, rho1, rho2, try_apart,
+                   verify_lt)
 from .streams import FugitiveSpec, _decimal, _first_index, _memo
 
 _ZERO = Fraction(0)
@@ -56,7 +55,8 @@ class ContinuousMap:
         self.enclose = enclose
         self.modulus = modulus
         self._nodes = nodes
-        self._points: dict[Fraction, CReal] = {}
+        # (numerator, denominator, denominator bit length) of a point -> its value (``at``)
+        self._points: dict[tuple[int, int, int], CReal] = {}
 
     def apply(self, x: CReal) -> CReal:
         """The image f(x) as a constructive real.
@@ -93,11 +93,19 @@ class ContinuousMap:
         node approximation at a finer precision comes from a later index of a
         nested real, and interpolation with lam in [0, 1] is monotone in both
         node ends, so each enclosure already lies inside the one before.
+
+        The memo key is q's reduced (numerator, denominator, denominator bit
+        length), unique per value, so equal points of any type share one entry.
+        A ``Fraction`` hashes to its value mod 2^61 - 1, where 2^61 is 1, so
+        dyadic points near a/b would repeat hashes every 61 bits; the bit
+        length spreads them.
         """
-        q = Fraction(q)
-        if not _ZERO <= q <= _ONE:
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        n, d = q.numerator, q.denominator
+        if n < 0 or n > d:
             raise ValueError("point outside [0, 1]")
-        return _memo(self._points, q, self._point_value)
+        return _memo(self._points, (n, d, d.bit_length()), lambda _key: self._point_value(q))
 
     def _point_value(self, q: Fraction) -> CReal:
         if self._nodes is None:
@@ -144,14 +152,18 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     the piece between nodes a and b has the value triple
     ((v-u) lo_a bd + u lo_b ad, (v-u) hi_a bd + u hi_b ad, v ad bd) from the
     node triples (lo_a, hi_a, ad) and (lo_b, hi_b, bd).  ``f._point(t)``
-    finds t's piece and place once and returns that formula of the
-    precision, which ``f.at(t)``, ``approx_ivt`` and ``enclose`` read.  Each
-    node triple is read once per map and precision; a direct node is read
-    with no index cap, since a total, dwindling formula always has a least
-    index.  The modulus comes from a slope bound over all pieces.
+    finds t's piece and place once, by cross products with the breakpoints
+    and one ``gcd`` for u/v in lowest terms, and returns that formula of the
+    precision, which ``f.at(t)``, ``approx_ivt`` and ``enclose`` read.
+    ``enclose`` takes its hull over the point triples by cross-multiplying
+    and reduces only the two hull ends.  Each node triple is read once per
+    map and precision; a direct node is read with no index cap, since a
+    total, dwindling formula always has a least index.  The modulus comes
+    from a slope bound over all pieces.
     """
     bps = spec.breakpoints
     values = spec.values
+    pairs = [(b.numerator, b.denominator) for b in bps]
     node_triples: dict[tuple[int, int], tuple[int, int, int]] = {}
     fuels = [None if value._direct else _NODE_FUEL for value in values]
 
@@ -160,10 +172,20 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
         return _memo(node_triples, (i, p), lambda key: node._ends(node._least(p, fuels[i])))
 
     def point(t: Fraction) -> Callable[[int], tuple[int, int, int]]:
-        # Rightmost piece i starting at or before t, and t's place u/v on it.
-        i = bisect.bisect_right(bps, t, 1, len(bps) - 1) - 1
-        lam = (t - bps[i]) / (bps[i + 1] - bps[i])
-        u, v = lam.numerator, lam.denominator
+        # Rightmost piece i starting at or before t (the inner breakpoints searched by
+        # halves), and t's place u/v = (t - b_i) / (b_{i+1} - b_i) on it in lowest terms.
+        tn, td = t.numerator, t.denominator
+        i, j = 0, len(pairs) - 2
+        while i < j:
+            mid = (i + j + 1) // 2
+            if pairs[mid][0] * td <= tn * pairs[mid][1]:
+                i = mid
+            else:
+                j = mid - 1
+        (sn, sd), (en, ed) = pairs[i], pairs[i + 1]
+        u, v = (tn * sd - sn * td) * ed, td * (en * sd - sn * ed)
+        g = math.gcd(u, v)
+        u, v = u // g, v // g
 
         def ends(p: int) -> tuple[int, int, int]:
             # The value at t at precision p, from the node triples at precision p + 2.
@@ -177,10 +199,14 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
         lo, hi = iv
         if lo.numerator < 0 or _lt(hi, lo) or hi.numerator > hi.denominator:
             raise ValueError("enclose input must lie within [0, 1]")
-        points = [lo] + [t for t in bps if lo < t < hi] + [hi]
-        parts = [_reduced(*point(t)(p)) for t in points]
-        return RationalInterval(min(part.lo for part in parts),
-                                max(part.hi for part in parts))
+        least = most = point(lo)(p)
+        for t in [t for t in bps[1:-1] if _lt(lo, t) and _lt(t, hi)] + [hi]:
+            ends = point(t)(p)
+            if ends[0] * least[2] < least[0] * ends[2]:
+                least = ends
+            if ends[1] * most[2] > most[1] * ends[2]:
+                most = ends
+        return RationalInterval(Fraction(least[0], least[2]), Fraction(most[1], most[2]))
 
     slope: dict[None, int] = {}
 

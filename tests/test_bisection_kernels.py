@@ -244,19 +244,19 @@ def test_enclose_guard_matches_the_fraction_chain(a, b, shape, p):
         assert same_interval(new, old), (iv, p)
 
 
-def test_a_point_value_finds_its_piece_once(monkeypatch):
+def test_a_point_value_finds_its_piece_once():
     # The piece and place are found when f.at(q) is built, not per index read,
     # and equal points of other types share one point value.
     lookups = []
-    real_bisect_right = bisect.bisect_right
-
-    def counted(*args, **kwargs):
-        lookups.append(args[1])
-        return real_bisect_right(*args, **kwargs)
-
-    monkeypatch.setattr(bisect, "bisect_right", counted)
     values = tuple(CReal.from_rational(v) for v in _VALUES)
     f = pwl(PiecewiseLinearSpec(_BPS, values))
+    find = f._point
+
+    def counted(t):
+        lookups.append(t)
+        return find(t)
+
+    f._point = counted
     for first, second in [(0, _ZERO), (_ONE, 1), (Fraction(2, 3), Fraction(4, 6)),
                           (Fraction(1, 7), Fraction(2, 14))]:
         del lookups[:]

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import itertools
 import json
@@ -469,6 +470,26 @@ def test_ivt_unresolved_message_is_the_same_at_every_fuel(argv, fuels, message):
     for fuel in fuels:
         code, out, err = _invoke(argv + ["--fuel", str(fuel)])
         assert (code, out, err) == (3, "", message)
+
+
+_ID_THIRD = ["ivt", "--map", "id", "--y", "1/3", "-p", "2000", "--fuel", "2010"]
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    (_ID_THIRD + ["--mode", "approx"], 0,
+     "cab1ee6fa296a251d4a9d6375d01133734a48dc6e8d25ff2b4e4b1e465117cb5"),
+    (_ID_THIRD + ["--mode", "lnc"], 3,
+     "0424a7567f062f1e0bead5dd342198dca07fe1bc2ca593dd44bb54ca904466b9"),
+    (_ID_THIRD + ["--mode", "countable"], 0,
+     "cab1ee6fa296a251d4a9d6375d01133734a48dc6e8d25ff2b4e4b1e465117cb5"),
+    (["ivt", "--map", "f0:9,99", "--y", "1/2", "-p", "2000", "--fuel", "2010", "--mode", "approx"],
+     0, "dbe7d36b54ee3738696063d86105b5d52061a8fa983264de3ef5698bf178de75"),
+], ids=["id_approx", "id_lnc", "id_countable", "f0_approx"])
+def test_ivt_output_at_2000_bits_is_pinned(argv, code, digest):
+    # Bisection points with 2,000-bit denominators, past every golden: the exit
+    # code and the sha256 of stdout + stderr.
+    got, out, err = _invoke(argv)
+    assert (got, hashlib.sha256((out + err).encode()).hexdigest()) == (code, digest)
 
 
 def test_huge_precision_is_a_fuel_error_not_a_huge_shift():

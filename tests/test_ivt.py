@@ -1,9 +1,10 @@
+import bisect
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import race, same_interval, spike
@@ -263,6 +264,74 @@ def test_pwl_racing_point_values_match_serial_run():
         return got[len(queries) - 15 * k:] + got[:len(queries) - 15 * k]
 
     assert all(got == expected for got in race(worker, 6))
+
+
+def test_racing_at_calls_with_equal_points_of_other_types_share_one_real():
+    # Equal points of other types are one memo key, so every thread gets the real stored first.
+    points = [0, Fraction(0), Fraction(2, 4), half]
+    serial = f0(spike(6))
+    expected = [serial.at(q).interval(n) for q in points for n in range(30)]
+    shared = f0(spike(6))
+
+    def worker(k):
+        order = points[k % 4:] + points[:k % 4]
+        reals = {q: shared.at(q) for q in order}
+        return [reals[q] for q in points], [reals[q].interval(n) for q in points for n in range(30)]
+
+    outcomes = race(worker, 8)
+    first, _ = outcomes[0]
+    assert first[0] is first[1] and first[2] is first[3]
+    for reals, reads in outcomes:
+        assert all(got is want for got, want in zip(reals, first))
+        assert reads == expected
+
+
+# pwl point triples from the definition: the piece by bisect_right, the place as a
+# reduced Fraction.
+
+def _unit_rationals(max_den):
+    return st.integers(1, max_den).flatmap(lambda d: st.integers(0, d).map(lambda n: Fraction(n, d)))
+
+
+_dyadics = st.integers(0, 3000).flatmap(
+    lambda e: st.integers(0, 1 << e).map(lambda n: Fraction(n, 1 << e)))
+
+
+@st.composite
+def _pwl_points(draw):
+    inner = draw(st.lists(_unit_rationals(1 << 200).filter(lambda t: 0 < t < 1),
+                          max_size=4, unique=True))
+    bps = (Fraction(0), *sorted(inner), Fraction(1))
+    values = draw(st.lists(st.fractions(), min_size=len(bps), max_size=len(bps)))
+    ts = draw(st.lists(st.one_of(st.sampled_from(bps), st.sampled_from((Fraction(0), Fraction(1))),
+                                 _unit_rationals(1 << 200), _dyadics), min_size=1, max_size=5))
+    return bps, tuple(CReal.from_rational(v) for v in values), ts, draw(st.integers(0, 40))
+
+
+def _defined_triple(bps, values, t, p):
+    i = bisect.bisect_right(bps, t, 1, len(bps) - 1) - 1
+    lam = (t - bps[i]) / (bps[i + 1] - bps[i])
+    u, v = lam.numerator, lam.denominator
+    al, ah, ad = values[i]._ends(values[i]._least(p + 2, None))
+    bl, bh, bd = values[i + 1]._ends(values[i + 1]._least(p + 2, None))
+    s, r = (v - u) * bd, u * ad
+    return s * al + r * bl, s * ah + r * bh, v * ad * bd
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pwl_points())
+def test_pwl_point_triples_and_enclosures_follow_the_definition(case):
+    bps, values, ts, p = case
+    f = pwl(PiecewiseLinearSpec(bps, values))
+    for t in ts:
+        assert f._point(t)(p) == _defined_triple(bps, values, t, p), t
+    for lo, hi in zip(ts, ts[1:] + ts[:1]):
+        lo, hi = min(lo, hi), max(lo, hi)
+        points = [lo] + [t for t in bps if lo < t < hi] + [hi]
+        triples = [_defined_triple(bps, values, t, p) for t in points]
+        want = RationalInterval(min(Fraction(a, d) for a, _, d in triples),
+                                max(Fraction(b, d) for _, b, d in triples))
+        assert same_interval(f.enclose(RationalInterval(lo, hi), p), want), (lo, hi)
 
 
 def test_f0_plateau_value():
