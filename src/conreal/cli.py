@@ -398,9 +398,16 @@ def _cmd_ivt(args) -> _Answer:
                    {"certified_below": bound}, plain)
 
 
+# The top-level parser's defaults, which also seed the namespace of an argv
+# that goes straight to its command's parser.
+_DEFAULTS = {"format": "plain", "fuel": 64}
+
+
 @functools.cache
-def _build_parser() -> _Parser:
-    # Built once per process: parse_args leaves the parser unchanged.
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    # Built once per process: parse_args leaves the parsers unchanged.  Returns
+    # the top-level parser and each command's own parser by name; see _parse
+    # for which argv reaches which.
     parser = _Parser(prog="conreal", description="constructive reals and friends")
     # --format is accepted before or after the subcommand; --fuel after the
     # subcommands that read it.
@@ -408,9 +415,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("plain", "json"), default=argparse.SUPPRESS)
     fueled = _Parser(add_help=False, parents=[common])
     fueled.add_argument("--fuel", type=int, default=argparse.SUPPRESS,
-                        help="index budget for semi-decidable searches (default 64)")
-    parser.add_argument("--format", choices=("plain", "json"), default="plain")
-    parser.set_defaults(fuel=64)
+                        help=f"index budget for semi-decidable searches (default {_DEFAULTS['fuel']})")
+    parser.add_argument("--format", choices=("plain", "json"))
+    parser.set_defaults(**_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[fueled], help="evaluate an interval expression")
@@ -479,14 +486,32 @@ def _build_parser() -> _Parser:
     p.add_argument("--star", action="store_true")
     p.set_defaults(fn=_cmd_ramsey)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of one argv, as the top-level parser's parse_args gives it.
+
+    An argv that starts with a command goes straight to that command's parser:
+    the top-level parser would hand it everything after the command anyway.
+    The top-level parser reads only an argv that does not start with a command:
+    a leading option, --help, no argument, an unknown command.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0], **_DEFAULTS))
 
 
 def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
-    """Dispatch one invocation, print its answer or error; returns the exit code."""
-    parser = _build_parser()
+    """Dispatch one invocation, print its answer or error; returns the exit code.
+
+    An argv that starts with a command is parsed once, by that command's own
+    parser; ``_parse`` names the few that the top-level parser reads instead.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if args.fuel < 1:
             raise ValueError("--fuel must be >= 1")
         inputs, result, certificate, plain, code = args.fn(args)

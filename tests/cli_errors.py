@@ -29,7 +29,13 @@ Raises that no argv reaches, and why:
 """
 
 ERRORS = [
-    # cli.py: argparse errors, --help, --fuel.
+    # cli.py: argparse errors, --help, --fuel.  Only an argv that does not start
+    # with a command reaches the top-level parser.
+    ("no_command", [], 2, "error: the following arguments are required: command"),
+    ("unknown_command", ["bogus"], 2,
+     "error: argument command: invalid choice: 'bogus' (choose from 'eval', 'pi', 'hunt', "
+     "'encode', 'decode', 'ivt', 'subbar', 'game', 'euclid', 'dickson', 'ramsey')"),
+    ("format_without_value", ["--format"], 2, "error: argument --format: expected one argument"),
     ("missing_flag", ["eval", "1"], 2,
      "error: the following arguments are required: -p/--precision"),
     ("help", ["eval", "--help"], 0, ""),

@@ -10,6 +10,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_cases import CASES
 from cli_errors import ERRORS
@@ -610,3 +612,57 @@ def test_error_table_has_a_row_for_every_message_cli_raises():
         checked += 1
         assert any(all(p in line for p in pieces) for line in lines), (node.lineno, pieces)
     assert checked == 24
+
+
+def _parsed(parse, argv):
+    """What a parse of argv gives: its namespace's fields, or its error or help text."""
+    try:
+        return vars(parse(argv))
+    except (ValueError, cli._Help) as e:
+        return type(e).__name__, str(e)
+
+
+def _assert_parses_as_the_top_level_parser(argv):
+    assert _parsed(cli._parse, argv) == _parsed(cli._build_parser()[0].parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [row[1] for row in CASES + ERRORS],
+                         ids=[row[0] for row in CASES + ERRORS])
+def test_parse_matches_the_top_level_parser_on_the_tables(argv):
+    _assert_parses_as_the_top_level_parser(argv)
+
+
+_COMMANDS = list(cli._build_parser()[1])
+# The CLI's own words: its flags whole, abbreviated and with '=', options that
+# take a value given none, the '--' separator, negative numbers and values.
+# '--=x' is left out: it abbreviates every long option, and whether the
+# top-level parser rejects it before its command's parser sees it differs
+# between argparse releases.
+_WORDS = _COMMANDS + [
+    "bogus", "--format", "--fo", "--fo=json", "--format=plain", "json", "plain", "--fuel", "--fu=3",
+    "--f", "--f=1", "-p", "-p5", "--prec=3", "--pre", "--", "-", "-h", "--help",
+    "--he", "-3", "-1", "0", "1", "2", "1/3", "--bogus", "--map", "id", "--y", "--mode", "lnc",
+    "--depth", "--seqs", "1,2;3", "--spec", "len=2", "--digits", "--digit", "--run", "--budget",
+    "--c", "n=1", "--bound", "--p0", "--M", "--n", "--k", "--r", "--star"]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_COMMANDS + ["bogus", "--format", "--", "-h"]),
+       st.lists(st.sampled_from(_WORDS), max_size=8))
+def test_parse_matches_the_top_level_parser(head, tail):
+    _assert_parses_as_the_top_level_parser([head, *tail])
+
+
+def test_a_command_first_argv_is_parsed_once(monkeypatch):
+    # The top-level parser hands a command-first argv to the command's parser
+    # whole: parsing it there too would be a second pass over the same strings.
+    class TopLevelParse(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise TopLevelParse
+
+    monkeypatch.setattr(cli._build_parser()[0], "parse_known_args", refuse)
+    assert _invoke(["euclid", "2", "3"]) == (0, "7\n", "")
+    with pytest.raises(TopLevelParse):
+        _invoke(["--format", "json", "euclid", "2"])
