@@ -1,10 +1,15 @@
 """Shared test oracles and generators.
 
-The pi oracle is an independent fixed-precision Machin computation (the
-library stream sums the Chudnovsky series by binary splitting in doubling
-batches, so the two methods cross-check).
-The expression-tree generator produces random constructive reals together
-with exact dwindling-rate and magnitude bounds derived from the tree shape.
+Each layer of the library has one oracle here, written from what the layer
+means, not from how it is computed: ``least_index`` for scans, ``tree_reader``
+(exact interval arithmetic over the trees that ``tree_real`` builds) for
+arithmetic, ``pwl_oracle`` for pwl maps, ``ivt_oracle`` for the three
+intermediate-value procedures, ``subbar_oracle`` and ``coverage_oracle`` for
+subbars, ``avoiding_oracle`` for colorings.  The pi oracle is an independent
+fixed-precision Machin computation (the library stream sums the Chudnovsky
+series by binary splitting in doubling batches, so the two methods
+cross-check).  ``logged`` records the reads of a real or a stream, and
+``outcome`` turns a call into its value or its error.
 
 Every test runs under a time limit of 60 s: a test that hangs fails with
 ``TimeoutError`` instead of stalling the run.  Every threaded test runs its
@@ -16,15 +21,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 import random
 import signal
 import sys
 import threading
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from conreal import CReal, FugitiveSpec, NatStream, rho0, rho1, sqrt2, streams
+from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, FugitiveSpec,
+                     LtWitness, NatStream, NotBarWithinDepth, PiecewiseLinearSpec, RationalInterval,
+                     Split, SplitSide, TooLarge, pwl, rho0, rho1, sqrt2, streams)
+from conreal.real import half_pow, half_pow_text
 
 _TIME_LIMIT_S = 60  # about 20 times the slowest test
 
@@ -104,19 +116,45 @@ def coverage_oracle(pred, depth) -> bool:
     return True
 
 
-def arrow_star_oracle(M, n, k, r) -> bool:
-    """Independent per-coloring check using tuple colorings and direct search."""
+def subbar_oracle(in_bar, depth: int, budget: int):
+    """``finite_subbar`` by enumerating paths: its walk visits, in lexicographic order (a
+    path before its extensions), the paths of length <= depth with no proper prefix in the
+    bar, up to the first one of full length not in it.  Returns (answer, visits): the visited
+    paths in the bar, or that uncovered path as NotBarWithinDepth, or TooLarge when a visit,
+    each costing its length + 1, would pass the budget; the visits then end before it."""
+    paths = [path for d in range(depth + 1) for path in itertools.product((0, 1), repeat=d)]
+    open_ = {(): True}  # no proper prefix in the bar; paths come shortest first
+    for path in paths[1:]:
+        open_[path] = open_[path[:-1]] and not in_bar(path[:-1])
+    visits, work = [], 0
+    for path in sorted(path for path in paths if open_[path]):
+        work += len(path) + 1
+        if work > budget:
+            return TooLarge, visits
+        visits.append(path)
+        if len(path) == depth and not in_bar(path):
+            return NotBarWithinDepth(path), visits
+    return [path for path in visits if in_bar(path)], visits
+
+
+def relatively_large(M: int, n: int) -> list[tuple[int, ...]]:
+    """The increasing tuples t of range(M) at least n long whose length is their least entry."""
+    return [(p,) + rest for p in range(n, M) for rest in itertools.combinations(range(p + 1, M), p - 1)]
+
+
+def avoiding_oracle(M: int, n: int, k: int, r: int, star: bool) -> list[int] | None:
+    """By enumeration: the first coloring, in the lexicographic order of its list of r
+    colors, one per k-subset of range(M) in combinations order, under which no n-subset
+    (star: no relatively large tuple) has all its k-subsets of one color; None when every
+    coloring has one, that is, when the arrow (star) relation holds."""
     slots = list(itertools.combinations(range(M), k))
+    index = {s: i for i, s in enumerate(slots)}
+    tuples = relatively_large(M, n) if star else itertools.combinations(range(M), n)
+    candidates = [[index[u] for u in itertools.combinations(t, k)] for t in tuples]
     for colors in itertools.product(range(r), repeat=len(slots)):
-        table = dict(zip(slots, colors))
-        if not any(
-            len({table[u] for u in itertools.combinations(t, k)}) <= 1
-            for p in range(n, M)
-            for rest in itertools.combinations(range(p + 1, M), p - 1)
-            for t in [(p,) + rest]
-        ):
-            return False
-    return True
+        if not any(len({colors[s] for s in subs}) == 1 for subs in candidates):
+            return list(colors)
+    return None
 
 
 def machin_pi_digits(n: int) -> list[int]:
@@ -138,13 +176,13 @@ def machin_pi_digits(n: int) -> list[int]:
 
 
 def _decimal(n: int) -> str:
-    """str(n) for a natural n of any length: Python 3.11 refuses str() of an
-    int over 4300 digits, so this converts 4000 digits at a time."""
-    chunk = 10 ** 4000
+    """str(n) for a natural n of any length, 300 digits at a time: str() refuses
+    an int over the int-to-str digit limit, 640 digits at its lowest."""
+    chunk = 10 ** 300
     parts = []
     while n >= chunk:
         n, low = divmod(n, chunk)
-        parts.append(str(low).zfill(4000))
+        parts.append(str(low).zfill(300))
     parts.append(str(n))
     return "".join(reversed(parts))
 
@@ -167,6 +205,11 @@ def spike(position: int | None) -> FugitiveSpec:
         lambda j: 1 if position is not None and j == position else 0))
 
 
+def slow(v, rate: int):
+    """A caller generator of v -+ 2^-(n // rate): its width halves every rate indices."""
+    return lambda n: RationalInterval(v - half_pow(n // rate), v + half_pow(n // rate))
+
+
 def same(new, old) -> bool:
     """Equal rationals with the same numerator, denominator and type."""
     return (new == old and type(new) is type(old)
@@ -178,32 +221,327 @@ def same_interval(new, old) -> bool:
     return type(new) is type(old) and all(same(u, v) for u, v in zip(new, old))
 
 
-def random_real_tree(rng: random.Random, depth: int) -> tuple[CReal, Fraction, Fraction]:
-    """A random expression tree; returns (real, rate, magnitude).
+def outcome(call):
+    """call()'s value, or the (type, message) of the exception it raises."""
+    try:
+        return call()
+    except Exception as error:  # compared, so a wrong error fails the test that compares it
+        return type(error), str(error)
 
-    ``rate`` bounds the width at index n by rate * 2^-n, ``magnitude``
-    bounds both endpoints of every interval in absolute value.
-    """
+
+def logged(x, log: list | None = None):
+    """x, a CReal or a NatStream, now appending to ``x.log`` (``log``, or a new list)
+    the index of each of its reads: a real's triple reads ``_ends(n)``, which every
+    scan and comparison makes, or a stream's ``x[n]``.  Returns x."""
+    x.__class__ = _logging(type(x))
+    x.log = [] if log is None else log
+    return x
+
+
+@functools.cache
+def _logging(base: type) -> type:
+    """The subclass of base that logs each read."""
+    name = "_ends" if issubclass(base, CReal) else "__getitem__"
+    read = getattr(base, name)
+
+    def logging(self, n):
+        self.log.append(n)
+        return read(self, n)
+    return type("Logged" + base.__name__, (base,), {name: logging})
+
+
+def recording(f):
+    """f behind a map built by hand (no nodes, so a point is read by ``enclose``), and the
+    list of the (interval, precision) pairs it encloses."""
+    calls = []
+
+    def enclose(iv, p):
+        calls.append((iv, p))
+        return f.enclose(iv, p)
+    return ContinuousMap(enclose, f.modulus), calls
+
+
+# --- scans: the least index, by brute force ------------------------------------------
+
+def least_index(pred, lo: int, hi: int | None) -> int | None:
+    """The least n in lo..hi (hi None: no end) with pred(n), read in order, or None."""
+    return next((n for n in (itertools.count(lo) if hi is None else range(lo, hi + 1)) if pred(n)),
+                None)
+
+
+def approx_oracle(read, p: int, fuel: int | None) -> RationalInterval:
+    """``approx``: the first of the intervals read(0), ..., read(fuel) of width <= 2^-p."""
+    bound = half_pow(p)
+    n = least_index(lambda n: read(n).width <= bound, 0, fuel)
+    if n is None:
+        raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
+    return read(n)
+
+
+def lt_oracle(x, y, fuel: int) -> LtWitness | None:
+    """``try_lt`` over the interval reads x and y: the least index where x lies below y."""
+    n = least_index(lambda n: x(n).hi < y(n).lo, 0, fuel)
+    return None if n is None else LtWitness(n)
+
+
+def apart_oracle(x, y, fuel: int) -> Apartness | None:
+    """``try_apart`` over the interval reads x and y: the least index where one lies below the other."""
+    n = least_index(lambda n: x(n).hi < y(n).lo or y(n).hi < x(n).lo, 0, fuel)
+    if n is None:
+        return None
+    return Apartness(Direction.LESS if x(n).hi < y(n).lo else Direction.GREATER, LtWitness(n))
+
+
+def split_oracle(x, y, w: LtWitness, z) -> Split:
+    """``cotrans_split``: the least index from w's where z is narrower than the gap w shows
+    between x and y, and the side of the gap z's interval there lies on."""
+    x_hi, y_lo = x(w.index).hi, y(w.index).lo
+    n = least_index(lambda n: z(n).width < y_lo - x_hi, w.index, None)
+    return Split(SplitSide.LEFT_IS_LESS if x_hi < z(n).lo else SplitSide.RIGHT_IS_LESS, LtWitness(n))
+
+
+def diagonal_oracle(xs) -> CReal:
+    """``diagonal``: interval n + 1 is the third of interval n that avoids input real n, read
+    at its least index narrower than 3^-(n+1), within 4(n+2) indices unless it is direct."""
+    def step(prev, n):
+        lo, hi = prev
+        one_third, two_thirds = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
+        x = xs(n)
+        budget = None if x._direct else 4 * (n + 2)
+        m = least_index(lambda m: x.interval(m).width < Fraction(1, 3 ** (n + 1)), 0, budget)
+        if m is None:
+            raise FuelExhausted(
+                f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")
+        lower = one_third < x.interval(m).lo
+        return RationalInterval(lo, one_third) if lower else RationalInterval(two_thirds, hi)
+    return CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
+
+
+# --- interval arithmetic: expression trees, evaluated exactly ----------------------------
+#
+# A tree is a nested tuple: ("q", q) a rational; ("sqrt2",); ("rho0", spec) or ("rho1", spec)
+# over a FugitiveSpec; ("iv", lo, hi) the caller generator of [lo, hi] at every index, its ends
+# of any type; ("gen", v, s) the caller generator of [v - s 2^-n, v + s 2^-n], reversed for
+# s = -1; ("at", bps, nodes, t) the value at t of the pwl map through the node trees ``nodes``
+# at the breakpoints ``bps``; and ("neg", a), ("abs", a), ("+", a, b), ("-", a, b), ("*", a, b).
+
+_UNARY = {"neg": operator.neg, "abs": abs}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_OPERATORS = {**_UNARY, **_BINARY}
+
+
+def tree_real(t: tuple, made: dict | None = None) -> CReal:
+    """The library's real of a tree.  ``made`` holds the reals built so far by the id of
+    their subtree, so that a subtree met twice (and a map's nodes) is one real."""
+    made = {} if made is None else made
+    if id(t) in made:
+        return made[id(t)]
+    kind, *args = t
+    if kind == "q":
+        real = CReal.from_rational(args[0])
+    elif kind == "sqrt2":
+        real = sqrt2()
+    elif kind in ("rho0", "rho1"):
+        real = (rho0 if kind == "rho0" else rho1)(args[0])
+    elif kind in ("iv", "gen"):  # the caller generator of the leaf's intervals
+        real = CReal(lambda n: _tree_interval(t, n, None))
+    elif kind == "at":
+        bps, nodes, point = args
+        if id(nodes) not in made:
+            made[id(nodes)] = pwl(PiecewiseLinearSpec(bps, tuple(tree_real(u, made) for u in nodes)))
+        real = made[id(nodes)].at(point)
+    else:
+        real = _OPERATORS[kind](*(tree_real(u, made) for u in args))
+    made[id(t)] = real
+    return real
+
+
+def tree_direct(t: tuple) -> bool:
+    """Whether a tree's real is direct: it has no caller generator."""
+    kind, *args = t
+    parts = args[1] if kind == "at" else [u for u in args if isinstance(u, tuple)]
+    return kind not in ("iv", "gen") and all(map(tree_direct, parts))
+
+
+def tree_reader(t: tuple, memo: dict | None = None):
+    """n -> interval n of a tree's real, by exact rational interval arithmetic on the
+    intervals that define its leaves: what the library's integer kernels must compute.
+    Memoized per (subtree, n) in ``memo``; an operator's ends are Fractions."""
+    memo = {} if memo is None else memo
+    return lambda n: _read(t, n, memo)
+
+
+def _read(t, n, memo):
+    key = id(t), n
+    if key not in memo:
+        memo[key] = _tree_interval(t, n, memo)
+    return memo[key]
+
+
+def tree_node(t: tuple, memo: dict | None = None):
+    """A tree as the oracles read a real: its exact ``interval`` reads and ``_direct``."""
+    return types.SimpleNamespace(interval=tree_reader(t, memo), _direct=tree_direct(t))
+
+
+def _tree_interval(t, n, memo):
+    kind, *args = t
+    if kind == "q":
+        q, h = Fraction(args[0]), half_pow(n)
+        return RationalInterval(q - h, q + h)
+    if kind == "sqrt2":  # the dyadic interval of width 2^-n holding sqrt2
+        a = math.isqrt(2 * 4 ** n)
+        return RationalInterval(Fraction(a, 2 ** n), Fraction(a + 1, 2 ** n))
+    if kind in ("rho0", "rho1"):  # pinned to +-2^-k once the fugitive k is seen
+        k = least_index(lambda j: args[0].indicator[j] != 0, 0, n)
+        if k is None:
+            return RationalInterval(-half_pow(n), half_pow(n))
+        v = half_pow(k) if kind == "rho0" or k % 2 == 0 else -half_pow(k)
+        return RationalInterval(v, v)
+    if kind == "iv":
+        return RationalInterval(*args)
+    if kind == "gen":
+        return RationalInterval(args[0] - args[1] * half_pow(n), args[0] + args[1] * half_pow(n))
+    if kind == "at":
+        bps, nodes, point = args
+        if id(nodes) not in memo:
+            memo[id(nodes)] = pwl_oracle(bps, [tree_node(u, memo) for u in nodes])
+        return memo[id(nodes)].value(point, n)
+    a = _read(args[0], n, memo)
+    b = _read(args[1], n, memo) if kind in _BINARY else None
+    if kind == "neg":
+        lo, hi = -a.hi, -a.lo
+    elif kind == "abs":  # {|v| : v in a}
+        lo, hi = max(0, a.lo, -a.hi), max(abs(a.lo), abs(a.hi))
+    elif kind == "+":
+        lo, hi = a.lo + b.lo, a.hi + b.hi
+    elif kind == "-":
+        lo, hi = a.lo - b.hi, a.hi - b.lo
+    else:
+        products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+        lo, hi = min(products), max(products)
+    return RationalInterval(Fraction(lo), Fraction(hi))
+
+
+_REAL_LEAVES = (lambda rng: ("q", Fraction(rng.randint(-16, 16), rng.randint(1, 16))),) * 2 + (
+    lambda rng: ("rho0", random_indicator(rng)),
+    lambda rng: ("rho1", random_indicator(rng)),
+    lambda rng: ("sqrt2",))
+
+
+def random_tree(rng: random.Random, depth: int, leaves=_REAL_LEAVES,
+                ops=("+", "-", "*", "abs")) -> tuple:
+    """A random tree of at most ``depth`` operator levels: a node is a leaf, drawn by one
+    of ``leaves``, at depth 0 and otherwise with probability 0.3, else one of ``ops``."""
     if depth == 0 or rng.random() < 0.3:
-        kind = rng.choice(["rational", "rational", "rho0", "rho1", "sqrt2"])
-        if kind == "rational":
-            q = Fraction(rng.randint(-16, 16), rng.randint(1, 16))
-            return CReal.from_rational(q), Fraction(2), abs(q) + 1
-        if kind == "rho0":
-            return rho0(random_indicator(rng)), Fraction(2), Fraction(1)
-        if kind == "rho1":
-            return rho1(random_indicator(rng)), Fraction(2), Fraction(1)
-        return sqrt2(), Fraction(1), Fraction(2)
-    op = rng.choice(["add", "sub", "mul", "abs"])
-    x, cx, mx = random_real_tree(rng, depth - 1)
-    if op == "abs":
-        return abs(x), cx, mx
-    y, cy, my = random_real_tree(rng, depth - 1)
-    if op == "add":
-        return x + y, cx + cy, mx + my
-    if op == "sub":
-        return x - y, cx + cy, mx + my
-    return x * y, mx * cy + my * cx, mx * my
+        return rng.choice(leaves)(rng)
+    op = rng.choice(ops)
+    return (op, *(random_tree(rng, depth - 1, leaves, ops) for _ in range(1 if op in _UNARY else 2)))
+
+
+def random_real_tree(rng: random.Random, depth: int) -> tuple[CReal, Fraction, Fraction]:
+    """A random tree's real, with (rate, magnitude): ``rate`` bounds the width at index
+    n by rate * 2^-n, ``magnitude`` bounds both endpoints of every interval in absolute value."""
+    t = random_tree(rng, depth)
+    return (tree_real(t), *_bounds(t))
+
+
+def _bounds(t):
+    kind, *args = t
+    if kind == "q":
+        return Fraction(2), abs(args[0]) + 1
+    if kind == "sqrt2":
+        return Fraction(1), Fraction(2)
+    if kind in ("rho0", "rho1"):
+        return Fraction(2), Fraction(1)
+    (cx, mx), *rest = map(_bounds, args)
+    if not rest:
+        return cx, mx
+    cy, my = rest[0]
+    return (mx * cy + my * cx, mx * my) if kind == "*" else (cx + cy, mx + my)
+
+
+# --- pwl maps: interpolation of node intervals ---------------------------------------
+
+def pwl_oracle(bps, nodes):
+    """The pwl map through ``nodes`` at the breakpoints ``bps``, as ``value(t, p)`` and
+    ``enclose(iv, p)``.  The value at the rational t and precision p: at t's place lam on a
+    piece [b_i, b_i+1] holding it, each end is (1 - lam) and lam of those of the two nodes'
+    intervals of width <= 2^-(p+2).  The enclosure: the hull of the values at iv's ends and
+    at the breakpoints inside it, the image of iv, as the map is linear between them.  A
+    node has ``interval(n)`` and ``_direct``; one that is not direct is read within 96
+    indices.  Each node interval is found once per precision."""
+    @functools.cache
+    def node(k, q):
+        return approx_oracle(nodes[k].interval, q, None if nodes[k]._direct else 96)
+
+    def value(t, p):
+        i = max(k for k in range(len(bps) - 1) if bps[k] <= t)
+        lam = (t - bps[i]) / (bps[i + 1] - bps[i])
+        a, b = node(i, p + 2), node(i + 1, p + 2)
+        return RationalInterval((1 - lam) * a.lo + lam * b.lo, (1 - lam) * a.hi + lam * b.hi)
+
+    def enclose(iv, p):
+        parts = [value(t, p) for t in (iv.lo, *(t for t in bps if iv.lo < t < iv.hi), iv.hi)]
+        return RationalInterval(min(part.lo for part in parts), max(part.hi for part in parts))
+    return types.SimpleNamespace(value=value, enclose=enclose)
+
+
+# --- the intermediate-value procedures: one bisection ------------------------------------
+
+def ivt_oracle(pick, depth: int) -> CReal:
+    """The point the three procedures build: [0, 1] bisected, [lo, hi] becoming [q, hi] when
+    pick(lo, hi) = (q, True), f(q) below y, and [lo, q] when it is (q, False); the first
+    ``depth`` steps are taken at once, the others when read."""
+    def step(prev, _n):
+        q, below = pick(*prev)
+        return RationalInterval(q, prev.hi) if below else RationalInterval(prev.lo, q)
+    x = CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
+    x.interval(depth)
+    return x
+
+
+def approx_pick(f_at, y, p: int, fuel: int):
+    """``approx_ivt``'s pick over f_at(q, n), f(q) at precision n, and y's interval reads:
+    the midpoint m, read at the least level in 0..fuel where f(m) and y are both narrower
+    than eps = 2^-(p+1); f(m) is below y when f(m).hi < y.lo + eps there."""
+    eps = half_pow(p + 1)
+
+    def pick(lo, hi):
+        m = (lo + hi) / 2
+        level = least_index(lambda n: y(n).width < eps and f_at(m, n).width < eps, 0, fuel)
+        if level is None:
+            raise FuelExhausted("enclosures did not narrow; malformed map or real")
+        return m, f_at(m, level).hi < y(level).lo + eps
+    return pick
+
+
+def witness_pick(f_at, y, ask, thirds: bool):
+    """The pick of ``ivt_locally_nonconstant`` (thirds: ask(a, b) gives q strictly inside the
+    middle third (a, b) and a witness w of f(q) # y) or of ``ivt_countable_exceptions`` (ask(m)
+    gives w at the midpoint m): f(q) is below y as w says, once w's index shows it."""
+    source = "oracle" if thirds else "apartness"
+
+    def pick(lo, hi):
+        if thirds:
+            a, b = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
+            q, w = ask(a, b)
+            if not a < q < b:
+                raise ValueError(f"oracle point {q} outside the middle third ({a}, {b})")
+        else:
+            q = (lo + hi) / 2
+            w = ask(q)
+        less, z, v = w.direction is Direction.LESS, f_at(q, w.witness.index), y(w.witness.index)
+        if not (z.hi < v.lo if less else v.hi < z.lo):
+            raise ValueError(f"{source} witness failed verification")
+        return q, less
+    return pick
+
+
+# Rationals as ints and as Fractions, some with numerators and denominators of 200 bits.
+rationals = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200)))
 
 
 def fuel_for(rate: Fraction, p: int) -> int:

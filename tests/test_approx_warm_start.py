@@ -1,8 +1,8 @@
 """CReal.approx starts its scan at the least index of its last successful call.
 
-Every answer must equal a fresh linear scan from index 0: the same interval,
-or the same exception with the same message, whatever the order of the
-precisions, the fuel, and whether the generator is nested or raises.
+Every answer must equal ``conftest.approx_oracle``, a fresh scan from index 0:
+the same interval, or the same exception with the same message, whatever the
+order of the precisions, the fuel, and whether the generator is nested or raises.
 """
 
 from fractions import Fraction
@@ -10,9 +10,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import race, spike
+from conftest import approx_oracle, logged, outcome, race, rationals, spike
 from conreal import CReal, FuelExhausted, RationalInterval, f0, rho1, sqrt2
-from conreal.real import _narrow, _triple_of, half_pow, half_pow_text
+from conreal.real import _narrow, _triple_of, half_pow
 
 
 class _Broken(Exception):
@@ -31,22 +31,6 @@ def _generator(exps, raise_from):
     return generate
 
 
-def _linear(generate, p, fuel):
-    """The scan from index 0 that approx made before it kept its place."""
-    for n in range(fuel + 1):
-        iv = generate(n)
-        if iv.width <= half_pow(p):
-            return iv
-    raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
-
-
-def _outcome(call):
-    try:
-        return call()
-    except (FuelExhausted, _Broken) as e:
-        return type(e), str(e)
-
-
 @settings(max_examples=300, deadline=None)
 @given(exps=st.lists(st.integers(-3, 10), min_size=1, max_size=20),
        raise_from=st.none() | st.integers(0, 30),
@@ -55,7 +39,8 @@ def test_approx_matches_linear_scan(exps, raise_from, calls):
     generate = _generator(exps, raise_from)
     shared = CReal(generate)
     for p, fuel in calls:
-        assert _outcome(lambda: shared.approx(p, fuel)) == _outcome(lambda: _linear(generate, p, fuel))
+        assert (outcome(lambda: shared.approx(p, fuel))
+                == outcome(lambda: approx_oracle(generate, p, fuel)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,18 +50,12 @@ def test_approx_on_library_reals_matches_linear_scan(calls):
                  lambda: CReal.from_rational(Fraction(2, 7)) + rho1(spike(5))):
         shared, fresh = make(), make()
         for p, fuel in calls:
-            assert (_outcome(lambda: shared.approx(p, fuel))
-                    == _outcome(lambda: _linear(fresh.interval, p, fuel)))
-
-
-_endpoints = st.one_of(
-    st.integers(-2 ** 80, 2 ** 80),
-    st.fractions(),
-    st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200)))
+            assert (outcome(lambda: shared.approx(p, fuel))
+                    == outcome(lambda: approx_oracle(fresh.interval, p, fuel)))
 
 
 @settings(max_examples=1000, deadline=None)
-@given(a=_endpoints, b=_endpoints, p=st.integers(-70, 300),
+@given(a=rationals, b=rationals, p=st.integers(-70, 300),
        shape=st.sampled_from(["pair", "point", "edge"]), nudge=st.integers(-1, 1))
 def test_narrow_is_the_width_test(a, b, p, shape, nudge):
     # Int and Fraction endpoints, zero width, negative ends, large denominators,
@@ -90,36 +69,26 @@ def test_narrow_is_the_width_test(a, b, p, shape, nudge):
     assert _narrow(hi - lo, den, p) == (iv.width <= half_pow(p))
 
 
-class _Counting(CReal):
-    def __init__(self, generate):
-        super().__init__(generate)
-        self.reads = 0
-
-    def interval(self, n):
-        self.reads += 1
-        return super().interval(n)
-
-
 def test_rising_precisions_read_linearly_many_intervals():
-    x = _Counting(lambda n: RationalInterval(Fraction(0), Fraction(1, 1 << n)))
+    x = logged(CReal(lambda n: RationalInterval(Fraction(0), Fraction(1, 1 << n))))
     for p in range(61):
         assert x.approx(p, 64) == RationalInterval(Fraction(0), Fraction(1, 1 << p))
     # One read at p = 0, then the last answer and the next index: 121.
     # A scan from 0 at every precision reads 1 + 2 + ... + 61 = 1891.
-    assert x.reads <= 3 * 61
+    assert len(x.log) <= 3 * 61
 
 
 def test_fuel_below_remembered_index_exhausts_with_the_same_message():
-    x = _Counting(lambda n: RationalInterval(Fraction(0), Fraction(1, 1 << n)))
+    x = logged(CReal(lambda n: RationalInterval(Fraction(0), Fraction(1, 1 << n))))
     x.approx(30, 64)
-    reads = x.reads
+    reads = len(x.log)
     try:
         x.approx(31, 20)
     except FuelExhausted as e:
         assert str(e) == "no interval of width <= 2^-31 within 20 indices"
     else:
         raise AssertionError("fuel 20 cannot reach index 31")
-    assert x.reads == reads
+    assert len(x.log) == reads
 
 
 def _build():
@@ -141,8 +110,8 @@ def _queries():
 def _answer(real, f, query):
     kind, a, b = query
     if kind == "approx":
-        return _outcome(lambda: real.approx(a, b))
-    return _outcome(lambda: f.enclose(a, b))
+        return outcome(lambda: real.approx(a, b))
+    return outcome(lambda: f.enclose(a, b))
 
 
 def test_racing_threads_match_serial_run():

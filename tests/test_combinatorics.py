@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import arrow_star_oracle
+from conftest import avoiding_oracle, relatively_large
 from conreal import (Coloring, DicksonInstance, NatStream, TooLarge,
                      almost_full_witness, arrow_check, arrow_star_check,
                      avoiding_coloring, dickson_witness, euclid_extend,
@@ -151,14 +151,14 @@ def test_k6_always_has_mono_triangle():
 def test_arrow_star_smallest_for_one():
     # The least M with the relatively-large property at (n, k, r) = (1, 1, 2),
     # computed by the independent oracle, is 2.
-    verdicts = [arrow_star_oracle(M, 1, 1, 2) for M in range(1, 5)]
+    verdicts = [avoiding_oracle(M, 1, 1, 2, True) is None for M in range(1, 5)]
     assert verdicts == [False, True, True, True]
     assert [arrow_star_check(M, 1, 1, 2) for M in range(1, 5)] == verdicts
 
 
 def test_arrow_star_direct_instance():
     assert arrow_star_check(3, 1, 1, 1) is True
-    assert arrow_star_oracle(3, 1, 1, 1) is True
+    assert avoiding_oracle(3, 1, 1, 1, True) is None
 
 
 def test_arrow_star_monotone_in_M():
@@ -235,23 +235,6 @@ def test_monochromatic_witness_matches_counterexample_status():
         assert (found is not None) == brute
 
 
-def _relatively_large(M, n):
-    return [(p,) + rest for p in range(n, M) for rest in itertools.combinations(range(p + 1, M), p - 1)]
-
-
-def _enumerate_colorings(M, n, k, r, star):
-    """The former checker, returning evidence: the first coloring, in the
-    lexicographic order of the color lists, with no monochromatic candidate."""
-    slots = list(itertools.combinations(range(M), k))
-    index = {s: i for i, s in enumerate(slots)}
-    tuples = _relatively_large(M, n) if star else itertools.combinations(range(M), n)
-    candidates = [[index[u] for u in itertools.combinations(t, k)] for t in tuples]
-    for colors in itertools.product(range(r), repeat=len(slots)):
-        if not any(len({colors[s] for s in subs}) == 1 for subs in candidates):
-            return list(colors)
-    return None
-
-
 def test_ramsey_search_matches_enumeration():
     cases = 0
     for M in range(1, 13):
@@ -261,7 +244,7 @@ def test_ramsey_search_matches_enumeration():
                     continue
                 for n in range(k, M + 1):
                     for star, check in ((False, arrow_check), (True, arrow_star_check)):
-                        first = _enumerate_colorings(M, n, k, r, star)
+                        first = avoiding_oracle(M, n, k, r, star)
                         assert check(M, n, k, r) is (first is None), (M, n, k, r, star)
                         assert avoiding_coloring(M, n, k, r, star) == first, (M, n, k, r, star)
                         cases += 1
@@ -296,7 +279,7 @@ def test_avoiding_colorings_have_no_monochromatic_witness():
         if not star:
             assert monochromatic_witness(c, M, n) is None, (M, n, k, r)
             continue
-        for t in _relatively_large(M, n):
+        for t in relatively_large(M, n):
             through_t = Coloring(r, k, lambda u, t=t: c.assign(tuple(t[i] for i in u)))
             assert monochromatic_witness(through_t, len(t), len(t)) is None, (M, n, k, r, t)
     assert found[False] > 50 and found[True] > 50

@@ -2,10 +2,9 @@
 
 Direct reals (library formulas) are searched by galloping, every other real
 one index at a time.  Either way each answer, witness and error must be the
-one a linear scan from the start gives.
+one ``conftest.least_index``, a scan from the start, gives.
 """
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spike
+from conftest import (apart_oracle, approx_oracle, diagonal_oracle, least_index, logged, lt_oracle,
+                      outcome, random_tree, slow, spike, split_oracle, tree_real)
 from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, LtWitness,
-                     NatStream, RationalInterval, Split, SplitSide, approx_ivt, cantor_point,
-                     cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, rho0,
+                     NatStream, PiecewiseLinearSpec, RationalInterval, approx_ivt, cantor_point,
+                     cotrans_split, diagonal, identity_map, pattern_indicator, pi_digits, pwl, rho0,
                      rho1, sqrt2, try_apart, try_lt)
-from conreal.real import (_first_index, _narrow, _triple_of, _width_scan, half_pow,
-                          half_pow_text)
+from conreal.real import _first_index, _narrow, _triple_of, _width_scan, half_pow
 
 
 def _search(threshold, lo, hi, gallop, start=None):
@@ -47,8 +46,7 @@ def test_first_index_finds_the_least_index(lo, span, offset, probe, gallop):
     start = None if probe is None else lo + probe
     answer, reads = _search(threshold, lo, hi, gallop, start)
     end = max(lo, threshold) if hi is None else hi
-    assert answer == next((n for n in range(lo, end + 1)
-                           if threshold is not None and n >= threshold), None)
+    assert answer == least_index(lambda n: threshold is not None and n >= threshold, lo, end)
     assert len(reads) == len(set(reads))
     assert all(lo <= n and (hi is None or n <= hi) for n in reads)
     if start is not None and start <= lo:
@@ -99,85 +97,19 @@ def test_probe_read_orders():
 
 _LEAVES = st.one_of(
     st.tuples(st.just("q"), st.fractions(min_value=-4, max_value=4, max_denominator=9)),
-    st.tuples(st.just("sqrt2"), st.none()),
-    st.tuples(st.sampled_from(["rho0", "rho1"]), st.none() | st.integers(0, 24)))
+    st.just(("sqrt2",)),
+    st.tuples(st.sampled_from(["rho0", "rho1"]), (st.none() | st.integers(0, 24)).map(spike)))
 _OPS = st.tuples(st.sampled_from(["+", "-", "*", "abs", "neg"]), st.integers(0, 99), st.integers(0, 99))
 
 
 def _build(leaves, ops):
-    nodes = []
-    for kind, arg in leaves:
-        if kind == "q":
-            nodes.append(CReal.from_rational(arg))
-        elif kind == "sqrt2":
-            nodes.append(sqrt2())
-        else:
-            nodes.append((rho0 if kind == "rho0" else rho1)(spike(arg)))
+    """The reals of a graph of trees: the leaves, then each op over earlier trees."""
+    trees = list(leaves)
     for op, i, j in ops:
-        a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
-        nodes.append({"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-                      "abs": lambda: abs(a), "neg": lambda: -a}[op]())
-    return nodes
-
-
-def _outcome(call):
-    try:
-        return call()
-    except FuelExhausted as e:
-        return FuelExhausted, str(e)
-
-
-# Linear references: the scans the library made before it galloped.
-
-def _linear_approx(x, p, fuel):
-    for n in range(fuel + 1):
-        iv = x.interval(n)
-        if iv.width <= half_pow(p):
-            return iv
-    raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
-
-
-def _linear_lt(x, y, fuel):
-    for n in range(fuel + 1):
-        if x.interval(n).hi < y.interval(n).lo:
-            return LtWitness(n)
-    return None
-
-
-def _linear_apart(x, y, fuel):
-    for n in range(fuel + 1):
-        a, b = x.interval(n), y.interval(n)
-        if a.hi < b.lo:
-            return Apartness(Direction.LESS, LtWitness(n))
-        if b.hi < a.lo:
-            return Apartness(Direction.GREATER, LtWitness(n))
-    return None
-
-
-def _linear_split(x, y, w, z):
-    x_hi, y_lo = x.interval(w.index).hi, y.interval(w.index).lo
-    n = w.index
-    while z.interval(n).width >= y_lo - x_hi:
-        n += 1
-    side = SplitSide.LEFT_IS_LESS if x_hi < z.interval(n).lo else SplitSide.RIGHT_IS_LESS
-    return Split(side, LtWitness(n))
-
-
-def _linear_diagonal(xs):
-    def step(prev, n):
-        lo, hi = prev
-        one_third, two_thirds = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
-        xn = xs(n)
-        budget = None if xn._direct else 4 * (n + 2)
-        for m in itertools.count() if budget is None else range(budget + 1):
-            iv = xn.interval(m)
-            if iv.width < Fraction(1, 3 ** (n + 1)):
-                break
-        else:
-            raise FuelExhausted(
-                f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")
-        return RationalInterval(lo, one_third) if one_third < iv.lo else RationalInterval(two_thirds, hi)
-    return CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
+        a, b = trees[i % len(trees)], trees[j % len(trees)]
+        trees.append((op, a) if op in ("abs", "neg") else (op, a, b))
+    made = {}
+    return [tree_real(t, made) for t in trees]
 
 
 _GRAPHS = dict(leaves=st.lists(_LEAVES, min_size=1, max_size=5),
@@ -196,17 +128,17 @@ def test_galloping_matches_linear_on_direct_graphs(leaves, ops, calls):
     k = len(nodes)
     for kind, i, j, m, p, fuel in calls:
         x, y, z = nodes[i % k], nodes[j % k], nodes[m % k]
-        rx, ry, rz = fresh[i % k], fresh[j % k], fresh[m % k]
+        rx, ry, rz = fresh[i % k].interval, fresh[j % k].interval, fresh[m % k].interval
         if kind == "approx":
-            assert _outcome(lambda: x.approx(p, fuel)) == _outcome(lambda: _linear_approx(rx, p, fuel))
+            assert outcome(lambda: x.approx(p, fuel)) == outcome(lambda: approx_oracle(rx, p, fuel))
         elif kind == "lt":
-            assert try_lt(x, y, fuel) == _linear_lt(rx, ry, fuel)
+            assert try_lt(x, y, fuel) == lt_oracle(rx, ry, fuel)
         elif kind == "apart":
-            assert try_apart(x, y, fuel) == _linear_apart(rx, ry, fuel)
+            assert try_apart(x, y, fuel) == apart_oracle(rx, ry, fuel)
         else:
-            w = _linear_lt(rx, ry, fuel)
+            w = lt_oracle(rx, ry, fuel)
             if w is not None:
-                assert cotrans_split(x, y, w, z) == _linear_split(rx, ry, w, rz)
+                assert cotrans_split(x, y, w, z) == split_oracle(rx, ry, w, rz)
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,7 +149,7 @@ def test_try_apart_answers_the_same_from_every_probe(leaves, ops, i, j, fuel):
     # of no probe, and the answer's index is recorded on both reals.
     nodes, fresh = _build(leaves, ops), _build(leaves, ops)
     x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
-    expected = _linear_apart(fresh[i % len(fresh)], fresh[j % len(fresh)], fuel)
+    expected = apart_oracle(fresh[i % len(fresh)].interval, fresh[j % len(fresh)].interval, fuel)
     for start in [None, *range(fuel + 6), 10 ** 6]:
         for owner, other in ((y, x), (x, y)):
             other._witness, owner._witness = None, start
@@ -244,32 +176,41 @@ def test_try_apart_on_a_real_that_is_not_direct_ignores_the_probe():
         assert reads_of(start, True) == reads_of(start, False) == linear
 
 
+def test_a_caller_generator_is_read_in_order_under_an_operator_and_as_a_pwl_node():
+    # Each scan reads it one index at a time, up to the index the scan answers.
+    calls = []
+
+    def third(n):  # 1/3 -+ 2^-n
+        calls.append(n)
+        return RationalInterval(Fraction(1, 3) - half_pow(n), Fraction(1, 3) + half_pow(n))
+
+    x = CReal(third) + CReal.from_rational(1)  # width 2^(2-n)
+    assert x.approx(5, 40).width == half_pow(5) and calls == list(range(8))
+    assert try_lt(x, CReal.from_rational(2), 40) == LtWitness(3) and calls == list(range(8))
+    del calls[:]
+    # f(1/2) at index n reads the node at precision n + 2, its index n + 3.
+    f = pwl(PiecewiseLinearSpec((0, 1), (CReal(third), CReal.from_rational(1))))
+    assert f.at(Fraction(1, 2)).approx(4, 40).width == half_pow(4) and calls == list(range(6))
+
+
 @settings(max_examples=60, deadline=None)
 @given(**_GRAPHS)
 def test_diagonal_of_direct_reals_matches_the_linear_scan(leaves, ops):
     nodes, fresh = _build(leaves, ops), _build(leaves, ops)
     new = diagonal(lambda n: nodes[n % len(nodes)])
-    old = _linear_diagonal(lambda n: fresh[n % len(fresh)])
+    old = diagonal_oracle(lambda n: fresh[n % len(fresh)])
     for n in range(21):
-        assert _outcome(lambda: new.interval(n)) == _outcome(lambda: old.interval(n))
+        assert outcome(lambda: new.interval(n)) == outcome(lambda: old.interval(n))
 
 
 # Probes: a width scan against a bound of about 2^-bits starts a direct real's gallop
 # at index max(lo, bits), moved up by the halvings a too-wide probe's width needs.
 # A probe far off costs reads, never a different answer or a read past the fuel.
 
-class _CountingDirect(CReal):
-    """A direct real that lists the indices whose triples are read through it."""
-
-    _direct = True
-
-    def __init__(self, real):
-        super().__init__(real.interval)
-        self.reads = []
-
-    def _ends(self, n):
-        self.reads.append(n)
-        return super()._ends(n)
+def _direct(real):
+    """real scanned as a direct real is: galloping, from a probe placed by its width."""
+    real._direct = True
+    return real
 
 
 def test_cotrans_split_probes_the_bits_of_a_gap_above_the_witness():
@@ -277,9 +218,9 @@ def test_cotrans_split_probes_the_bits_of_a_gap_above_the_witness():
     x, y = CReal.from_rational(0), CReal.from_rational(Fraction(1, 2 ** 9) + Fraction(1, 2 ** 60))
     w = LtWitness(10)
     assert y.interval(10).lo - x.interval(10).hi == Fraction(1, 2 ** 60)
-    z = _CountingDirect(sqrt2())
-    assert cotrans_split(x, y, w, z) == _linear_split(x, y, w, sqrt2())
-    assert z.reads[0] == 60
+    z = logged(sqrt2())
+    assert cotrans_split(x, y, w, z) == split_oracle(x.interval, y.interval, w, sqrt2().interval)
+    assert z.log[0] == 60
 
 
 def test_diagonal_over_fast_and_slow_reals_matches_the_linear_scan():
@@ -289,7 +230,7 @@ def test_diagonal_over_fast_and_slow_reals_matches_the_linear_scan():
             q = q * CReal.from_rational(2 ** 40) * CReal.from_rational(Fraction(1, 2 ** 40))
         return q
 
-    new, old = diagonal(xs), _linear_diagonal(xs)
+    new, old = diagonal(xs), diagonal_oracle(xs)
     for n in range(30):
         assert new.interval(n) == old.interval(n)
 
@@ -297,14 +238,14 @@ def test_diagonal_over_fast_and_slow_reals_matches_the_linear_scan():
 def test_approx_with_fuel_below_p_reads_nothing_past_the_fuel():
     for make in (sqrt2, lambda: CReal.from_rational(Fraction(2, 7)), lambda: sqrt2() * sqrt2()):
         for p, fuel in ((30, 10), (30, 29), (5, 1), (60, 40)):
-            x = _CountingDirect(make())
-            got = _outcome(lambda: x.approx(p, fuel))
-            assert got == _outcome(lambda: _linear_approx(make(), p, fuel))
-            assert got[0] is FuelExhausted and max(x.reads) <= fuel
+            x = logged(make())
+            got = outcome(lambda: x.approx(p, fuel))
+            assert got == outcome(lambda: approx_oracle(make().interval, p, fuel))
+            assert got[0] is FuelExhausted and max(x.log) <= fuel
             # Warm: the last answer is the lower bound, the probe p is clamped to the fuel.
             x.approx(p - 20, None)
-            del x.reads[:]
-            assert _outcome(lambda: x.approx(p, fuel)) == got and all(n <= fuel for n in x.reads)
+            del x.log[:]
+            assert outcome(lambda: x.approx(p, fuel)) == got and all(n <= fuel for n in x.log)
 
 
 def test_unresolved_rho0_reads_no_pi_digit_past_the_fuel():
@@ -315,32 +256,28 @@ def test_unresolved_rho0_reads_no_pi_digit_past_the_fuel():
         assert spec._clear <= fuel + 1
 
 
-def _slow_third(n):  # 1/3 -+ 2^-(n // 4): the width halves every fourth index
-    return RationalInterval(Fraction(1, 3) - half_pow(n // 4), Fraction(1, 3) + half_pow(n // 4))
-
-
 def _late_point(n):  # [0, 1] up to index 39, then the point 1/2
     return RationalInterval(Fraction(0), Fraction(1)) if n < 40 else RationalInterval(
         Fraction(1, 2), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("make", [lambda: CReal(_slow_third), lambda: CReal(_late_point),
-                                  lambda: rho0(spike(45))], ids=["slow", "late_point", "rho0"])
+@pytest.mark.parametrize("make", [lambda: _direct(CReal(slow(Fraction(1, 3), 4))),
+                                  lambda: _direct(CReal(_late_point)), lambda: rho0(spike(45))],
+                         ids=["slow", "late_point", "rho0"])
 def test_a_width_that_does_not_halve_per_index_moves_only_the_reads(make):
     # The jump from the probe assumes one halving per index; these widths break
     # that rule, so the scans must still find the least index and stay within the fuel.
     for p, fuel in ((4, 60), (10, 60), (30, 200), (60, 200), (10, 30), (30, 41), (-2, 5)):
-        x = _CountingDirect(make())
-        got = _outcome(lambda: x.approx(p, fuel))
-        assert got == _outcome(lambda: _linear_approx(make(), p, fuel))
-        assert max(x.reads) <= fuel and len(x.reads) == len(set(x.reads))
+        x = logged(make())
+        got = outcome(lambda: x.approx(p, fuel))
+        assert got == outcome(lambda: approx_oracle(make().interval, p, fuel))
+        assert max(x.log) <= fuel and len(x.log) == len(set(x.log))
     for lo, hi in ((Fraction(-1), Fraction(1, 3) - half_pow(20)), (Fraction(-3), Fraction(-1, 1000))):
-        x, y = CReal.from_rational(lo), CReal.from_rational(hi)
-        w = _linear_lt(x, y, 40)
-        z = _CountingDirect(make())
-        assert cotrans_split(x, y, w, z) == _linear_split(x, y, w, make())
-    new, old = (diagonal(lambda n: _CountingDirect(make())),
-                _linear_diagonal(lambda n: _CountingDirect(make())))
+        x, y = CReal.from_rational(lo).interval, CReal.from_rational(hi).interval
+        w = lt_oracle(x, y, 40)
+        assert cotrans_split(CReal.from_rational(lo), CReal.from_rational(hi), w, make()) == \
+            split_oracle(x, y, w, make().interval)
+    new, old = diagonal(lambda n: make()), diagonal_oracle(lambda n: make())
     for n in range(12):
         assert new.interval(n) == old.interval(n)
 
@@ -352,8 +289,9 @@ def test_width_scan_finds_the_least_index_from_any_probe(kind, lo, span, t, bits
     # bits is only where the gallop starts: below lo, inside lo..hi, past hi or
     # negative, and far from the bound 2^-t that ok tests.
     make = [lambda: CReal.from_rational(Fraction(2, 7)), sqrt2,
-            lambda: sqrt2() * CReal.from_rational(Fraction(1000, 3)), lambda: CReal(_slow_third),
-            lambda: CReal(_late_point), lambda: rho0(spike(45))][kind]
+            lambda: sqrt2() * CReal.from_rational(Fraction(1000, 3)),
+            lambda: _direct(CReal(slow(Fraction(1, 3), 4))), lambda: _direct(CReal(_late_point)),
+            lambda: rho0(spike(45))][kind]
     hi = None if span is None else lo + span
 
     def ok(diff, den):
@@ -363,12 +301,11 @@ def test_width_scan_finds_the_least_index_from_any_probe(kind, lo, span, t, bits
         lo_num, hi_num, den = _triple_of(iv)
         return hi_num - lo_num, den
 
-    x, fresh = _CountingDirect(make()), make()
-    expected = next((n for n in (itertools.count(lo) if hi is None else range(lo, hi + 1))
-                     if ok(*width(fresh.interval(n)))), None)
-    assert _width_scan(x, ok, lo, hi, bits) == expected
-    assert all(lo <= n and (hi is None or n <= hi) for n in x.reads)
-    assert len(x.reads) == len(set(x.reads))
+    x, fresh = logged(make()), make()
+    assert _width_scan(x, ok, lo, hi, bits) == least_index(lambda n: ok(*width(fresh.interval(n))),
+                                                           lo, hi)
+    assert all(lo <= n and (hi is None or n <= hi) for n in x.log)
+    assert len(x.log) == len(set(x.log))
 
 
 # Read counts, deterministic.  Galloping from 0 with no probe, diagonal to step
@@ -389,25 +326,20 @@ def test_diagonal_reads_half_the_input_intervals_of_a_search_from_zero():
     assert sum(len(x._cache) for x in made) <= 120
 
 
-def _random_tree(rng, leaves):
-    """A random tree over + - * abs neg with ``leaves`` leaves, up to 240 in size."""
-    if leaves == 1:
-        return sqrt2() if rng.random() < 0.3 else CReal.from_rational(
-            Fraction(rng.randint(0, 240), rng.randint(1, 40)))
-    left = rng.randint(1, leaves - 1)
-    a, b = _random_tree(rng, left), _random_tree(rng, leaves - left)
-    node = rng.choice((lambda: a + b, lambda: a + b, lambda: a - b, lambda: a * b))()
-    wrap = rng.random()
-    return abs(node) if wrap < 0.15 else -node if wrap < 0.25 else node
+# Trees over + - * abs neg whose leaves are rationals up to 240 and sqrt2.
+_WIDE_LEAVES = (lambda rng: ("q", Fraction(rng.randint(0, 240), rng.randint(1, 40))),) * 7 + (
+    lambda rng: ("sqrt2",),) * 3
+_WIDE_OPS = ("+", "+", "-", "*", "abs", "neg")
 
 
 def test_cold_approx_of_a_wide_tree_reads_three_root_intervals():
     # Width constants up to 2^80: probing index p alone read 6.9 intervals on average, up to 10.
     for seed in range(60):
         rng = random.Random(seed)
-        leaves, p, tree_seed = rng.randint(6, 9), rng.randint(180, 240), rng.random()
-        x, fresh = (_random_tree(random.Random(tree_seed), leaves) for _ in range(2))
-        assert x.approx(p, p + 256) == _linear_approx(fresh, p, p + 256)
+        depth, p, tree_seed = rng.randint(3, 4), rng.randint(180, 240), rng.random()
+        t = random_tree(random.Random(tree_seed), depth, _WIDE_LEAVES, _WIDE_OPS)
+        x = tree_real(t)
+        assert x.approx(p, p + 256) == approx_oracle(tree_real(t).interval, p, p + 256)
         assert len(x._cache) <= 3
 
 
@@ -420,31 +352,31 @@ def test_cold_approx_of_a_rational_reads_at_most_four_intervals():
 
 
 def test_falling_precisions_read_a_few_intervals_a_call():
-    x = _CountingDirect(sqrt2() * CReal.from_rational(Fraction(5, 3)))
+    x = logged(sqrt2() * CReal.from_rational(Fraction(5, 3)))
     fresh = sqrt2() * CReal.from_rational(Fraction(5, 3))
     x.approx(40, None)
     for p in range(39, -1, -1):
-        del x.reads[:]
-        assert x.approx(p, None) == _linear_approx(fresh, p, 64)
-        assert len(x.reads) <= 4  # index p, then a gallop down of one or two
+        del x.log[:]
+        assert x.approx(p, None) == approx_oracle(fresh.interval, p, 64)
+        assert len(x.log) <= 4  # index p, then a gallop down of one or two
 
 
 def test_approx_at_a_coarser_precision_probes_index_p():
-    x = _CountingDirect(sqrt2())
+    x = logged(sqrt2())
     x.approx(40, 64)
-    del x.reads[:]
+    del x.log[:]
     assert x.approx(10, 64) == sqrt2().interval(10)
     # Index p is narrow enough and p - 1 is not: no probe at the last answer, 40.
-    assert x.reads == [10, 9]
+    assert x.log == [10, 9]
 
 
 def test_approx_ivt_gallops_to_the_level_of_a_direct_y():
-    y = _CountingDirect(CReal.from_rational(Fraction(1, 3)))
+    y = logged(CReal.from_rational(Fraction(1, 3)))
     x = approx_ivt(identity_map(), y, 8, 64)
     plain = approx_ivt(identity_map(), CReal.from_rational(Fraction(1, 3)), 8, 64)
     assert [x.interval(n) for n in range(20)] == [plain.interval(n) for n in range(20)]
     # y's level 11, the least index narrower than 2^-9, is found from index 9 up.
-    assert min(y.reads) == 9
+    assert min(y.log) == 9
 
 
 # Sequential reals: a read past the answer may raise, so they are scanned in order.

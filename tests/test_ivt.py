@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import race, same_interval, spike
+from conftest import least_index, logged, race, same_interval, spike
 from conreal import (Apartness, ContinuousMap, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
                      NatStream, PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
                      approx_ivt, certified_within, distance_bound,
@@ -98,30 +98,16 @@ def test_pwl_modulus_honesty_random():
                 assert abs(va - vb) <= Fraction(1, 2 ** p)
 
 
-class _CountingReal(CReal):
-    def __init__(self, generate):
-        super().__init__(generate)
-        self.reads = 0
-
-    def interval(self, n):
-        self.reads += 1
-        return super().interval(n)
-
-    def _ends(self, n):
-        self.reads += 1
-        return super()._ends(n)
-
-
 def test_pwl_reads_each_node_once_per_precision():
-    nodes = tuple(_CountingReal.from_rational(q) for q in (0, Fraction(1, 3), 1))
+    nodes = tuple(logged(CReal.from_rational(q)) for q in (0, Fraction(1, 3), 1))
     f = pwl(PiecewiseLinearSpec((Fraction(0), half, Fraction(1)), nodes))
     point = RationalInterval(Fraction(1, 5), Fraction(3, 4))
     first = f.enclose(point, 12)
-    reads = [node.reads for node in nodes]
+    reads = [len(node.log) for node in nodes]
     assert all(reads)
     for _ in range(49):
         assert f.enclose(point, 12) == first
-    assert [node.reads for node in nodes] == reads
+    assert [len(node.log) for node in nodes] == reads
 
 
 def _random_rational_nodes(rng):
@@ -178,17 +164,13 @@ def test_pwl_racing_enclosures_match_serial_run():
     assert all(got == expected for got in race(worker, 6))
 
 
-# Point values of pwl maps: the raw enclosure, read directly.
-
-def _old_point_value(f, q):
-    """f(q) as apply's running intersection of enclosures, the path of a map with no nodes."""
-    q = Fraction(q)
-    return f.apply(CReal(lambda n: RationalInterval(q, q)))
-
+# Point values of pwl maps: the raw enclosure, read directly.  It equals apply's
+# running intersection of the enclosures of [q, q], the path of a map with no nodes.
 
 def _assert_point_values_match(f, points, rng):
     for q in points:
-        new, old = f.at(q), _old_point_value(f, q)
+        q = Fraction(q)
+        new, old = f.at(q), f.apply(CReal(lambda n: RationalInterval(q, q)))
         levels = list(range(61))
         rng.shuffle(levels)  # direct reads come in any order, as galloping makes them
         got = {n: new.interval(n) for n in levels}
@@ -233,8 +215,7 @@ def test_a_map_built_by_hand_with_nodes_takes_its_point_values_from_enclose(dire
 def test_fugitive_map_point_values_equal_running_intersections(build, bps, position):
     f = build(position)
     middles = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
-    _assert_point_values_match(f, list(bps) + middles + [Fraction(7, 19)],
-                               random.Random(position))
+    _assert_point_values_match(f, list(bps) + middles + [Fraction(7, 19)], random.Random(position))
 
 
 @pytest.mark.parametrize("fuel", [94, 128, 200])
@@ -562,18 +543,10 @@ def test_distance_bound_from_the_x_fuel_interval_is_sound(case):
     assert bound >= max(abs(_interpolate(nodes, s) - yv) for s in points)
 
 
-def _ceil_log2_loop(q):
-    # Reference: the doubling loop the closed form replaced.
-    s, v = 0, Fraction(1)
-    while v < q:
-        v *= 2
-        s += 1
-    return s
-
-
 @given(st.fractions(min_value=-4, max_value=1 << 70, max_denominator=1 << 40))
 def test_ceil_log2_matches_doubling_loop(q):
-    assert _ceil_log2(q) == _ceil_log2_loop(q)
+    # The least s >= 0 with 2^s >= q.
+    assert _ceil_log2(q) == least_index(lambda s: 2 ** s >= q, 0, None)
 
 
 # The oracles start each scan at the index of their last witness.  A probe changes

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import cached_pi_floor, machin_pi_digits, race, random_indicator, spike
+from conftest import (cached_pi_floor, least_index, logged, machin_pi_digits, race,
+                      random_indicator, spike)
 from conreal import (CReal, FugitiveCompare, FugitiveSpec, NatStream,
                      RationalInterval, encode, fugitive_compare,
                      fugitive_equal, fugitive_least, identity_map,
@@ -236,28 +237,11 @@ def test_racing_reads_are_consistent():
     assert all(r == expected for r in results)
 
 
-class _CountingStream(NatStream):
-    """A NatStream that counts the reads of each index."""
-
-    def __init__(self, generate):
-        super().__init__(generate)
-        self.reads = Counter()
-
-    def __getitem__(self, n):
-        self.reads[n] += 1
-        return super().__getitem__(n)
-
-
-def _linear_least(f, n):
-    # Reference: the plain scan of indices 0..n.
-    return next((j for j in range(n + 1) if f.indicator[j] != 0), None)
-
-
 @given(st.integers(0, 2 ** 32), st.lists(st.integers(0, 40), max_size=30))
 def test_fugitive_scans_match_linear_scan(seed, queries):
     spec = random_indicator(random.Random(seed))
     for n in queries:
-        least = _linear_least(spec, n)
+        least = least_index(lambda j: spec.indicator[j] != 0, 0, n)
         assert fugitive_least(spec, n) == least
         expected = FugitiveCompare.GREATER if least is None else FugitiveCompare.AT_MOST
         assert fugitive_compare(spec, n) is expected
@@ -266,12 +250,11 @@ def test_fugitive_scans_match_linear_scan(seed, queries):
 
 @pytest.mark.parametrize("fires_at,read", [(None, 201), (50, 51)])
 def test_rho0_reads_each_indicator_index_once(fires_at, read):
-    indicator = _CountingStream(lambda j: 1 if j == fires_at else 0)
+    indicator = logged(NatStream(lambda j: 1 if j == fires_at else 0))
     x = rho0(FugitiveSpec(indicator))
     for n in range(201):
         x.interval(n)
-    assert set(indicator.reads) == set(range(read))  # never past the firing index
-    assert max(indicator.reads.values()) == 1
+    assert sorted(indicator.log) == list(range(read))  # once each, never past the firing index
 
 
 def test_racing_threads_see_the_first_write():
@@ -280,7 +263,7 @@ def test_racing_threads_see_the_first_write():
     stream = NatStream(lambda n: next(counter))
     real = CReal(lambda n: RationalInterval(Fraction(-1, n + 1), Fraction(1, n + 1)))
     f = identity_map()
-    indicator = _CountingStream(lambda j: 1 if j == 150 else 0)
+    indicator = logged(NatStream(lambda j: 1 if j == 150 else 0))
     spec = FugitiveSpec(indicator)
     seen = race(lambda _: ([stream[i] for i in range(200)],
                            [real.interval(i) for i in range(200)],
@@ -293,12 +276,12 @@ def test_racing_threads_see_the_first_write():
         assert other_point is point
         assert other_leasts == leasts
     assert leasts == [None] * 150 + [150] * 50
-    assert max(indicator.reads.values()) == 1
+    assert len(indicator.log) == len(set(indicator.log))
 
 
 def _pattern_digits(values):
-    """A digit stream repeating values, counting the reads of each index."""
-    return _CountingStream(lambda i: values[i % len(values)])
+    """A digit stream repeating values, logging its reads."""
+    return logged(NatStream(lambda i: values[i % len(values)]))
 
 
 _RUNS = st.tuples(st.lists(st.integers(0, 2), min_size=1, max_size=40),
@@ -312,8 +295,8 @@ def test_pattern_finder_matches_the_indicator_scan(run, lo, hi):
     spec = pattern_indicator(found, digit, run_length)
     indicator = pattern_indicator(scanned, digit, run_length).indicator
     assert spec.find(lo, hi) == _first_index(indicator.__getitem__, lo, hi, False)
-    assert set(found.reads) == set(scanned.reads)
-    assert max(found.reads.values(), default=1) == 1  # one pass reads each digit once
+    assert set(found.log) == set(scanned.log)
+    assert len(found.log) == len(set(found.log))  # one pass reads each digit once
 
 
 @given(_RUNS, st.lists(st.integers(0, 80), max_size=12))
@@ -326,8 +309,9 @@ def test_pattern_frontier_matches_the_indicator_frontier(run, queries):
     reference = pattern_indicator(NatStream(lambda i: values[i % len(values)]), digit, run_length)
     for n in sorted(queries):
         least = fugitive_least(spec, n)
-        assert least == fugitive_least(by_indicator, n) == _linear_least(reference, n)
-        assert set(found.reads) == set(scanned.reads)
+        assert least == fugitive_least(by_indicator, n) == least_index(
+            lambda j: reference.indicator[j] != 0, 0, n)
+        assert set(found.log) == set(scanned.log)
 
 
 def test_racing_threads_share_one_pattern_spec():
