@@ -9,7 +9,9 @@ subbars, ``avoiding_oracle`` for colorings.  The pi oracle is an independent
 fixed-precision Machin computation (the library stream sums the Chudnovsky
 series by binary splitting in doubling batches, so the two methods
 cross-check).  ``logged`` records the reads of a real or a stream, and
-``outcome`` turns a call into its value or its error.
+``outcome`` turns a call into its value or its error.  Random reals come
+from one hypothesis strategy, ``tree_graphs``: a pool of such trees with
+shared subtrees, which ``tree_real`` and ``tree_reader`` read.
 
 Every test runs under a time limit of 60 s: a test that hangs fails with
 ``TimeoutError`` instead of stalling the run.  Every threaded test runs its
@@ -31,6 +33,7 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import event
 from hypothesis import strategies as st
 
 from conreal import (Apartness, ContinuousMap, CReal, Direction, FuelExhausted, FugitiveSpec,
@@ -271,6 +274,8 @@ def least_index(pred, lo: int, hi: int | None) -> int | None:
 
 def approx_oracle(read, p: int, fuel: int | None) -> RationalInterval:
     """``approx``: the first of the intervals read(0), ..., read(fuel) of width <= 2^-p."""
+    if fuel is not None and fuel < 1:
+        raise ValueError("fuel must be >= 1")
     bound = half_pow(p)
     n = least_index(lambda n: read(n).width <= bound, 0, fuel)
     if n is None:
@@ -538,10 +543,97 @@ def witness_pick(f_at, y, ask, thirds: bool):
 
 
 # Rationals as ints and as Fractions, some with numerators and denominators of 200 bits.
-rationals = st.one_of(
-    st.integers(-2 ** 80, 2 ** 80),
-    st.fractions(),
-    st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200)))
+_INTS = st.integers(-2 ** 80, 2 ** 80)
+_WIDE = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
+rationals = st.one_of(_INTS, st.fractions(), _WIDE)
+_ENDS = st.sampled_from(["fraction", "int", "mixed"])
+_SHAPES = st.sampled_from(["negative", "zero", "point", "straddling", "nonnegative", "ordered",
+                           "reversed"])
+
+
+@st.composite
+def caller_intervals(draw):
+    """Negative, zero, point, straddling, nonnegative, ordered and reversed
+    intervals, as a caller generator may return them.  Both ends are Fractions,
+    as library reals give, or both ints, or one of each."""
+    ends = draw(_ENDS)
+    values = rationals if ends == "fraction" else _INTS
+    x, y = draw(values), draw(values)
+    a, b = abs(x), abs(y)
+    lo, hi = {
+        "negative": lambda: (-a - b, -a),
+        "zero": lambda: (0 * x, 0 * y),
+        "point": lambda: (x, x),
+        "straddling": lambda: (-a, b),
+        "nonnegative": lambda: (a, a + b),
+        "ordered": lambda: (min(x, y), max(x, y)),
+        "reversed": lambda: (max(x, y), min(x, y)),
+    }[draw(_SHAPES)]()
+    if ends == "fraction":
+        lo, hi = Fraction(lo), Fraction(hi)
+    elif ends == "mixed":
+        lo, hi = (Fraction(lo), hi) if draw(st.booleans()) else (lo, Fraction(hi))
+    return RationalInterval(lo, hi)
+
+
+# --- random reals: one graph of trees with shared subtrees ------------------------------
+
+# Small rationals: 0, up to 320 over up to 40, and within 2^-19 of 0.
+_SMALL = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-320, 320), st.integers(1, 40)),
+                   st.builds(Fraction, st.integers(-2 ** 10, 2 ** 10), st.integers(2 ** 29, 2 ** 30)))
+_DIRECT_LEAVES = st.one_of(
+    st.tuples(st.just("q"), _SMALL | _WIDE),
+    st.just(("sqrt2",)),
+    # rho0/rho1 before and after the fugitive fires, or never firing
+    st.tuples(st.sampled_from(["rho0", "rho1"]),
+              (st.none() | st.integers(0, 24) | st.integers(0, 300)).map(spike)))
+_CALLER_LEAVES = st.one_of(
+    caller_intervals().map(lambda iv: ("iv", *iv)),
+    st.tuples(st.just("gen"), _SMALL, st.sampled_from([1, -1])))
+_STEPS = st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*"]), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.sampled_from(["neg", "abs"]), st.integers(0, 99), st.none()),
+    st.tuples(st.just("at"), st.integers(0, 1),
+              st.sampled_from(sorted({Fraction(a, d) for d in range(1, 13) for a in range(d + 1)}))))
+# A pwl map: breakpoints inside (0, 1), and picks of its node trees.
+_MAPS = st.tuples(st.sets(st.sampled_from(sorted({Fraction(a, d) for d in range(2, 9) for a in range(1, d)})),
+                          max_size=2),
+                  st.lists(st.integers(0, 99), min_size=4, max_size=4))
+_STEP_LISTS = st.lists(_STEPS, max_size=8)
+_POOLS = {direct: st.lists(_DIRECT_LEAVES if direct else _DIRECT_LEAVES | _CALLER_LEAVES,
+                           min_size=1, max_size=4) for direct in (False, True)}
+
+
+@st.composite
+def tree_graphs(draw, direct: bool = False) -> list[tuple]:
+    """A pool of trees with shared subtrees: leaves, then steps over earlier trees.
+
+    A leaf is a small or 200-bit rational, sqrt2, rho0 or rho1 over a spike, or
+    (unless ``direct``) a caller generator: "iv" with ends as ``caller_intervals``
+    draws them, or "gen".  A step is + - * neg abs over earlier trees, or the value
+    at a point of one of two pwl maps, each built at its first use through earlier
+    trees.  So every subtree of a tree in the pool is in the pool, and with
+    ``direct`` every tree is one that ``tree_direct`` holds.  ``event`` records what
+    the pool holds, for ``--hypothesis-show-statistics``."""
+    pool = draw(_POOLS[direct])
+    maps = {}
+    for op, i, j in draw(_STEP_LISTS):
+        if op == "at":
+            if i not in maps:
+                cuts, picks = draw(_MAPS)
+                bps = (Fraction(0), *sorted(cuts), Fraction(1))
+                maps[i] = bps, tuple(pool[k % len(pool)] for k in picks[:len(bps)])
+            pool.append(("at", *maps[i], j))
+        else:
+            pool.append((op, *(pool[k % len(pool)] for k in (i, j) if k is not None)))
+    kinds = {t[0] for t in pool}
+    for held, name in ((kinds & {"iv", "gen"}, "a caller generator"), ("at" in kinds, "a pwl point value"),
+                       (kinds & {"rho0", "rho1"}, "a rho leaf"),
+                       (any(t[0] not in ("iv", "gen") and not tree_direct(t) for t in pool),
+                        "an operator or point value that is not direct")):
+        if held:
+            event(name)
+    return pool
 
 
 def fuel_for(rate: Fraction, p: int) -> int:

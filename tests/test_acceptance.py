@@ -264,15 +264,13 @@ def test_c13_coding():
 def test_c14_cli_determinism():
     started = time.perf_counter()
     golden_dir = pathlib.Path(__file__).parent / "golden"
-    for name, argv, expected_code in CASES:
-        runs = []
-        for _ in range(2):
-            out, err = io.StringIO(), io.StringIO()
-            code = cli_run(argv, out, err)
-            assert code == expected_code, (name, err.getvalue())
-            runs.append(out.getvalue())
-        assert runs[0] == runs[1]
-        assert runs[0] == (golden_dir / f"{name}.txt").read_text()
+    # Every case forward, then backward, in one process: the parser built for the
+    # first call serves all the others, and no call leaves state that changes another.
+    for name, argv, expected_code in CASES + CASES[::-1]:
+        out, err = io.StringIO(), io.StringIO()
+        code = cli_run(argv, out, err)
+        assert code == expected_code, (name, err.getvalue())
+        assert out.getvalue() == (golden_dir / f"{name}.txt").read_text(), name
     covered = {argv[0] for _, argv, _ in CASES} | {argv[1] for _, argv, _ in CASES
                                                    if argv[0].startswith("--")}
     assert {"eval", "pi", "hunt", "encode", "decode", "ivt", "subbar", "game",

@@ -43,17 +43,6 @@ def test_approx_matches_linear_scan(exps, raise_from, calls):
                 == outcome(lambda: approx_oracle(generate, p, fuel)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(calls=st.lists(st.tuples(st.integers(-2, 40), st.integers(1, 50)), min_size=1, max_size=14))
-def test_approx_on_library_reals_matches_linear_scan(calls):
-    for make in (sqrt2, lambda: sqrt2() * CReal.from_rational(Fraction(5, 3)),
-                 lambda: CReal.from_rational(Fraction(2, 7)) + rho1(spike(5))):
-        shared, fresh = make(), make()
-        for p, fuel in calls:
-            assert (outcome(lambda: shared.approx(p, fuel))
-                    == outcome(lambda: approx_oracle(fresh.interval, p, fuel)))
-
-
 @settings(max_examples=1000, deadline=None)
 @given(a=rationals, b=rationals, p=st.integers(-70, 300),
        shape=st.sampled_from(["pair", "point", "edge"]), nudge=st.integers(-1, 1))

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (apart_oracle, approx_oracle, approx_pick, diagonal_oracle, ivt_oracle,
-                      least_index, logged, lt_oracle, outcome, pwl_oracle, random_tree, rationals,
-                      recording, same_interval, slow, spike, split_oracle, subbar_oracle, tree_node,
-                      tree_reader, tree_real, witness_pick)
+from conftest import (apart_oracle, approx_oracle, approx_pick, caller_intervals, diagonal_oracle,
+                      ivt_oracle, least_index, logged, lt_oracle, outcome, pwl_oracle, random_tree,
+                      rationals, recording, same_interval, slow, spike, split_oracle, subbar_oracle,
+                      tree_direct, tree_graphs, tree_node, tree_reader, tree_real, witness_pick)
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
                      LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
                      TooLarge, approx_ivt, certified_within, cotrans_split, diagonal,
@@ -440,32 +440,6 @@ def test_pwl_enclose_matches_lam_recomputed_each_call():
 
 # --- the integer kernels of real.py against exact interval arithmetic ---------------
 
-@st.composite
-def _intervals_drawn(draw):
-    """Negative, zero, point, straddling, nonnegative, ordered and reversed
-    intervals.  Both ends are Fractions, as library reals give, or both ints,
-    as a caller generator may return, or one of each."""
-    ends = draw(st.sampled_from(["fraction", "int", "mixed"]))
-    values = rationals if ends == "fraction" else st.integers(-2 ** 80, 2 ** 80)
-    x, y = draw(values), draw(values)
-    a, b = abs(x), abs(y)
-    lo, hi = {
-        "negative": lambda: (-a - b, -a),
-        "zero": lambda: (0 * x, 0 * y),
-        "point": lambda: (x, x),
-        "straddling": lambda: (-a, b),
-        "nonnegative": lambda: (a, a + b),
-        "ordered": lambda: (min(x, y), max(x, y)),
-        "reversed": lambda: (max(x, y), min(x, y)),
-    }[draw(st.sampled_from(["negative", "zero", "point", "straddling", "nonnegative",
-                            "ordered", "reversed"]))]()
-    if ends == "fraction":
-        lo, hi = Fraction(lo), Fraction(hi)
-    elif ends == "mixed":
-        lo, hi = draw(st.sampled_from([(Fraction(lo), hi), (lo, Fraction(hi))]))
-    return RationalInterval(lo, hi)
-
-
 @settings(max_examples=600, deadline=None)
 @given(x=rationals, y=rationals, pick=st.sampled_from(["other", "same", "same value"]))
 def test_lt_kernel_is_the_comparison(x, y, pick):
@@ -474,7 +448,7 @@ def test_lt_kernel_is_the_comparison(x, y, pick):
 
 
 @settings(max_examples=600, deadline=None)
-@given(iv=_intervals_drawn(), bound=rationals, at=st.sampled_from(["any", "width"]),
+@given(iv=caller_intervals(), bound=rationals, at=st.sampled_from(["any", "width"]),
        nudge=st.integers(-1, 1))
 def test_width_kernel_is_the_width_test(iv, bound, at, nudge):
     if at == "width":
@@ -484,7 +458,7 @@ def test_width_kernel_is_the_width_test(iv, bound, at, nudge):
 
 
 @settings(max_examples=1500, deadline=None)
-@given(a=_intervals_drawn(), b=_intervals_drawn())
+@given(a=caller_intervals(), b=caller_intervals())
 def test_mul_matches_four_products(a, b):
     # Through CReal.__mul__, so both its nonnegative fast path and the four
     # products are compared; reversed intervals come from caller generators
@@ -494,7 +468,7 @@ def test_mul_matches_four_products(a, b):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(a=_intervals_drawn(), b=_intervals_drawn())
+@given(a=caller_intervals(), b=caller_intervals())
 def test_add_neg_abs_over_caller_generators_match_the_fraction_formulas(a, b):
     # A caller generator is not direct: each operator reads its triple from its
     # interval, reversed ones included, and gives the Fraction formula's value.
@@ -509,37 +483,6 @@ def test_add_neg_abs_over_caller_generators_match_the_fraction_formulas(a, b):
 @given(q=rationals, n=st.integers(0, 300))
 def test_from_rational_kernel_matches_fraction_sums(q, n):
     assert same_interval(CReal.from_rational(q).interval(n), tree_reader(("q", q))(n))
-
-
-_small = st.one_of(st.just(Fraction(0)), st.fractions(-8, 8, max_denominator=40),
-                   st.fractions(Fraction(-1, 2 ** 20), Fraction(1, 2 ** 20), max_denominator=2 ** 30))
-_direct_leaves = st.one_of(
-    st.tuples(st.just("q"), _small),
-    st.just(("sqrt2",)),
-    st.tuples(st.sampled_from(["rho0", "rho1"]), (st.none() | st.integers(0, 300)).map(spike)),
-    st.tuples(_small, _small, st.fractions(0, 1, max_denominator=16)).map(
-        lambda abt: ("at", (_ZERO, _ONE), (("q", abt[0]), ("q", abt[1])), abt[2])))
-_direct_trees = st.recursive(_direct_leaves, lambda sub: st.one_of(
-    st.tuples(st.sampled_from(["neg", "abs"]), sub),
-    st.tuples(st.sampled_from(["+", "-", "*"]), sub, sub)), max_leaves=5)
-
-
-def _subtrees(t):
-    """t, then the subtrees of its operands, root first."""
-    operands = t[1:] if t[0] in ("neg", "abs", "+", "-", "*") else ()
-    return [t] + [u for arg in operands for u in _subtrees(arg)]
-
-
-@settings(max_examples=800, deadline=None)
-@given(t=_direct_trees, n=st.one_of(st.integers(0, 24), st.integers(0, 300)))
-def test_direct_triple_kernels_match_fraction_formulas(t, n):
-    # Every leaf and operator of a direct real against exact interval arithmetic:
-    # rationals below, at and above 0, sqrt2, rho0/rho1 before and after they
-    # fire (points), and a pwl point value, whose triple is derived from its nodes'.
-    made, memo = {}, {}
-    assert tree_real(t, made)._direct
-    for u in _subtrees(t):
-        assert same_interval(tree_real(u, made).interval(n), tree_reader(u, memo)(n)), (u, n)
 
 
 # --- order scans against the least index over exact intervals -----------------------
@@ -597,73 +540,68 @@ def test_diagonal_matches_the_fraction_width_test():
         assert all(same_interval(d.interval(n), expected.interval(n)) for n in range(49)), trees
 
 
-_TRIPLE_LEAVES = st.one_of(
-    st.tuples(st.just("q"), st.fractions(-3, 3, max_denominator=4)),
-    st.just(("sqrt2",)),
-    st.tuples(st.sampled_from(["rho0", "rho1"]), (st.none() | st.integers(0, 12)).map(spike)),
-    # A caller generator: the int point [k, k], or k -+ 2^-n with its ends reversed.
-    st.integers(-2, 2).map(lambda k: ("iv", k, k)), st.integers(-2, 2).map(lambda k: ("gen", k, -1)))
-# A pwl node: a leaf, or a caller generator with Fraction ends or with int points.
-_TRIPLE_NODES = st.one_of(
-    st.tuples(st.just("leaf"), st.integers(0, 99)),
-    st.fractions(-3, 3, max_denominator=4).map(lambda v: ("gen", v, 1)),
-    st.integers(-2, 2).map(lambda k: ("iv", k, k)))
-_TRIPLE_MAPS = st.tuples(st.sets(st.fractions(Fraction(1, 8), Fraction(7, 8), max_denominator=8),
-                                 max_size=2),
-                         st.lists(_TRIPLE_NODES, min_size=4, max_size=4))
-_TRIPLE_STEPS = st.one_of(
-    st.tuples(st.sampled_from(["+", "-", "*"]), st.integers(0, 99), st.integers(0, 99)),
-    st.tuples(st.sampled_from(["neg", "abs"]), st.integers(0, 99), st.none()),
-    st.tuples(st.just("at"), st.integers(0, 99), st.fractions(0, 1, max_denominator=12)))
+def _same_outcome(got, want) -> bool:
+    """The ``same_interval``, or the same error."""
+    return same_interval(got, want) if isinstance(want, RationalInterval) else got == want
 
 
-def _tree_pool(leaves, maps, steps):
-    """The trees of one drawn graph: leaves, pwl point values and operators over
-    earlier trees, a tree met twice being one object."""
-    pool = list(leaves)
-    node_sets = []
-    for cuts, nodes in maps:
-        bps = (_ZERO, *sorted(cuts), _ONE)
-        node_sets.append((bps, tuple(pool[node[1] % len(leaves)] if node[0] == "leaf" else node
-                                     for node in nodes[:len(bps)])))
-    for op, i, j in steps:
-        if op == "at":
-            pool.append(("at", *node_sets[i % len(node_sets)], j))
-        elif op in ("neg", "abs"):
-            pool.append((op, pool[i % len(pool)]))
-        else:
-            pool.append((op, pool[i % len(pool)], pool[j % len(pool)]))
-    return pool
+@settings(max_examples=800, deadline=None)
+@given(pool=tree_graphs(), n=st.one_of(st.integers(0, 24), st.integers(0, 300)))
+def test_triple_kernels_match_fraction_formulas(pool, n):
+    # Every tree of one graph against exact interval arithmetic at index n: every
+    # leaf, operator and pwl point value, whose triple is derived from its nodes';
+    # a tree is direct when it has no caller generator.
+    made, memo = {}, {}
+    for t in pool:
+        real = tree_real(t, made)
+        assert real._direct is tree_direct(t)
+        assert _same_outcome(outcome(lambda: real.interval(n)),
+                             outcome(lambda: tree_reader(t, memo)(n))), (t, n)
 
 
-@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
-@given(leaves=st.lists(_TRIPLE_LEAVES, min_size=1, max_size=4),
-       maps=st.lists(_TRIPLE_MAPS, min_size=1, max_size=2),
-       steps=st.lists(_TRIPLE_STEPS, min_size=1, max_size=6),
-       picks=st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)),
-       p=st.integers(-2, 30), fuel=st.none() | st.integers(1, 30), scan_fuel=st.integers(0, 30))
-def test_scans_and_point_values_over_triples_match_interval_reads(leaves, maps, steps, picks, p,
-                                                                  fuel, scan_fuel):
-    # The library's reals of one drawn graph, scanned over triples, against the least
-    # indices over the graph's exact intervals; verify_lt must agree with the comparison
-    # of those intervals at every index the scans may reach.
-    pool = _tree_pool(leaves, maps, steps)
+_SPLIT_REACH = 200  # indices past the witness where z must narrow below the gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=tree_graphs(),
+       calls=st.lists(st.tuples(st.sampled_from(["approx", "lt", "apart", "split"]),
+                                st.integers(0, 99), st.integers(0, 99), st.integers(0, 99),
+                                st.integers(-3, 40), st.none() | st.integers(0, 60)),
+                      min_size=1, max_size=10))
+def test_scans_and_point_values_over_triples_match_interval_reads(pool, calls):
+    # Calls on the shared reals of one graph, so that approx starts warm and
+    # try_apart probes the witnesses it recorded, against the least indices over
+    # the graph's exact intervals.  verify_lt must agree with the comparison of
+    # those intervals at every index a scan may reach.  Fuel None is no end for
+    # approx on a direct real and 60 indices otherwise.
     made, memo = {}, {}
     reals = [tree_real(t, made) for t in pool]
     reads = [tree_reader(t, memo) for t in pool]
-    (x, rx), (y, ry), (z, rz) = ((reals[i % len(pool)], reads[i % len(pool)]) for i in picks)
-    if fuel is None and not x._direct:
-        fuel = 30
-    assert outcome(lambda: x.approx(p, fuel)) == outcome(lambda: approx_oracle(rx, p, fuel))
-    w = try_lt(x, y, scan_fuel)
-    assert w == lt_oracle(rx, ry, scan_fuel)
-    for a, b, ra, rb in ((x, y, rx, ry), (z, y, rz, ry), (x, z, rx, rz)):
-        assert try_apart(a, b, scan_fuel) == apart_oracle(ra, rb, scan_fuel)
-    if w is not None:
-        assert cotrans_split(x, y, w, z) == split_oracle(rx, ry, w, rz)
-    for a, b, ra, rb in ((x, y, rx, ry), (z, y, rz, ry), (x, z, rx, rz)):
-        for n in range(scan_fuel + 1):
-            assert verify_lt(a, b, LtWitness(n)) == (ra(n).hi < rb(n).lo), n
+    # A kernel that stops narrowing would make an unbounded scan gallop into integers
+    # too large for the time limit to cut: a real must read as the oracle does first.
     for real, read in zip(reals, reads):
-        for n in range(4):
-            assert same_interval(real.interval(n), read(n)), n
+        assert _same_outcome(outcome(lambda: real.interval(0)), outcome(lambda: read(0)))
+    for kind, i, j, k, p, fuel in calls:
+        (x, rx), (y, ry), (z, rz) = ((reals[m % len(pool)], reads[m % len(pool)]) for m in (i, j, k))
+        scan_fuel = 60 if fuel is None else fuel
+        if kind == "approx":
+            fuel = fuel if x._direct else scan_fuel
+            assert outcome(lambda: x.approx(p, fuel)) == outcome(lambda: approx_oracle(rx, p, fuel))
+        elif kind == "lt":
+            assert outcome(lambda: try_lt(x, y, scan_fuel)) == outcome(lambda: lt_oracle(rx, ry, scan_fuel))
+            for n in range(scan_fuel + 1):
+                assert (outcome(lambda: verify_lt(x, y, LtWitness(n)))
+                        == outcome(lambda: rx(n).hi < ry(n).lo)), n
+        elif kind == "apart":
+            assert (outcome(lambda: try_apart(x, y, scan_fuel))
+                    == outcome(lambda: apart_oracle(rx, ry, scan_fuel)))
+        else:
+            w = outcome(lambda: lt_oracle(rx, ry, scan_fuel))
+            if not isinstance(w, LtWitness):
+                continue
+            # A caller generator may never narrow below the gap: cotrans_split would not end.
+            gap = ry(w.index).lo - rx(w.index).hi
+            if outcome(lambda: least_index(lambda n: rz(n).width < gap, w.index,
+                                           w.index + _SPLIT_REACH)) is None:
+                continue
+            assert outcome(lambda: cotrans_split(x, y, w, z)) == outcome(lambda: split_oracle(rx, ry, w, rz))

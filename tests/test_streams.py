@@ -391,13 +391,14 @@ def test_real_over_pi_past_the_limit_raises_and_stays_usable(pi_batches):
     spec = pattern_indicator(pi_digits(), 9, 99)  # no such run in the first 65,536 digits
     x = rho0(spec)
     before = x.approx(1000, 1001)
-    cached, frontier = dict(x._cache), (spec._clear, spec._fired)
+    stored, frontier = (dict(x._cache), dict(x._triples)), (spec._clear, spec._fired)
     with pytest.raises(TooLarge, match="^needs pi digits past the limit of 65536$"):
         x.approx(70000, 70001)
     assert max(pi_batches) == 65536
-    # The failed read stored nothing: the spec's frontier and the real's cache are as they were.
+    # The failed read stored nothing: the spec's frontier, the real's intervals and
+    # the triples its scans read are as they were.
     assert (spec._clear, spec._fired) == frontier
-    assert cached.items() <= x._cache.items()
+    assert (x._cache, x._triples) == stored
     assert x.approx(1000, 1001) == before
     h = Fraction(1, 1 << 60001)
     assert x.approx(60000, 60001) == RationalInterval(-h, h)
