@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import FuelExhausted, PreconditionFailed
-from .real import (Apartness, CReal, Direction, RationalInterval, _from_ends, _lt, _mix,
-                   _narrower, _triple_of, _width_scan, half_pow, rho0, rho1, rho2, try_apart,
+from .real import (Apartness, CReal, Direction, RationalInterval, _from_ends, _lt, _narrower,
+                   _sequential, _triple_of, _width_scan, half_pow, rho0, rho1, rho2, try_apart,
                    verify_lt)
 from .streams import FugitiveSpec, _decimal, _first_index, _memo
 
@@ -302,20 +302,22 @@ def require_range(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) 
         raise PreconditionFailed("need f(0) <= y <= f(1) in the enclosure sense")
 
 
-def _bisection(pick: Callable[[Fraction, Fraction], tuple[Fraction, bool]], depth: int) -> CReal:
-    """The point of [0, 1] that all three procedures build: ``pick(lo, hi)``
-    names a point q of the current interval and whether f(q) lies below y;
-    the next interval is [q, hi] if it does, else [lo, q].  ``depth`` steps
-    are forced eagerly; the returned real takes later steps lazily."""
-    def step(prev: RationalInterval, _n: int) -> RationalInterval:
-        lo, hi = prev
-        q, below = pick(lo, hi)
-        return RationalInterval(q, hi) if below else RationalInterval(lo, q)
+def _bisection(pick: Callable[[int, int, int], tuple[int, int, bool]], depth: int) -> CReal:
+    """The point of [0, 1] the three procedures build, on triples from (0, 1, 1):
+    ``pick(lo, hi, den)`` names a point q = qn / (c den) and whether f(q) lies below y;
+    the next interval is [q, hi] if it does, else [lo, q], over den c in lowest terms.
+    ``depth`` steps are forced eagerly, later ones lazily."""
+    def step(prev: tuple[int, int, int], _n: int) -> tuple[int, int, int]:
+        lo, hi, den = prev
+        qn, c, below = pick(lo, hi, den)
+        lo, hi, den = (qn, hi * c, den * c) if below else (lo * c, qn, den * c)
+        g = math.gcd(lo, hi, den)
+        return lo // g, hi // g, den // g
 
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    x = CReal.from_steps(RationalInterval(_ZERO, _ONE), step)
-    x.interval(depth)
+    x = _sequential((0, 1, 1), step)
+    x._ends(depth)
     return x
 
 
@@ -338,7 +340,8 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     least narrow level is found once, before the bisection, by a width scan
     (a direct y is probed at index p + 1).  A real's intervals are nested, so y
     stays narrow above it, and each step reads f(m)'s triples (``f._point``)
-    from that level up and decides by cross-multiplying, building no ``Fraction``.
+    from that level up and decides by cross-multiplying.  The bisection steps on
+    triples; m is built as a ``Fraction`` only to hand it to ``f._point``.
     The uniform modulus gives an a-priori depth of modulus(p+1) + 2, or 0
     where that is negative.  The returned real keeps bisecting lazily
     beyond that depth.
@@ -350,15 +353,14 @@ def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> 
     if y_level is None:  # y's approx claimed a width that its intervals never reach
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
-    def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
-        m = _mix(1, 2, lo, hi)
-        at_m = f._point(m)
+    def pick(lo: int, hi: int, den: int) -> tuple[int, int, bool]:
+        at_m = f._point(Fraction(lo + hi, 2 * den))
         for level in range(y_level, fuel + 1):
             s_lo, s_hi, s_den = at_m(level)
             if _narrower(s_hi - s_lo, s_den, eps):
                 y_lo, _, y_den = y._ends(level)
                 # f(m).hi < y.lo + eps, over the common denominator s_den y_den ed.
-                return m, s_hi * y_den * ed < (y_lo * ed + en * y_den) * s_den
+                return lo + hi, 2, s_hi * y_den * ed < (y_lo * ed + en * y_den) * s_den
         raise FuelExhausted("enclosures did not narrow; malformed map or real")
 
     x = _bisection(pick, max(f.modulus(p + 1) + 2, 0))
@@ -378,13 +380,14 @@ def ivt_locally_nonconstant(f: ContinuousMap, y: CReal,
     lying oracle is an error.  ``depth`` rounds are forced eagerly; the returned
     real keeps consulting the oracle lazily.
     """
-    def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
-        a, b = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)
+    def pick(lo: int, hi: int, den: int) -> tuple[int, int, bool]:
+        a, b = Fraction(2 * lo + hi, 3 * den), Fraction(lo + 2 * hi, 3 * den)
         q, w = oracle(a, b)
         if not (_lt(a, q) and _lt(q, b)):
             raise ValueError(f"oracle point {_text(q)} outside the middle third "
                              f"({_text(a)}, {_text(b)})")
-        return q, _below(f, q, y, w, "oracle")
+        g = math.gcd(q.denominator, den)  # q over lcm(q.denominator, den): c stays small
+        return q.numerator * (den // g), q.denominator // g, _below(f, q, y, w, "oracle")
 
     return _bisection(pick, depth)
 
@@ -409,9 +412,9 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
     midpoint m itself; the witness is re-verified, then the half keeping the
     crossing is selected.  Width at step n is exactly 2^-n.
     """
-    def pick(lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
-        m = _mix(1, 2, lo, hi)
-        return m, _below(f, m, y, apart_at(m), "apartness")
+    def pick(lo: int, hi: int, den: int) -> tuple[int, int, bool]:
+        m = Fraction(lo + hi, 2 * den)
+        return lo + hi, 2, _below(f, m, y, apart_at(m), "apartness")
 
     return _bisection(pick, depth)
 
@@ -421,8 +424,9 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
 def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
     """Searches a fixed grid of middle-third rationals q for a witness of f(q) # y."""
     def oracle(a: Fraction, b: Fraction) -> tuple[Fraction, Apartness]:
+        span = b - a
         for num in (4, 3, 5, 2, 6, 1, 7):  # eighths of the span, midpoint first
-            q = _mix(num, 8, a, b)
+            q = a + span * num / 8
             w = try_apart(f.at(q), y, fuel)
             if w is not None:
                 return q, w

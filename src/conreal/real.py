@@ -66,12 +66,6 @@ def _lt(x, y) -> bool:
     return x.numerator * y.denominator < y.numerator * x.denominator
 
 
-def _mix(u: int, v: int, x: Fraction, y: Fraction) -> Fraction:
-    """x + u/v (y - x), reduced once over the common denominator v x.den y.den."""
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    return Fraction((v - u) * xn * yd + u * yn * xd, v * xd * yd)
-
-
 def half_pow_text(p: int) -> str:
     """2^-p as messages print it: ``2^-p`` for p >= 0, ``2^|p|`` for p < 0."""
     return f"2^-{p}" if p >= 0 else f"2^{-p}"
@@ -90,18 +84,18 @@ class CReal:
     Reals from ``from_rational``, ``sqrt2``, ``rho0/1/2`` (a ``NatStream`` is
     total by contract), ``pwl`` point values ``f.at(q)`` whose nodes are direct
     and ``+ - * abs neg`` of such reals are *direct*: total index formulas, so
-    scans gallop and may read ahead up to the fuel.  Others
-    (``from_steps`` reals, caller generators) are scanned one index at a time,
-    as a read past the answer may raise.  Answers are least indices either way.
+    scans gallop and may read ahead up to the fuel.  Others (sequential
+    reals, caller generators) are scanned one index at a time, as a read past
+    the answer may raise.  Answers are least indices either way.
 
     Every real also has a private integer form of interval n, ``_ends(n)``:
     a triple (lo_num, hi_num, den) with den > 0, not reduced, memoized like
     ``interval``.  ``from_rational``, ``sqrt2``, ``rho0/1/2`` and ``pwl`` point
-    values compute it by a formula, and every ``+ - * abs neg`` computes it
-    from its parts' triples; none builds a ``Fraction``.  Their interval n is
-    the reduced pair lo_num/den, hi_num/den, built only when ``interval(n)``
-    is read.  Any other real (``from_steps`` reals, caller generators) derives
-    its triple from its interval.
+    values compute it by a formula, ``+ - * abs neg`` from their parts', and
+    ``diagonal``, ``cantor_point`` and the IVT bisection from triple n - 1
+    (``_sequential``); none builds a ``Fraction``.  Interval n is the triple's
+    ends reduced, built only when ``interval(n)`` is read.  Only public
+    ``from_steps`` reals and caller generators derive a triple from an interval.
 
     Every comparison reads triples and cross-multiplies: the width scans behind
     ``approx``, ``try_lt`` and ``try_apart``, ``verify_lt`` and the side tests of
@@ -236,6 +230,15 @@ def _from_ends(cls: type[CReal], ends: Callable[[int], tuple[int, int, int]],
     real = cls(gen)
     real._triples, real._triple = triples, ends
     real._direct = all(part._direct for part in parts)
+    return real
+
+
+def _sequential(first: tuple[int, int, int],
+                step: Callable[[tuple[int, int, int], int], tuple[int, int, int]]) -> CReal:
+    """The real whose triple 0 is ``first`` and triple n+1 is step(triple n, n), each
+    step run once (``_in_order``); not direct, as a step may raise past the answer."""
+    real = _from_ends(CReal, _in_order(first, step))
+    real._direct = False
     return real
 
 
@@ -375,9 +378,8 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
     with 4*(n+2) indices at step n, and one that never narrows that far
     raises instead of hanging.
     """
-    def step(prev: RationalInterval, n: int) -> RationalInterval:
-        lo, hi = prev
-        one_third, two_thirds = _mix(1, 3, lo, hi), _mix(2, 3, lo, hi)
+    def step(prev: tuple[int, int, int], n: int) -> tuple[int, int, int]:
+        lo, hi, den = prev
         target = Fraction(1, 3 ** (n + 1))
         xn = xs(n)
         budget = None if xn._direct else 4 * (n + 2)
@@ -386,12 +388,12 @@ def diagonal(xs: Callable[[int], CReal]) -> CReal:
         if m is None:
             raise FuelExhausted(
                 f"input real {n} did not dwindle below 3^-{n + 1} within {budget} indices")
-        x_lo, _, den = xn._ends(m)
-        if one_third.numerator * den < x_lo * one_third.denominator:
-            return RationalInterval(lo, one_third)
-        return RationalInterval(two_thirds, hi)
+        x_lo, _, x_den = xn._ends(m)
+        if (2 * lo + hi) * x_den < x_lo * 3 * den:  # x lies above the lower third
+            return 3 * lo, 2 * lo + hi, 3 * den
+        return lo + 2 * hi, 3 * hi, 3 * den
 
-    return CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
+    return _sequential((0, 1, 1), step)
 
 
 def sqrt2() -> CReal:
@@ -448,13 +450,13 @@ def cantor_point(bits: NatStream) -> CReal:
     two thirds, so interval n has width (2/3)^n.  Reads with value >= 2 are
     rejected.
     """
-    def step(prev: RationalInterval, n: int) -> RationalInterval:
+    def step(prev: tuple[int, int, int], n: int) -> tuple[int, int, int]:
         b = bits[n]
         if b >= 2:
             raise ValueError(f"cantor_point needs binary values, got {b} at index {n}")
-        lo, hi = prev
+        lo, hi, den = prev
         if b == 0:
-            return RationalInterval(lo, _mix(2, 3, lo, hi))
-        return RationalInterval(_mix(1, 3, lo, hi), hi)
+            return 3 * lo, lo + 2 * hi, 3 * den
+        return 2 * lo + hi, 3 * hi, 3 * den
 
-    return CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
+    return _sequential((0, 1, 1), step)

@@ -34,7 +34,7 @@ def _memo(cache: dict, key, compute: Callable):
 def _in_order(first, step: Callable) -> Callable[[int], object]:
     """Index -> term of the sequence first, step(first, 0), step(term 1, 1), ...
 
-    It builds only ``from_steps`` reals and the prime table; pi digits are read by index.
+    It builds only sequential reals and the prime table; pi digits are read by index.
     Terms are built in order under one lock, so each step runs once even when
     threads race; a step that raises leaves the terms built so far in place.
     A term already built is read without the lock: the list only grows and

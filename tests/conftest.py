@@ -322,6 +322,20 @@ def diagonal_oracle(xs) -> CReal:
     return CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
 
 
+def cantor_oracle(bits) -> CReal:
+    """``cantor_point``: interval n + 1 is the lower two thirds of interval n when bit n is 0,
+    the upper two thirds when it is 1; a bit of 2 or more is an error."""
+    def step(prev, n):
+        lo, hi = prev
+        b = bits[n]
+        if b >= 2:
+            raise ValueError(f"cantor_point needs binary values, got {b} at index {n}")
+        if b == 0:
+            return RationalInterval(lo, (lo + 2 * hi) / 3)
+        return RationalInterval((2 * lo + hi) / 3, hi)
+    return CReal.from_steps(RationalInterval(Fraction(0), Fraction(1)), step)
+
+
 # --- interval arithmetic: expression trees, evaluated exactly ----------------------------
 #
 # A tree is a nested tuple: ("q", q) a rational; ("sqrt2",); ("rho0", spec) or ("rho1", spec)

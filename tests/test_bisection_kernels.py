@@ -2,8 +2,7 @@
 
 ``approx_ivt``'s point against the oracle bisection with its pick rule,
 ``pwl``'s enclosure guard and point reads against the interpolation of its
-node intervals, the bisection points ``_mix`` against their ``Fraction``
-expressions, and ``_clamp01`` against the clamp it means.  Where the
+node intervals, and ``_clamp01`` against the clamp it means.  Where the
 library hands its inputs through, the very objects are compared.
 """
 
@@ -14,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (approx_pick, ivt_oracle, least_index, logged, outcome, pwl_oracle, recording,
-                      same, same_interval, slow, tree_node)
+                      same_interval, slow, tree_node)
 from conreal import (CReal, ContinuousMap, FuelExhausted, PiecewiseLinearSpec, RationalInterval,
                      approx_ivt, pwl, sqrt2)
 from conreal import ivt
 from conreal.ivt import _clamp01
-from conreal.real import _mix, half_pow
+from conreal.real import half_pow
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -160,27 +159,7 @@ def test_a_point_value_finds_its_piece_once():
         assert all(same_interval(reads[n], _ORACLE.value(Fraction(first), n)) for n in range(30)), first
 
 
-# --- bisection points and the clamp -----------------------------------------------
-
-_fractions = st.one_of(
-    st.fractions(),
-    st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200)))
-
-
-@settings(max_examples=600, deadline=None)
-@given(lo=_fractions, hi=_fractions, shape=st.sampled_from(["as drawn", "zero width", "negative"]),
-       num=st.integers(1, 7))
-def test_mix_matches_the_fraction_expressions(lo, hi, shape, num):
-    if shape == "zero width":
-        hi = lo
-    elif shape == "negative":
-        lo, hi = -abs(lo) - abs(hi), -abs(lo)
-    for new, old in [(_mix(1, 2, lo, hi), (lo + hi) / 2),
-                     (_mix(1, 3, lo, hi), (2 * lo + hi) / 3),
-                     (_mix(2, 3, lo, hi), (lo + 2 * hi) / 3),
-                     (_mix(num, 8, lo, hi), lo + (hi - lo) * Fraction(num, 8))]:
-        assert same(new, old), (lo, hi, num)
-
+# --- the clamp -------------------------------------------------------------------
 
 _clamp_ends = st.one_of(
     st.sampled_from([0, 1, -1, 2]),

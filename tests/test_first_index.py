@@ -355,6 +355,23 @@ def test_cantor_point_is_scanned_in_order():
         x.interval(13)
 
 
+def test_diagonal_and_cantor_point_run_each_step_once_across_repeated_reads():
+    # Step n reads input real n, or bit n, once: reading the intervals again, in
+    # any order, reads neither again.
+    made = []
+
+    def xs(n):
+        made.append(n)
+        return CReal.from_rational(Fraction(n % 7, 7))
+    bits = logged(NatStream(lambda i: i % 3 % 2))
+    d, c = diagonal(xs), cantor_point(bits)
+    for n in [*range(30), *range(30, -1, -1), 17, 30, 0]:
+        for x in (d, c):
+            x.interval(n)
+            x.approx(n // 2, 30)
+    assert made == bits.log == list(range(30))
+
+
 def test_sums_with_a_sequential_part_are_not_direct():
     def shrinking_until_11(n):
         if n >= 12:

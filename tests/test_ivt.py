@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import least_index, logged, race, same_interval, spike
 from conreal import (Apartness, ContinuousMap, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
                      NatStream, PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
-                     approx_ivt, certified_within, distance_bound,
+                     approx_ivt, certified_within, diagonal, distance_bound,
                      enumerated_witnesses, f0, f1, f2, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant,
                      middle_third_oracle, pattern_indicator, pi_digits, pwl,
@@ -678,6 +678,38 @@ def test_each_oracle_scan_reads_the_last_witness_index_first(monkeypatch, make, 
         if w is not None:
             last = w.witness.index
     assert last > 0
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "lnc"])
+def test_racing_reads_of_one_sequential_real_run_each_step_once(kind):
+    # Eight threads read one diagonal or lnc bisection real, each in its own order:
+    # every step runs once, under the sequence's lock, and every read equals a
+    # serial run's.
+    def build():
+        steps = []
+        if kind == "diagonal":
+            def xs(n):
+                steps.append(n)
+                return sqrt2() * CReal.from_rational(Fraction(n % 5, 8))
+            return diagonal(xs), steps
+        f, y = identity_map(), sqrt2() - CReal.from_rational(1)
+        oracle = middle_third_oracle(f, y, 64)
+
+        def counted(a, b):
+            steps.append((a, b))
+            return oracle(a, b)
+        return ivt_locally_nonconstant(f, y, counted, depth=0), steps
+
+    def reads(x, order):
+        got = {n: x.interval(n) for n in order}
+        return [got[n] for n in range(40)]
+
+    x, steps = build()
+    expected = reads(x, range(40))
+    x, steps = build()
+    seen = race(lambda k: reads(x, [*range(5 * k, 40), *range(5 * k)]), 8)
+    assert len(steps) == 39
+    assert all(same_interval(a, b) for got in seen for a, b in zip(got, expected))
 
 
 def test_racing_scans_against_one_shared_y_match_a_serial_run():

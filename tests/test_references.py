@@ -10,6 +10,7 @@ pinned as lists of the indices or calls they read.
 """
 
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -17,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (apart_oracle, approx_oracle, approx_pick, caller_intervals, diagonal_oracle,
-                      ivt_oracle, least_index, logged, lt_oracle, outcome, pwl_oracle, random_tree,
-                      rationals, recording, same_interval, slow, spike, split_oracle, subbar_oracle,
-                      tree_direct, tree_graphs, tree_node, tree_reader, tree_real, witness_pick)
+from conftest import (apart_oracle, approx_oracle, approx_pick, caller_intervals, cantor_oracle,
+                      diagonal_oracle, ivt_oracle, least_index, logged, lt_oracle, outcome,
+                      pwl_oracle, random_tree, rationals, recording, same_interval, slow, spike,
+                      split_oracle, subbar_oracle, tree_direct, tree_graphs, tree_node, tree_reader,
+                      tree_real, witness_pick)
 from conreal import (Apartness, CReal, ContinuousMap, Direction, FuelExhausted, FugitiveSpec,
                      LtWitness, NatStream, PiecewiseLinearSpec, RationalInterval, SplitSide,
-                     TooLarge, approx_ivt, certified_within, cotrans_split, diagonal,
+                     TooLarge, approx_ivt, cantor_point, certified_within, cotrans_split, diagonal,
                      enumerated_witnesses, fans, fugitive_least, identity_map,
                      ivt_countable_exceptions, ivt_locally_nonconstant, middle_third_oracle, pwl,
                      sqrt2, try_apart, try_lt, verify_lt)
@@ -145,13 +147,21 @@ def _compare_bisections(procedure, thirds, variants, seed):
         for make in variants:
             f, _ = _map(nodes)
             y = tree_real(("q", target))
-            new = outcome(lambda: _intervals(procedure(f, y, make(f, y, fuel), depth), depth))
+            x = outcome(lambda: procedure(f, y, make(f, y, fuel), depth))
+            new = _intervals(x, depth) if isinstance(x, CReal) else x
             f, f_at = _map(nodes)
             y = tree_real(("q", target))
             pick = witness_pick(f_at, tree_reader(("q", target)), make(f, y, fuel), thirds)
             old = outcome(lambda: _intervals(ivt_oracle(pick, depth), depth))
             assert new == old, (nodes, target, depth, fuel, make)
             kinds.add(_kind(new))
+            if not isinstance(x, CReal):
+                continue
+            for n in range(depth + 1):  # each triple in lowest terms, reducing to the oracle's
+                lo, hi, den = x._ends(n)
+                assert math.gcd(lo, hi, den) == 1, (nodes, target, depth, n)
+                assert same_interval(RationalInterval(Fraction(lo, den), Fraction(hi, den)),
+                                     old[n]), (nodes, target, depth, n)
     return kinds
 
 
@@ -538,6 +548,19 @@ def test_diagonal_matches_the_fraction_width_test():
                                              random_tree(rng, 2, _SCAN_LEAVES, _SCAN_OPS))))
         d = diagonal(lambda i: tree_real(trees[i]))
         assert all(same_interval(d.interval(n), expected.interval(n)) for n in range(49)), trees
+
+
+def test_cantor_point_matches_the_fraction_recurrence():
+    # Every interval, or the error of the bit of 2, read in a random order: bit i is
+    # bit i of a random word, or 2 at two_at.
+    rng = random.Random(4817)
+    for two_at in [None, *range(48)]:
+        word, order = rng.getrandbits(48), rng.sample(range(48), 48)
+        bits = NatStream(lambda i: 2 if i == two_at else word >> i & 1)
+        x, expected = cantor_point(bits), cantor_oracle(bits)
+        for n in order:
+            assert _same_outcome(outcome(lambda: x.interval(n)),
+                                 outcome(lambda: expected.interval(n))), (word, two_at, n)
 
 
 def _same_outcome(got, want) -> bool:
