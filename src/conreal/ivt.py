@@ -424,9 +424,9 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
 def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
     """Searches a fixed grid of middle-third rationals q for a witness of f(q) # y."""
     def oracle(a: Fraction, b: Fraction) -> tuple[Fraction, Apartness]:
-        span = b - a
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         for num in (4, 3, 5, 2, 6, 1, 7):  # eighths of the span, midpoint first
-            q = a + span * num / 8
+            q = Fraction(an * bd * (8 - num) + bn * ad * num, 8 * ad * bd)
             w = try_apart(f.at(q), y, fuel)
             if w is not None:
                 return q, w

@@ -38,6 +38,8 @@ ERRORS = [
     ("format_without_value", ["--format"], 2, "error: argument --format: expected one argument"),
     ("missing_flag", ["eval", "1"], 2,
      "error: the following arguments are required: -p/--precision"),
+    ("unknown_flag", ["eval", "1/2", "-p", "4", "--bogus"], 2,
+     "error: unrecognized arguments: --bogus"),
     ("help", ["eval", "--help"], 0, ""),
     ("fuel_zero", ["eval", "1", "-p", "4", "--fuel", "0"], 2, "error: --fuel must be >= 1"),
     # cli.py: the expression parser.

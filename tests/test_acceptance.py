@@ -271,6 +271,8 @@ def test_c14_cli_determinism():
         code = cli_run(argv, out, err)
         assert code == expected_code, (name, err.getvalue())
         assert out.getvalue() == (golden_dir / f"{name}.txt").read_text(), name
+    # One golden file per case: a file whose case is gone would never be read.
+    assert sorted(p.stem for p in golden_dir.glob("*.txt")) == sorted(name for name, _, _ in CASES)
     covered = {argv[0] for _, argv, _ in CASES} | {argv[1] for _, argv, _ in CASES
                                                    if argv[0].startswith("--")}
     assert {"eval", "pi", "hunt", "encode", "decode", "ivt", "subbar", "game",

@@ -434,6 +434,24 @@ def test_lnc_rejects_lying_oracle():
         ivt_locally_nonconstant(f, y, liar, depth=3)
 
 
+def test_middle_third_oracle_tries_the_seven_eighths_in_order():
+    # f0 whose fugitive never fires is 1/2 on its middle third: no point there is
+    # apart from y = 1/2, so the oracle tries every eighth of (a, b) and gives up.
+    f, y = f0(spike(None)), CReal.from_rational(half)
+    tried, at = [], f.at
+
+    def logged_at(q):
+        tried.append(q)
+        return at(q)
+
+    f.at = logged_at
+    a, b = Fraction(3, 7), Fraction(5, 9)
+    with pytest.raises(FuelExhausted, match="^no apartness witness found in the middle third$"):
+        middle_third_oracle(f, y, 16)(a, b)
+    assert tried == [a + (b - a) * num / 8 for num in (4, 3, 5, 2, 6, 1, 7)]
+    assert all(type(q) is Fraction for q in tried)
+
+
 def test_countable_identity_tracks_sqrt2_minus_one():
     f = identity_map()
     y = sqrt2() - CReal.from_rational(1)

@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness, N
                      identity_map, interval, pattern_indicator, pi_digits, rho0, rho1, rho2,
                      sqrt2, sqrt2_irrationality_witness, try_apart, try_lt, verify_lt,
                      zero)
-from conftest import fuel_for, race, random_real_tree, same_interval, spike
+from conftest import race, same_interval, spike
 
 half = Fraction(1, 2)
 
@@ -135,18 +134,6 @@ def test_a_negative_witness_index_is_an_error(build):
             call()
 
 
-def test_cotrans_split_random():
-    rng = random.Random(23)
-    for _ in range(60):
-        x, cx, _ = random_real_tree(rng, 2)
-        delta = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        y = x + CReal.from_rational(delta)
-        w = try_lt(x, y, fuel_for(2 * cx + 2, 6) + 8)
-        assert w is not None
-        z, _, _ = random_real_tree(rng, 2)
-        _checked_split(x, y, w, z)
-
-
 def test_diagonal_all_zeros():
     d = diagonal(lambda n: zero())
     assert d.interval(0) == (0, 1)
@@ -162,19 +149,6 @@ def test_diagonal_stays_apart_from_distant_reals():
     for n in range(10):
         found = try_apart(d, CReal.from_rational(n + 2), 20)
         assert found is not None and found.direction is Direction.LESS
-
-
-def test_diagonal_against_random_sequence():
-    rng = random.Random(40)
-    reals = [random_real_tree(rng, 2)[0] for _ in range(20)]
-    d = diagonal(lambda n: reals[n])
-    for n in range(20):
-        found = try_apart(d, reals[n], 60)
-        assert found is not None
-        if found.direction is Direction.LESS:
-            assert verify_lt(d, reals[n], found.witness)
-        else:
-            assert verify_lt(reals[n], d, found.witness)
 
 
 def test_diagonal_budget_error():
@@ -287,34 +261,6 @@ def test_cantor_point_rejects_non_binary():
     bad = cantor_point(NatStream.constant(2))
     with pytest.raises(ValueError):
         bad.interval(1)
-
-
-def test_random_trees_shrink_and_dwindle():
-    rng = random.Random(99)
-    for _ in range(80):
-        x, rate, _ = random_real_tree(rng, 4)
-        previous = x.interval(0)
-        for n in range(1, 16):
-            current = x.interval(n)
-            assert previous.lo <= current.lo <= current.hi <= previous.hi
-            assert current.width <= rate * Fraction(1, 2 ** n)
-            previous = current
-        x.approx(12, fuel_for(rate, 12))  # must not exhaust
-
-
-def test_rational_homomorphism():
-    rng = random.Random(123)
-    for _ in range(40):
-        p = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
-        q = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
-        for op in ("add", "sub", "mul"):
-            if op == "add":
-                real, exact = CReal.from_rational(p) + CReal.from_rational(q), p + q
-            elif op == "sub":
-                real, exact = CReal.from_rational(p) - CReal.from_rational(q), p - q
-            else:
-                real, exact = CReal.from_rational(p) * CReal.from_rational(q), p * q
-            assert real.approx(20, 64).contains(exact)
 
 
 def test_racing_interval_reads_agree():
