@@ -110,8 +110,6 @@ class CReal:
         self._generate = generate
         self._cache: dict[int, RationalInterval] = {}
         self._triples: dict[int, tuple[int, int, int]] = {}
-        # (p, n): every interval below index n is wider than 2^-p (and cached, unless direct).
-        self._scanned = (0, 0)
 
     def interval(self, n: int) -> RationalInterval:
         if n < 0:
@@ -130,18 +128,9 @@ class CReal:
         """First interval (among indices 0..fuel; fuel None: no end, for direct
         reals only) of width <= 2^-p: ``interval(_least(p, fuel))``.
 
-        The search starts at the least index n found by the last successful
-        call, when that call asked for a precision at most p: the intervals
-        below n are wider than the old bound, hence wider than 2^-p, so
-        skipping them skips no answer.  Nor an exception: a real that is not
-        direct is scanned one index at a time, from 0 or from where an earlier
-        scan stopped, so every triple below n is cached; those a direct real
-        left unread are total formulas.
-        The (precision, index) pair is replaced as one tuple, so racing
-        threads only see true facts.
-
-        A direct real is probed at index p, or at that n if higher, as every
-        width scan is (``_width_scan``).
+        Each call searches from index 0 and keeps nothing for the next: a
+        direct real is probed at index p first, as every width scan is
+        (``_width_scan``); any other real is read one index at a time.
         """
         return self.interval(self._least(p, fuel))
 
@@ -149,12 +138,9 @@ class CReal:
         """The index of ``approx(p, fuel)``, found over triples: no interval is built."""
         if fuel is not None and fuel < 1:
             raise ValueError("fuel must be >= 1")
-        last_p, last_n = self._scanned
-        lo = last_n if p >= last_p else 0
-        n = _width_scan(self, lambda diff, den: _narrow(diff, den, p), lo, fuel, p)
+        n = _width_scan(self, lambda diff, den: _narrow(diff, den, p), 0, fuel, p)
         if n is None:
             raise FuelExhausted(f"no interval of width <= {half_pow_text(p)} within {fuel} indices")
-        self._scanned = (p, n)
         return n
 
     @classmethod

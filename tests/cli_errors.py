@@ -66,6 +66,9 @@ ERRORS = [
      "error: each sequence needs at least one value"),
     ("dickson_negative_value", ["dickson", "--seqs", "1,-1"], 2,
      "error: sequence values must be naturals"),
+    # CPython's own int() message.
+    ("dickson_non_numeric_value", ["dickson", "--seqs", "1,x"], 2,
+     "error: invalid literal for int() with base 10: 'x'"),
     ("subbar_unknown_spec", ["subbar", "--spec", "len", "--depth", "2"], 2,
      "error: unknown bar spec 'len' (use len=K, has1@K or sum>=K)"),
     ("game_unknown_predicate", ["game", "--c", "x", "--bound", "2"], 2,

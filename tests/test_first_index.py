@@ -199,7 +199,7 @@ def test_approx_with_fuel_below_p_reads_nothing_past_the_fuel():
             got = outcome(lambda: x.approx(p, fuel))
             assert got == outcome(lambda: approx_oracle(make().interval, p, fuel))
             assert got[0] is FuelExhausted and max(x.log) <= fuel
-            # Warm: the last answer is the lower bound, the probe p is clamped to the fuel.
+            # Again after a coarser call: the probe p is still clamped to the fuel.
             x.approx(p - 20, None)
             del x.log[:]
             assert outcome(lambda: x.approx(p, fuel)) == got and all(n <= fuel for n in x.log)
@@ -324,8 +324,23 @@ def test_approx_at_a_coarser_precision_probes_index_p():
     x.approx(40, 64)
     del x.log[:]
     assert x.approx(10, 64) == sqrt2().interval(10)
-    # Index p is narrow enough and p - 1 is not: no probe at the last answer, 40.
+    # Index p is narrow enough and p - 1 is not.
     assert x.log == [10, 9]
+
+
+def test_approx_of_a_caller_generator_reads_from_index_0_on_every_call():
+    # Interval n is [n/7, n/7 + 2^-n], so the least index of width <= 2^-p is p; whatever
+    # earlier calls found or raised, each call reads 0, 1, ... up to p or the fuel.
+    def generate(n):
+        return RationalInterval(Fraction(n, 7), Fraction(n, 7) + half_pow(n))
+
+    x = logged(CReal(generate))
+    for p, fuel in ((30, 64), (31, 20), (40, 64), (10, 64), (40, 64)):
+        del x.log[:]
+        got = outcome(lambda: x.approx(p, fuel))
+        assert got == outcome(lambda: approx_oracle(generate, p, fuel))
+        assert isinstance(got, RationalInterval) is (fuel >= p)
+        assert x.log == list(range(min(p, fuel) + 1))
 
 
 def test_approx_ivt_gallops_to_the_level_of_a_direct_y():
@@ -343,12 +358,11 @@ def _bits():
     return NatStream(lambda i: 2 if i == 12 else 0)
 
 
-def test_cantor_point_is_scanned_in_order():
+def test_cantor_point_is_read_in_order():
     x = cantor_point(_bits())
     assert not x._direct
     # Galloping would read interval 15, which reads bit 12 and raises.
     assert x.approx(5, 60) == RationalInterval(Fraction(0), Fraction(512, 19683))
-    assert x._scanned == (5, 9)
     assert try_apart(cantor_point(_bits()), CReal.from_rational(1), 60) == Apartness(
         Direction.LESS, LtWitness(2))
     with pytest.raises(ValueError, match="binary values, got 2 at index 12"):

@@ -592,7 +592,7 @@ _SPLIT_REACH = 200  # indices past the witness where z must narrow below the gap
                                 st.integers(-3, 40), st.none() | st.integers(0, 60)),
                       min_size=1, max_size=10))
 def test_scans_and_point_values_over_triples_match_interval_reads(pool, calls):
-    # Calls on the shared reals of one graph, so that approx starts warm and
+    # Calls on the shared reals of one graph, so that memos are shared and
     # try_apart probes the witnesses it recorded, against the least indices over
     # the graph's exact intervals.  verify_lt must agree with the comparison of
     # those intervals at every index a scan may reach.  Fuel None is no end for
