@@ -169,10 +169,6 @@ class _ExprParser:
         raise ValueError(f"unknown token '{tok}' in expression")
 
 
-def _parse_expr(text: str, digits: NatStream) -> CReal:
-    return _ExprParser(text, digits).parse()
-
-
 class _Answer(NamedTuple):
     """What a subcommand found: ``result`` and ``certificate`` for JSON,
     ``plain`` for the line-oriented format, and the exit code."""
@@ -196,7 +192,7 @@ def _check_precision(p: int) -> None:
 
 def _cmd_eval(args) -> _Answer:
     _check_precision(args.precision)
-    x = _parse_expr(args.expr, pi_digits())
+    x = _ExprParser(args.expr, pi_digits()).parse()
     iv = x.approx(args.precision, args.fuel)
     return _Answer({"expr": args.expr, "p": args.precision, "fuel": args.fuel},
                    {"lo": _fmt_frac(iv.lo), "hi": _fmt_frac(iv.hi)},
@@ -365,7 +361,7 @@ def _cmd_ivt(args) -> _Answer:
                        f"{-_PRECISION_FLOOR}")
     digits = pi_digits()  # one stream: the map and y share its batches
     f = _parse_map(args.map, digits)
-    y = _parse_expr(args.y, digits)
+    y = _ExprParser(args.y, digits).parse()
     p = args.precision
     fuel = args.fuel
     inputs = {"map": args.map, "y": args.y, "p": p, "mode": args.mode}

@@ -46,15 +46,17 @@ def _clamp01(iv: RationalInterval) -> RationalInterval:
 class ContinuousMap:
     """A continuous function on [0, 1] given by enclosures plus a modulus.
 
-    ``nodes`` are the node reals of a ``pwl`` map, whose point enclosures are
-    nested in the precision; a map built by hand has none.
+    ``_nodes`` are the node reals of a ``pwl`` map, whose point enclosures are
+    nested in the precision; ``pwl`` sets them beside its ``_point``, and a map
+    built by hand has none.
     """
 
+    _nodes: tuple[CReal, ...] | None = None
+
     def __init__(self, enclose: Callable[[RationalInterval, int], RationalInterval],
-                 modulus: Callable[[int], int], nodes: tuple[CReal, ...] | None = None):
+                 modulus: Callable[[int], int]):
         self.enclose = enclose
         self.modulus = modulus
-        self._nodes = nodes
         # (numerator, denominator, denominator bit length) of a point -> its value (``at``)
         self._points: dict[tuple[int, int, int], CReal] = {}
 
@@ -83,16 +85,16 @@ class ContinuousMap:
         """The value at a rational point, cached per point: every call with
         an equal point returns the same real, the first one stored.
 
-        On a map with nodes, the real's triple n is ``_point(q)(n)``, the map's
-        one read at a point: for a ``pwl`` map, the interpolation of the node
-        triples at precision n + 2 over one common denominator, with no
-        ``Fraction`` built; for a map built by hand, the enclosure of [q, q]
-        at precision n as a triple.  Its interval n is that triple reduced,
-        the raw enclosure of [q, q] at precision n, and the real is direct
-        when every node is.  It equals ``apply``'s running intersection: a
-        node approximation at a finer precision comes from a later index of a
-        nested real, and interpolation with lam in [0, 1] is monotone in both
-        node ends, so each enclosure already lies inside the one before.
+        On a ``pwl`` map, the real's triple n is ``_point(q)(n)``, the map's
+        one read at a point: the interpolation of the node triples at
+        precision n + 2 over one common denominator, with no ``Fraction``
+        built.  Its interval n is that triple reduced, the raw enclosure of
+        [q, q] at precision n, and the real is direct when every node is.  It
+        equals ``apply``'s running intersection: a node approximation at a
+        finer precision comes from a later index of a nested real, and
+        interpolation with lam in [0, 1] is monotone in both node ends, so each
+        enclosure already lies inside the one before.  On a map built by hand,
+        the real is that running intersection of the enclosures of [q, q].
 
         The memo key is q's reduced (numerator, denominator, denominator bit
         length), unique per value, so equal points of any type share one entry.
@@ -222,8 +224,8 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     def modulus(p: int) -> int:
         return p + _memo(slope, None, slope_exp)
 
-    f = ContinuousMap(enclose, modulus, values)
-    f._point = point
+    f = ContinuousMap(enclose, modulus)
+    f._point, f._nodes = point, values
     return f
 
 

@@ -72,14 +72,15 @@ def half_pow_text(p: int) -> str:
 
 
 class CReal:
-    """A constructive real: a memoized index -> RationalInterval stream.
+    """A constructive real: an index -> RationalInterval stream.
 
     Library constructors guarantee the shrinking and dwindling invariants;
     a caller-supplied generator is trusted to do the same (approx raises
     FuelExhausted when a malformed real never narrows).  It must also be
-    pure: reads take no lock, so the generator may run more than once for an
-    index when threads race on it, but the first interval stored wins and
-    every read returns it.
+    pure: it runs once for the triple of an index and again on each
+    ``interval`` read there, so two reads give equal intervals, not one
+    object.  Reads take no lock: when threads race on an index the
+    generator may run more than once, but the first triple stored wins.
 
     Reals from ``from_rational``, ``sqrt2``, ``rho0/1/2`` (a ``NatStream`` is
     total by contract), ``pwl`` point values ``f.at(q)`` whose nodes are direct
@@ -89,13 +90,14 @@ class CReal:
     the answer may raise.  Answers are least indices either way.
 
     Every real also has a private integer form of interval n, ``_ends(n)``:
-    a triple (lo_num, hi_num, den) with den > 0, not reduced, memoized like
-    ``interval``.  ``from_rational``, ``sqrt2``, ``rho0/1/2`` and ``pwl`` point
+    a triple (lo_num, hi_num, den) with den > 0, not reduced, and the one
+    memo a real keeps.  ``from_rational``, ``sqrt2``, ``rho0/1/2`` and ``pwl`` point
     values compute it by a formula, ``+ - * abs neg`` from their parts', and
     ``diagonal``, ``cantor_point`` and the IVT bisection from triple n - 1
     (``_sequential``); none builds a ``Fraction``.  Interval n is the triple's
-    ends reduced, built only when ``interval(n)`` is read.  Only public
-    ``from_steps`` reals and caller generators derive a triple from an interval.
+    ends reduced, built on each ``interval(n)`` read.  Only public
+    ``from_steps`` reals (whose intervals ``_in_order`` keeps) and caller
+    generators derive a triple from an interval.
 
     Every comparison reads triples and cross-multiplies: the width scans behind
     ``approx``, ``try_lt`` and ``try_apart``, ``verify_lt`` and the side tests of
@@ -108,21 +110,20 @@ class CReal:
 
     def __init__(self, generate: Callable[[int], RationalInterval]):
         self._generate = generate
-        self._cache: dict[int, RationalInterval] = {}
         self._triples: dict[int, tuple[int, int, int]] = {}
 
     def interval(self, n: int) -> RationalInterval:
         if n < 0:
             raise IndexError("interval indices are naturals")
-        return _memo(self._cache, n, self._generate)
+        return self._generate(n)
 
     def _ends(self, n: int) -> tuple[int, int, int]:
         """Interval n as (lo_num, hi_num, den) over one denominator den > 0."""
         return _memo(self._triples, n, self._triple)
 
     def _triple(self, n: int) -> tuple[int, int, int]:
-        # Derived from the interval; a real built by _from_ends has its own formula instead.
-        return _triple_of(self.interval(n))
+        # From the generator's interval; a real built by _from_ends has its own formula instead.
+        return _triple_of(self._generate(n))
 
     def approx(self, p: int, fuel: int | None) -> RationalInterval:
         """First interval (among indices 0..fuel; fuel None: no end, for direct
@@ -208,7 +209,7 @@ def _reduced(lo: int, hi: int, den: int) -> RationalInterval:
 def _from_ends(cls: type[CReal], ends: Callable[[int], tuple[int, int, int]],
                *parts: CReal) -> CReal:
     """The real whose triple n is ends(n), direct when all its parts are (or it
-    has none); its interval n is built from that triple when it is read."""
+    has none); its interval n is built from that triple on each read."""
     triples: dict[int, tuple[int, int, int]] = {}  # gen holds the memo, not the real: no cycle
 
     def gen(n: int) -> RationalInterval:

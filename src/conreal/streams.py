@@ -114,19 +114,14 @@ class NatStream:
         return cls(lambda _i: n)
 
     @classmethod
-    def from_function(cls, fn: Callable[[int], int]) -> "NatStream":
-        return cls(fn)
-
-    @classmethod
-    def eventually_constant(cls, prefix: Sequence[int], tail: int | None = None) -> "NatStream":
-        """Stream listing ``prefix`` then repeating ``tail`` (default: last prefix value)."""
+    def eventually_constant(cls, prefix: Sequence[int]) -> "NatStream":
+        """Stream listing ``prefix`` then repeating its last value; for another
+        tail value t, pass ``prefix + [t]``."""
         values = list(prefix)
-        if tail is None:
-            if not values:
-                raise ValueError("empty prefix needs an explicit tail value")
-            tail = values[-1]
-        rest: int = tail
-        return cls(lambda i: values[i] if i < len(values) else rest)
+        if not values:
+            raise ValueError("an eventually constant stream needs a nonempty prefix")
+        last = len(values) - 1
+        return cls(lambda i: values[min(i, last)])
 
 
 def _decimal(n: int) -> str:

@@ -26,6 +26,8 @@ Raises that no argv reaches, and why:
   "enclosures did not narrow" (``require_range`` has already found y's interval
   at precision p + 4 within the fuel, which is narrow enough; only a real whose
   ``approx`` claims a width that its intervals never reach gets there).
+
+Of these, ``test_cli.py`` ``UNREACHED`` calls each raise that no other test runs.
 """
 
 ERRORS = [

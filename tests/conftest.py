@@ -199,13 +199,12 @@ def random_indicator(rng: random.Random) -> FugitiveSpec:
     """Indicator with a random 0/1 prefix and a constant tail (may never fire)."""
     prefix = [rng.randint(0, 1) if rng.random() < 0.4 else 0 for _ in range(rng.randint(1, 12))]
     tail = rng.choice([0, 1])
-    return FugitiveSpec(NatStream.eventually_constant(prefix, tail))
+    return FugitiveSpec(NatStream.eventually_constant(prefix + [tail]))
 
 
 def spike(position: int | None) -> FugitiveSpec:
     """The fugitive firing at ``position`` alone, or never for None."""
-    return FugitiveSpec(NatStream.from_function(
-        lambda j: 1 if position is not None and j == position else 0))
+    return FugitiveSpec(NatStream(lambda j: 1 if position is not None and j == position else 0))
 
 
 def slow(v, rate: int):
@@ -254,8 +253,8 @@ def _logging(base: type) -> type:
 
 
 def recording(f):
-    """f behind a map built by hand (no nodes, so a point is read by ``enclose``), and the
-    list of the (interval, precision) pairs it encloses."""
+    """f behind a map built by hand (so a point is read by ``enclose``), and the list of
+    the (interval, precision) pairs it encloses."""
     calls = []
 
     def enclose(iv, p):

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from cli_cases import CASES
 from cli_errors import ERRORS
-from conreal import CReal, FuelExhausted, cli, fans, streams
+from conftest import outcome
+from conreal import (Coloring, ContinuousMap, CReal, FuelExhausted, NatStream, PiecewiseLinearSpec,
+                     RationalInterval, almost_full_witness, cli, fans, identity_map,
+                     monochromatic_witness, pair, streams, unpair)
 from conreal.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -161,7 +164,7 @@ def test_negative_precision_certificates():
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_precisions_below_the_floor_are_rejected_before_any_work(monkeypatch, argv, fmt):
     # 2^|p| would be built as an integer: a MemoryError at this size.
-    monkeypatch.setattr(cli, "_parse_expr", lambda text: pytest.fail("parsed an expression"))
+    monkeypatch.setattr(cli, "_ExprParser", lambda text, digits: pytest.fail("parsed an expression"))
     monkeypatch.setattr(cli, "_thirds_depth", lambda target: pytest.fail("sought a depth"))
     code, out, err = _invoke([*argv, "--format", fmt])
     assert (code, out) == (2, "")
@@ -554,6 +557,38 @@ def test_error_table_has_a_row_for_every_message_cli_raises():
         checked += 1
         assert any(all(p in line for p in pieces) for line in lines), (node.lineno, pieces)
     assert checked == 24
+
+
+def _drifting_map() -> ContinuousMap:
+    """A map whose enclosure at precision p is [p, p]: enclosures 0 and 1 are disjoint."""
+    return ContinuousMap(lambda iv, p: RationalInterval(Fraction(p), Fraction(p)), lambda p: p)
+
+
+# The library raises that no argv reaches (the ``cli_errors`` docstring says why)
+# and no other test runs: (id, call, exception type, exact message).
+UNREACHED = [
+    ("pair", lambda: pair(-1, 0), ValueError, "pair arguments must be naturals"),
+    ("unpair", lambda: unpair(-1), ValueError, "pair codes are naturals"),
+    ("monochromatic_witness", lambda: monochromatic_witness(Coloring(r=2, k=1, assign=lambda t: 2), 2, 1),
+     ValueError, "coloring produced 2, outside 0..1"),
+    ("almost_full_witness", lambda: almost_full_witness(lambda s: True, NatStream(lambda n: n), 0),
+     ValueError, "fuel must be >= 1"),
+    ("apply", lambda: _drifting_map().apply(CReal.from_rational(0)).interval(1),
+     ValueError, "enclosures drifted apart; map violates its contract"),
+    ("at", lambda: identity_map().at(2), ValueError, "point outside [0, 1]"),
+    ("pwl_spec", lambda: PiecewiseLinearSpec((0, 1), (CReal.from_rational(0),)),
+     ValueError, "breakpoints and values must have equal length"),
+    ("interval", lambda: CReal.from_rational(0).interval(-1), IndexError, "interval indices are naturals"),
+    ("stream_value", lambda: NatStream(lambda n: -1)[0], ValueError, "stream produced a negative value"),
+    ("eventually_constant", lambda: NatStream.eventually_constant([]),
+     ValueError, "an eventually constant stream needs a nonempty prefix"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [row[1:] for row in UNREACHED],
+                         ids=[row[0] for row in UNREACHED])
+def test_raises_that_no_argv_reaches(call, error, message):
+    assert outcome(call) == (error, message)
 
 
 def _parsed(parse, argv):

@@ -121,12 +121,12 @@ def test_prefix_partial_order_and_incompatibility():
 def test_prefix_of_stream():
     assert prefix_of_stream(NatStream.constant(9), 0) == 0
     assert prefix_of_stream(NatStream.constant(0), 2) == encode([0, 0])
-    identity = NatStream.from_function(lambda n: n)
+    identity = NatStream(lambda n: n)
     assert prefix_of_stream(identity, 2) == encode([0, 1])
 
 
 def test_subsequence():
-    identity = NatStream.from_function(lambda n: n)
+    identity = NatStream(lambda n: n)
     assert subsequence(identity, 0)[0] == 0
     assert subsequence(identity, 1)[0] == 2
     fives = NatStream.constant(5)

@@ -155,10 +155,10 @@ def test_arrow_star_monotone_in_M():
 
 
 def test_almost_full_examples():
-    identity = NatStream.from_function(lambda n: n)
+    identity = NatStream(lambda n: n)
     found = almost_full_witness(lambda values: len(values) >= 1, identity, 3)
     assert found == (0,)
-    evens = NatStream.from_function(lambda n: 2 * n)
+    evens = NatStream(lambda n: 2 * n)
     found = almost_full_witness(_pair_first_even, evens, 4)
     assert found == (0, 1)
     assert almost_full_witness(lambda values: False, identity, 4) is None
@@ -169,7 +169,7 @@ def _pair_first_even(values):
 
 
 def test_almost_full_requires_increasing():
-    decreasing = NatStream.from_function(lambda n: 10 - n if n < 10 else n)
+    decreasing = NatStream(lambda n: 10 - n if n < 10 else n)
     with pytest.raises(ValueError):
         almost_full_witness(lambda values: True, decreasing, 5)
 
@@ -183,7 +183,7 @@ def test_almost_full_found_reverifies():
             member_table[values] = rng.random() < 0.1
         return member_table[values]
 
-    zeta = NatStream.from_function(lambda n: 3 * n + 1)
+    zeta = NatStream(lambda n: 3 * n + 1)
     found = almost_full_witness(member, zeta, 6)
     if found is not None:
         assert member(tuple(zeta[i] for i in found))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import least_index, logged, race, same_interval, spike
+from conftest import least_index, logged, race, recording, same_interval, spike
 from conreal import (Apartness, ContinuousMap, CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness,
                      NatStream, PiecewiseLinearSpec, PreconditionFailed, RationalInterval,
                      approx_ivt, certified_within, diagonal, distance_bound,
@@ -189,22 +189,6 @@ def test_pwl_point_values_equal_running_intersections_random():
         _assert_point_values_match(f, bps + middles + inner, rng)
 
 
-@pytest.mark.parametrize("direct", [True, False])
-def test_a_map_built_by_hand_with_nodes_takes_its_point_values_from_enclose(direct):
-    # No pwl point formula: the point triple is the enclosure of [q, q], reduced back.
-    third = RationalInterval(Fraction(1, 3), Fraction(1, 3))
-    middle = sqrt2() - CReal.from_rational(1) if direct else CReal(lambda n: third)
-    nodes = (CReal.from_rational(0), middle, CReal.from_rational(1))
-    base = pwl(PiecewiseLinearSpec((0, half, 1), nodes))
-    f = ContinuousMap(base.enclose, base.modulus, nodes)
-    for q in (0, Fraction(1, 3), half, Fraction(5, 7), 1):
-        value = f.at(q)
-        assert value._direct is direct
-        point = RationalInterval(Fraction(q), Fraction(q))
-        assert all(same_interval(value.interval(n), base.enclose(point, n)) for n in range(40))
-        assert value.approx(30, 60) == base.at(q).approx(30, 60)
-
-
 @pytest.mark.parametrize("build,bps", [
     (lambda s: f0(spike(s)), (0, Fraction(1, 3), Fraction(2, 3), 1)),
     (lambda s: f1(spike(s)), (0, half, 1)),
@@ -356,6 +340,15 @@ def test_approx_ivt_identity():
     xi = x.approx(12, 64)
     assert abs((xi.lo + xi.hi) / 2 - Fraction(1, 3)) < Fraction(1, 1024)
     assert certified_within(identity_map(), x, y, 10, 64)
+
+
+def test_certified_within_stops_at_the_first_precision_out_of_fuel():
+    # y = 1/3 is 2^-7 wide first at index 8: at q = 7 f encloses, then y.approx(7, 7)
+    # runs out of fuel, and no finer q is tried.
+    f, calls = recording(identity_map())
+    y = CReal.from_rational(Fraction(1, 3))
+    assert not certified_within(f, CReal.from_rational(0), y, 4, 7)
+    assert [p for _, p in calls] == [5, 6, 7]
 
 
 def test_approx_ivt_f0():

@@ -251,7 +251,7 @@ def test_cantor_point_examples():
     assert zeros.interval(2) == (0, Fraction(4, 9))
     ones = cantor_point(NatStream.constant(1))
     assert ones.approx(5, 32).contains(Fraction(1))
-    spiked = cantor_point(NatStream.eventually_constant([1], 0))
+    spiked = cantor_point(NatStream.eventually_constant([1, 0]))
     assert spiked.interval(1) == (Fraction(1, 3), Fraction(1))
     for n in range(10):
         assert zeros.interval(n).width == Fraction(2, 3) ** n

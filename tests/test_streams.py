@@ -156,6 +156,22 @@ def test_pi_floor_matches_the_machin_oracle():
         assert _decimal(streams._pi_floor(size)) == "3" + digits[:size], size
 
 
+def test_pi_floor_doubles_its_guard_until_the_floor_is_certain(monkeypatch):
+    # Stand-in sums for size 5, each given once, whose value is exactly the middle term:
+    # with guard 20 (N = 3 terms) value -+ 2 straddles a multiple of 10^20, with 40 (N = 5) not.
+    middles = {3: (20, 314159 * 10 ** 20 - 1), 5: (40, 314159 * 10 ** 40 + 5 * 10 ** 39)}
+    terms = []
+
+    def chudnovsky(a, b):
+        terms.append(b)
+        guard, middle = middles.pop(b)
+        scale = 10 ** (5 + guard)
+        return 1, middle, 426880 * math.isqrt(10005 * scale * scale)
+    monkeypatch.setattr(streams, "_chudnovsky", chudnovsky)
+    assert streams._pi_floor(5) == 314159
+    assert terms == [3, 5]
+
+
 def test_racing_threads_share_one_pi_stream():
     d = pi_digits()
 
@@ -207,7 +223,7 @@ def test_fugitive_compare_monotone():
     rng = random.Random(11)
     for _ in range(50):
         prefix = [rng.randint(0, 1) for _ in range(rng.randint(1, 20))]
-        spec = FugitiveSpec(NatStream.eventually_constant(prefix, rng.randint(0, 1)))
+        spec = FugitiveSpec(NatStream.eventually_constant(prefix + [rng.randint(0, 1)]))
         answers = [fugitive_compare(spec, n) for n in range(25)]
         for lo, hi in zip(answers, answers[1:]):
             if lo is FugitiveCompare.AT_MOST:
@@ -225,13 +241,13 @@ def test_fugitive_equal_unique():
     rng = random.Random(5)
     for _ in range(30):
         prefix = [rng.randint(0, 2) for _ in range(rng.randint(1, 30))]
-        spec = FugitiveSpec(NatStream.eventually_constant(prefix, rng.randint(0, 1)))
+        spec = FugitiveSpec(NatStream.eventually_constant(prefix + [rng.randint(0, 1)]))
         hits = [n for n in range(201) if fugitive_equal(spec, n)]
         assert len(hits) <= 1
 
 
 def test_racing_reads_are_consistent():
-    s = NatStream.from_function(lambda n: n * 7 + 1)
+    s = NatStream(lambda n: n * 7 + 1)
     results = race(lambda _: [s[i] for i in range(100)], 8)
     expected = [i * 7 + 1 for i in range(100)]
     assert all(r == expected for r in results)
@@ -266,13 +282,15 @@ def test_racing_threads_see_the_first_write():
     indicator = logged(NatStream(lambda j: 1 if j == 150 else 0))
     spec = FugitiveSpec(indicator)
     seen = race(lambda _: ([stream[i] for i in range(200)],
+                           [real._ends(i) for i in range(200)],
                            [real.interval(i) for i in range(200)],
                            f.at(Fraction(1, 3)),
                            [fugitive_least(spec, n) for n in range(200)]), 8)
-    values, intervals, point, leasts = seen[0]
-    for other_values, other_intervals, other_point, other_leasts in seen[1:]:
+    values, triples, intervals, point, leasts = seen[0]
+    for other_values, other_triples, other_intervals, other_point, other_leasts in seen[1:]:
         assert other_values == values
-        assert all(a is b for a, b in zip(other_intervals, intervals))
+        assert all(a is b for a, b in zip(other_triples, triples))  # a real's one memo
+        assert other_intervals == intervals  # built anew on each read
         assert other_point is point
         assert other_leasts == leasts
     assert leasts == [None] * 150 + [150] * 50
@@ -391,14 +409,14 @@ def test_real_over_pi_past_the_limit_raises_and_stays_usable(pi_batches):
     spec = pattern_indicator(pi_digits(), 9, 99)  # no such run in the first 65,536 digits
     x = rho0(spec)
     before = x.approx(1000, 1001)
-    stored, frontier = (dict(x._cache), dict(x._triples)), (spec._clear, spec._fired)
+    stored, frontier = dict(x._triples), (spec._clear, spec._fired)
     with pytest.raises(TooLarge, match="^needs pi digits past the limit of 65536$"):
         x.approx(70000, 70001)
     assert max(pi_batches) == 65536
-    # The failed read stored nothing: the spec's frontier, the real's intervals and
-    # the triples its scans read are as they were.
+    # The failed read stored nothing: the spec's frontier and the triples the
+    # real's scans read are as they were.
     assert (spec._clear, spec._fired) == frontier
-    assert (x._cache, x._triples) == stored
+    assert x._triples == stored
     assert x.approx(1000, 1001) == before
     h = Fraction(1, 1 << 60001)
     assert x.approx(60000, 60001) == RationalInterval(-h, h)
