@@ -30,7 +30,6 @@ from .streams import FugitiveSpec, _decimal, _first_index, _memo
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-DEFAULT_FUEL = 128
 _UNCERTIFIED = "result could not be certified at the requested precision"
 _NODE_FUEL = 96  # caps reads of non-direct node reals only
 
@@ -293,7 +292,7 @@ def certified_within(f: ContinuousMap, x: CReal, y: CReal, p: int, fuel: int,
     return False
 
 
-def require_range(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> None:
+def require_range(f: ContinuousMap, y: CReal, p: int, fuel: int) -> None:
     """Raise PreconditionFailed unless f(0) <= y <= f(1) can hold, judged from
     enclosures of f(0), f(1) and y at precision p + 4."""
     guard = p + 4
@@ -333,7 +332,7 @@ def _below(f: ContinuousMap, q: Fraction, y: CReal, w: Apartness, source: str) -
     return below
 
 
-def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int = DEFAULT_FUEL) -> CReal:
+def approx_ivt(f: ContinuousMap, y: CReal, p: int, fuel: int) -> CReal:
     """A point x with certified |f(x) - y| < 2^-p, for f(0) <= y <= f(1).
 
     Bisection: at each midpoint m the enclosure of f(m) and the current
@@ -423,7 +422,7 @@ def ivt_countable_exceptions(f: ContinuousMap, y: CReal,
 
 # Convenience oracle builders (the procedures re-verify whatever these claim).
 
-def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
+def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int):
     """Searches a fixed grid of middle-third rationals q for a witness of f(q) # y."""
     def oracle(a: Fraction, b: Fraction) -> tuple[Fraction, Apartness]:
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
@@ -436,7 +435,7 @@ def middle_third_oracle(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
     return oracle
 
 
-def enumerated_witnesses(f: ContinuousMap, y: CReal, fuel: int = DEFAULT_FUEL):
+def enumerated_witnesses(f: ContinuousMap, y: CReal, fuel: int):
     """apart_at for ivt_countable_exceptions: a witness of f(q) # y at the rational q."""
     def apart_at(q: Fraction) -> Apartness:
         w = try_apart(f.at(q), y, fuel)

@@ -1,7 +1,7 @@
-"""Total lazy memoized sequences of naturals, digit streams and fugitive predicates.
+"""Total lazy sequences of naturals, digit streams and fugitive predicates.
 
-A ``NatStream`` is an infinite sequence of naturals backed by a pure, total
-generator function; values are cached on first read.  A ``FugitiveSpec``
+A ``NatStream`` is an infinite sequence of naturals given by a pure, total
+generator function, which every read runs.  A ``FugitiveSpec``
 interprets a 0/1-ish stream as "the least index that fires": comparisons
 against a bound n are decidable (read indices 0..n), existence in general
 is not, which is exactly the point.
@@ -89,22 +89,20 @@ def _first_index(pred: Callable[[int], bool], lo: int, hi: int | None,
 
 
 class NatStream:
-    """A total, lazily evaluated, memoized infinite sequence of naturals.
+    """A total, lazily evaluated infinite sequence of naturals: its generator.
 
     The generator must be pure: repeated evaluation at the same index has to
-    produce the same value.  Reads are thread-safe without a lock: the
-    generator may run more than once for an index when threads race on it,
-    but the first value stored wins and every read returns it.
+    produce the same value.  Each read runs it, so reads keep nothing and
+    need no lock: threads racing on an index agree because the generator does.
     """
 
     def __init__(self, generate: Callable[[int], int]):
         self._generate = generate
-        self._cache: dict[int, int] = {}
 
     def __getitem__(self, n: int) -> int:
         if n < 0:
             raise IndexError("stream indices are naturals")
-        value = _memo(self._cache, n, self._generate)
+        value = self._generate(n)
         if value < 0:
             raise ValueError("stream produced a negative value")
         return value
@@ -238,9 +236,10 @@ class FugitiveCompare(enum.Enum):
 def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> FugitiveSpec:
     """Fugitive spec firing at j when digits[j..j+run_length-1] all equal ``digit``.
 
-    Its finder reads any stream digit by digit in one pass.  On a ``pi_digits()``
-    stream it instead searches the batch bytes with ``bytes.find``, and computes
-    exactly the batches that the one pass would read.
+    Its finder reads any stream digit by digit in one pass; called again from hi + 1,
+    as ``fugitive_least`` does, it re-reads the up to run_length - 1 digits past hi
+    that its last call read.  On a ``pi_digits()`` stream it instead searches the
+    batch bytes with ``bytes.find``, and computes exactly the batches the one pass reads.
     """
     if not 0 <= digit <= 9:
         raise ValueError("digit must be in 0..9")
@@ -252,7 +251,7 @@ def pattern_indicator(digits: NatStream, digit: int, run_length: int) -> Fugitiv
 
     def find(lo: int, hi: int) -> int | None:
         # One pass, start being where the current run began: it reads the digits
-        # hit(lo..hi) would, each once, up to a full run or a mismatch at or past hi.
+        # hit(lo..hi) would, each once per call, up to a full run or a mismatch at or past hi.
         start = i = lo
         while start <= hi:
             if digits[i] != digit:

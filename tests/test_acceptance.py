@@ -131,13 +131,13 @@ def test_c07_approximate_ivt():
     started = time.perf_counter()
     f = f0(pattern_indicator(pi_digits(), 7, 1))
     y = CReal.from_rational(Fraction(1, 2))
-    x = approx_ivt(f, y, 8)
+    x = approx_ivt(f, y, 8, 128)
     assert certified_within(f, x, y, 8, 64)
     mid = time.perf_counter()
     assert mid - started < 5.0
     g = identity_map()
     y2 = CReal.from_rational(Fraction(1, 3))
-    x2 = approx_ivt(g, y2, 12)
+    x2 = approx_ivt(g, y2, 12, 128)
     assert certified_within(g, x2, y2, 12, 64)
     assert time.perf_counter() - mid < 5.0
     _report("7. approximate IVT: f0(7,1) at p=8 and identity at p=12, certified", started)

@@ -336,7 +336,7 @@ def test_map_apply_tracks_value():
 
 def test_approx_ivt_identity():
     y = CReal.from_rational(Fraction(1, 3))
-    x = approx_ivt(identity_map(), y, 10)
+    x = approx_ivt(identity_map(), y, 10, 128)
     xi = x.approx(12, 64)
     assert abs((xi.lo + xi.hi) / 2 - Fraction(1, 3)) < Fraction(1, 1024)
     assert certified_within(identity_map(), x, y, 10, 64)
@@ -354,7 +354,7 @@ def test_certified_within_stops_at_the_first_precision_out_of_fuel():
 def test_approx_ivt_f0():
     f = f0(pattern_indicator(pi_digits(), 7, 1))
     y = CReal.from_rational(half)
-    x = approx_ivt(f, y, 8)
+    x = approx_ivt(f, y, 8, 128)
     # Independent certificate, built only from enclose and approx.
     assert certified_within(f, x, y, 8, 64)
     assert distance_bound(f, x, y, 11, 64) < Fraction(1, 256)
@@ -363,7 +363,7 @@ def test_approx_ivt_f0():
 def test_approx_ivt_boundary():
     f = identity_map()
     y = CReal.from_rational(1)
-    x = approx_ivt(f, y, 4)
+    x = approx_ivt(f, y, 4, 128)
     xi = x.approx(8, 64)
     assert xi.hi > Fraction(15, 16)
     assert certified_within(f, x, y, 4, 64)
@@ -371,11 +371,11 @@ def test_approx_ivt_boundary():
 
 def test_approx_ivt_precondition():
     with pytest.raises(PreconditionFailed):
-        approx_ivt(identity_map(), CReal.from_rational(2), 6)
+        approx_ivt(identity_map(), CReal.from_rational(2), 6, 128)
 
 
 def test_approx_ivt_keeps_bisecting_lazily():
-    x = approx_ivt(identity_map(), CReal.from_rational(Fraction(1, 3)), 6)
+    x = approx_ivt(identity_map(), CReal.from_rational(Fraction(1, 3)), 6, 128)
     assert x.interval(40).width == Fraction(1, 2 ** 40)
 
 

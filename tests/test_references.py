@@ -333,7 +333,7 @@ def test_enclose_raising_only_where_y_is_wide_now_answers():
         return base.enclose(iv, level)
 
     f, y = ContinuousMap(enclose, base.modulus), CReal.from_rational(Fraction(1, 3))
-    x = approx_ivt(f, y, 4)
+    x = approx_ivt(f, y, 4, 128)
     assert certified_within(f, x, y, 4, 64)
 
 
