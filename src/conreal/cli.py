@@ -399,11 +399,45 @@ def _cmd_ivt(args) -> _Answer:
 _DEFAULTS = {"format": "plain", "fuel": 64}
 
 
+def _value(action: argparse.Action, text: str):
+    """text through action's type and choices; ValueError if it starts with '-' or either rejects it."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(value)
+    return value
+
+
+def _direct_fill(fill: tuple, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace of the tokens after a plain argv's command; None leaves them to argparse."""
+    base, positional, options, required = fill
+    given, lead = {}, 0
+    try:
+        if positional is not None:  # its tokens are those before the first that starts with '-'
+            lead = next((i for i, token in enumerate(tokens) if token.startswith("-")), len(tokens))
+            values = [_value(positional, token) for token in tokens[:lead]]
+            if positional.nargs is None:
+                (values,) = values  # ValueError unless there is exactly one
+            elif positional.nargs == "+" and not values:
+                return None
+            given[positional.dest] = values
+        rest = iter(tokens[lead:])
+        for token in rest:
+            action = options[token]
+            given[action.dest] = action.const if action.nargs == 0 else _value(action, next(rest))
+    except (KeyError, StopIteration, ValueError):  # a token the fill does not take
+        return None
+    args = argparse.Namespace()
+    vars(args).update(base, **given)  # one update: Namespace(**kwargs) sets each name apart
+    return args if required <= given.keys() else None
+
+
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
     # Built once per process: parse_args leaves the parsers unchanged.  Returns
-    # the top-level parser and each command's own parser by name; see _parse
-    # for which argv reaches which.
+    # the top-level parser, each command's own parser by name and what the
+    # direct fill reads of it; see _parse for which argv reaches which.
     parser = _Parser(prog="conreal", description="constructive reals and friends")
     # --format is accepted before or after the subcommand; --fuel after the
     # subcommands that read it.
@@ -482,29 +516,45 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--star", action="store_true")
     p.set_defaults(fn=_cmd_ramsey)
 
-    return parser, sub.choices
+    # Per command: the namespace before any token (a dest's first default, then set_defaults),
+    # its one positional, its store and store_true options by option string, its required dests.
+    fills = {}
+    for name, command in sub.choices.items():
+        actions = command._actions
+        defaults = {a.dest: a.default for a in reversed(actions) if a.default is not argparse.SUPPRESS}
+        stores = [a for a in actions if isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))]
+        fills[name] = ({**command._defaults, **defaults, "command": name, **_DEFAULTS},
+                       next((a for a in stores if not a.option_strings), None),
+                       {option: a for a in stores for option in a.option_strings},
+                       {a.dest for a in actions if a.required and a.option_strings})
+    return parser, sub.choices, fills
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace of one argv, as the top-level parser's parse_args gives it.
 
-    An argv that starts with a command goes straight to that command's parser:
-    the top-level parser would hand it everything after the command anyway.
-    The top-level parser reads only an argv that does not start with a command:
-    a leading option, --help, no argument, an unknown command.
+    A plain argv (the command, its positionals, then exact option strings, each with
+    one value that does not start with '-' or, for store_true, none) is filled directly
+    through its command parser's types, choices and defaults.  Any other argv that
+    starts with a command ('=', an abbreviation, -p5, '--', -h, a negative or rejected
+    value, a missing argument) goes to that command's parser, the rest to the top-level
+    parser: every message and help text is argparse's.
     """
-    parser, commands = _build_parser()
+    parser, commands, fills = _build_parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0], **_DEFAULTS))
+    args = _direct_fill(fills[argv[0]], argv[1:])
+    if args is None:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0], **_DEFAULTS))
+    return args
 
 
 def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
     """Dispatch one invocation, print its answer or error; returns the exit code.
 
-    An argv that starts with a command is parsed once, by that command's own
-    parser; ``_parse`` names the few that the top-level parser reads instead.
+    A plain argv is filled without argparse, any other is parsed once; ``_parse``
+    says which argv takes which way.
     """
     try:
         args = _parse(argv)

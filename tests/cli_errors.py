@@ -42,6 +42,12 @@ ERRORS = [
      "error: the following arguments are required: -p/--precision"),
     ("unknown_flag", ["eval", "1/2", "-p", "4", "--bogus"], 2,
      "error: unrecognized arguments: --bogus"),
+    # A value that its option's choices reject, after a command: the direct fill
+    # leaves the argv to the command's parser, which reports it.
+    ("ivt_mode_invalid_choice", ["ivt", "--map", "id", "--y", "1/3", "-p", "4", "--mode", "bogus"], 2,
+     "error: argument --mode: invalid choice: 'bogus' (choose from 'approx', 'lnc', 'countable')"),
+    ("format_invalid_choice", ["euclid", "2", "--format", "xml"], 2,
+     "error: argument --format: invalid choice: 'xml' (choose from 'plain', 'json')"),
     ("help", ["eval", "--help"], 0, ""),
     ("fuel_zero", ["eval", "1", "-p", "4", "--fuel", "0"], 2, "error: --fuel must be >= 1"),
     # cli.py: the expression parser.

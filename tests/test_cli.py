@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cli_cases import CASES
@@ -623,23 +623,72 @@ _WORDS = _COMMANDS + [
     "--c", "n=1", "--bound", "--p0", "--M", "--n", "--k", "--r", "--star"]
 
 
-@settings(deadline=None)
-@given(st.sampled_from(_COMMANDS + ["bogus", "--format", "--", "-h"]),
-       st.lists(st.sampled_from(_WORDS), max_size=8))
-def test_parse_matches_the_top_level_parser(head, tail):
-    _assert_parses_as_the_top_level_parser([head, *tail])
+def _texts(action):
+    """Values for one action: mostly ones that its type and choices take, now and
+    then one that they reject or one that starts with '-'."""
+    if action.choices:
+        return st.sampled_from([*action.choices * 4, "bogus"])
+    if action.type is int:
+        return st.sampled_from(["0", "1", "2", "3", "5", "8", "12", "40", "1/3", "-3"])
+    return st.sampled_from(["id", "1/3", "n=1", "len=2", "1,2;3", "f0:7,1", "sum>=3", "x", "", "-1"])
+
+
+@st.composite
+def _declared_argv(draw):
+    """An argv built from one command's own declarations: its positional, then its
+    options in any order, a required one left out now and then, an optional one
+    sometimes, and sometimes one given twice, each time with a value of its own."""
+    name = draw(st.sampled_from(_COMMANDS))
+    argv, options = [name], []
+    for a in cli._build_parser()[1][name]._actions:
+        if a.dest == "help":
+            continue
+        if not a.option_strings:
+            argv += draw(st.lists(_texts(a), max_size=1 if a.nargs is None else 3))
+        elif draw(st.integers(0, 9) if a.required else st.booleans()):  # a required one unless 0 is drawn
+            options.append((a, draw(st.sampled_from(a.option_strings))))
+    if options:
+        options += draw(st.lists(st.sampled_from(options), max_size=1))
+    for a, option in draw(st.permutations(options)):
+        argv += [option] if a.nargs == 0 else [option, draw(_texts(a))]
+    return argv
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.one_of(st.builds(lambda head, tail: [head, *tail],
+                           st.sampled_from(_COMMANDS + ["bogus", "--format", "--", "-h"]),
+                           st.lists(st.sampled_from(_WORDS), max_size=8)),
+                 _declared_argv()))
+def test_parse_matches_the_top_level_parser(argv):
+    fill = cli._build_parser()[2].get(argv[0])
+    event("direct fill" if fill and cli._direct_fill(fill, argv[1:]) is not None else "argparse")
+    _assert_parses_as_the_top_level_parser(argv)
 
 
 def test_a_command_first_argv_is_parsed_once(monkeypatch):
-    # The top-level parser hands a command-first argv to the command's parser
-    # whole: parsing it there too would be a second pass over the same strings.
-    class TopLevelParse(Exception):
+    # A plain argv is filled without argparse: one golden argv per command
+    # answers while every parser refuses to parse.  Any other command-first argv
+    # goes to its command's parser alone, and only an argv that does not start
+    # with a command to the top-level parser.
+    class Parse(Exception):
         pass
 
-    def refuse(*args, **kwargs):
-        raise TopLevelParse
+    def refuse(name):
+        def parse_known_args(*args, **kwargs):
+            raise Parse(name)
+        return parse_known_args
 
-    monkeypatch.setattr(cli._build_parser()[0], "parse_known_args", refuse)
-    assert _invoke(["euclid", "2", "3"]) == (0, "7\n", "")
-    with pytest.raises(TopLevelParse):
-        _invoke(["--format", "json", "euclid", "2"])
+    parser, commands, _ = cli._build_parser()
+    monkeypatch.setattr(parser, "parse_known_args", refuse("conreal"))
+    for name, command in commands.items():
+        monkeypatch.setattr(command, "parse_known_args", refuse(name))
+    golden = {}
+    for name, argv, code in CASES:
+        golden.setdefault(argv[0], (name, argv, code))
+    assert golden.keys() == commands.keys()
+    for name, argv, code in golden.values():
+        assert _invoke(argv) == (code, (GOLDEN / f"{name}.txt").read_text(), "")
+    for argv, reached in [(["euclid", "2", "--fo=json"], "euclid"), (["eval", "1", "-p5"], "eval"),
+                          (["--format", "json", "euclid", "2"], "conreal")]:
+        with pytest.raises(Parse, match=f"^{reached}$"):
+            _invoke(argv)
