@@ -3,12 +3,15 @@
 Finite "sets" are strictly increasing tuples of naturals throughout.  All
 scan orders are pinned: Dickson pairs go by increasing second index, tuples
 are lexicographic, and almost-full candidates go by length then lexicographic
-order.  The Ramsey checkers search colorings depth first: the k-tuples are
-colored one at a time in lexicographic order, each with colors 0..r-1 in
-turn, and a branch is cut as soon as a candidate tuple whose k-subtuples are
-all colored is monochromatic, since every coloring extending it hits.  The
-first complete coloring the search reaches is thus the lexicographically
-first one that avoids every candidate: the evidence for a false answer.
+order.  The Ramsey checkers search colorings depth first: the k-tuples (slots)
+are colored one at a time in lexicographic order, each with the colors from 0
+up to one more than the largest color so far, at most r - 1, and a branch is
+cut as soon as a candidate tuple whose k-subtuples are all colored is
+monochromatic, since every coloring extending it hits.  Renaming colors maps
+avoiding colorings to avoiding colorings, so the lexicographically first one
+opens its colors in the order 0, 1, 2, ...: the first complete coloring the
+search reaches is still the lexicographically first one that avoids every
+candidate, the evidence for a false answer.
 """
 
 from __future__ import annotations
@@ -112,35 +115,64 @@ def avoiding_coloring(M: int, n: int, k: int, r: int, star: bool = False) -> lis
     monochromatic candidate, or None when every coloring has one.  Candidates
     are the increasing n-tuples, or with ``star`` the relatively large tuples
     (length at least n and equal to the first entry).  The colors are listed
-    in the order of ``itertools.combinations(range(M), k)``."""
+    in the order of ``itertools.combinations(range(M), k)``.  Slot s tries
+    colors 0..min(r - 1, 1 + the largest color of slots 0..s-1), which keeps
+    the first avoiding coloring: its colors first appear in order.  A slot
+    lists, on its first visit, the candidates it closes (those whose largest
+    k-subtuple it is), each as the bitmask of its other slots."""
     _validate_arrow_args(M, n, k, r)
     if _colorings_exceed_guard(M, k, r):  # before any slot is listed
         raise TooLarge(f"{r}^C({M},{k}) colorings exceed the 2^30 guard")
+    # One color: the one coloring hits (0, ..., n-1), or with star (n, ..., 2n-1), the
+    # relatively large tuple with the least last entry, when it fits below M.
+    if r == 1:
+        return None if not star or 2 * n <= M else [0] * math.comb(M, k)
     slots = list(itertools.combinations(range(M), k))
-    slot_index = {s: i for i, s in enumerate(slots)}
-    # Each candidate is filed under its largest slot: the slot whose color closes it.
-    closing: list[list[list[int]]] = [[] for _ in slots]
-    for t in _relatively_large(M, n) if star else itertools.combinations(range(M), n):
-        subs = [slot_index[u] for u in itertools.combinations(t, k)]
-        closing[max(subs)].append(subs)
+    bit = {u: 1 << i for i, u in enumerate(slots)}  # the guard leaves r >= 2 at most 30 slots
+    closing: list[list[int]] = []  # closing[s]: the masks of the candidates slot s closes
+    colors = [-1] * len(slots)
+    used = [0] * (len(slots) + 1)  # used[s]: the number of colors among slots 0..s-1
+    colored = [0] * r  # colored[c]: the mask of the slots below s with color c
     # Depth-first over partial colorings of slots 0..s, colors tried in increasing
     # order.  A color that closes a monochromatic candidate is skipped, since every
     # completion of that branch hits; getting past the last slot means a coloring
     # avoids every candidate.
-    colors = [-1] * len(slots)
     s = 0
-    while s >= 0:
-        if s == len(slots):
-            return colors
+    while s < len(slots):
+        if s == len(closing):
+            closing.append([sum(map(bit.__getitem__, itertools.combinations(t, k))) - bit[slots[s]]
+                            for t in _closed_by(slots[s], n, k, star)])
         color = colors[s] + 1
-        if color == r:
+        if color > used[s] or color == r:
             colors[s] = -1
+            if s == 0:
+                return None
             s -= 1
+            colored[colors[s]] ^= 1 << s
             continue
         colors[s] = color
-        if not any(all(colors[u] == color for u in subs) for subs in closing[s]):
+        free = ~colored[color]
+        for m in closing[s]:
+            if not m & free:  # every other slot of the candidate has this color
+                break
+        else:
+            colored[color] |= 1 << s
+            used[s + 1] = max(used[s], color + 1)
             s += 1
-    return None
+    return colors
+
+
+def _closed_by(slot: tuple[int, ...], n: int, k: int, star: bool) -> Iterator[tuple[int, ...]]:
+    """The candidates (n-tuples, or relatively large tuples) whose last k entries are ``slot``."""
+    if not star:
+        for head in itertools.combinations(range(slot[0]), n - k):
+            yield head + slot
+        return
+    if slot[0] == k == n:  # p == k: the slot itself, of length k = its first entry
+        yield slot
+    for p in range(max(n, k + 1), slot[0]):  # p > k: p, then p - k - 1 entries below the slot
+        for middle in itertools.combinations(range(p + 1, slot[0]), p - k - 1):
+            yield (p,) + middle + slot
 
 
 def arrow_check(M: int, n: int, k: int, r: int) -> bool:
@@ -161,13 +193,6 @@ def monochromatic_witness(c: Coloring, M: int, n: int) -> tuple[tuple[int, ...],
         if all(c.assign(u) == first for u in subs[1:]):
             return t, first
     return None
-
-
-def _relatively_large(M: int, n: int) -> Iterator[tuple[int, ...]]:
-    # Tuples t with length p >= n, values < M, t(0) = p.
-    for p in range(n, M):  # t(0) = p forces p < M
-        for rest in itertools.combinations(range(p + 1, M), p - 1):
-            yield (p,) + rest
 
 
 def arrow_star_check(M: int, n: int, k: int, r: int) -> bool:

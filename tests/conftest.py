@@ -13,8 +13,9 @@ cross-check).  ``logged`` records the reads of a real or a stream, and
 from one hypothesis strategy, ``tree_graphs``: a pool of such trees with
 shared subtrees, which ``tree_real`` and ``tree_reader`` read.
 
-Every test runs under a time limit of 60 s: a test that hangs fails with
-``TimeoutError`` instead of stalling the run.  Every threaded test runs its
+Every test runs under a time limit of 60 s, or of the seconds its
+``time_limit`` marker gives: a test that hangs fails with ``TimeoutError``
+instead of stalling the run.  Every threaded test runs its
 threads through ``race`` and has "racing" in its name, so that ``-k racing``
 selects them all.
 """
@@ -45,18 +46,21 @@ _TIME_LIMIT_S = 60  # about 20 times the slowest test
 
 
 @pytest.fixture(autouse=True)
-def _time_limit():
-    """Arm a real-time timer for the test and disarm it after.  Only where
-    SIGALRM exists, and only in the main thread, which receives the signal."""
+def _time_limit(request):
+    """Arm a real-time timer for the test, of the seconds of its ``time_limit``
+    marker or else 60, and disarm it after.  Only where SIGALRM exists, and only
+    in the main thread, which receives the signal."""
     if not hasattr(signal, "SIGALRM") or threading.current_thread() is not threading.main_thread():
         yield
         return
+    marker = request.node.get_closest_marker("time_limit")
+    seconds = marker.args[0] if marker else _TIME_LIMIT_S
 
     def expire(_signum, _frame):
-        raise TimeoutError(f"test ran past its time limit of {_TIME_LIMIT_S} s")
+        raise TimeoutError(f"test ran past its time limit of {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, _TIME_LIMIT_S)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import avoiding_oracle, relatively_large
 from conreal import (Coloring, DicksonInstance, NatStream, TooLarge,
                      almost_full_witness, arrow_check, arrow_star_check,
-                     avoiding_coloring, dickson_witness, euclid_extend,
+                     avoiding_coloring, cli, dickson_witness, euclid_extend,
                      monochromatic_witness)
-from conreal.combinatorics import _colorings_exceed_guard
+from conreal.combinatorics import _closed_by, _colorings_exceed_guard
 
 
 def _is_prime(n):
@@ -235,8 +236,27 @@ def test_ramsey_search_matches_enumeration():
 def test_ramsey_search_beyond_enumeration():
     assert arrow_check(7, 3, 2, 2) is True
     assert arrow_star_check(8, 3, 2, 2) is False
-    # One color and 3160 slots: the search walks every slot without recursing.
+    # One color and 3160 slots: the one coloring is read off, with no search.
     assert arrow_check(80, 3, 2, 1) is True
+
+
+@pytest.mark.time_limit(4)
+def test_ramsey_with_thousands_of_candidates_per_slot_answers():
+    # k = 1: slot 15 alone closes C(15, 7) = 6,435 candidates, under 2^16 colorings.
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["ramsey", "--M", "16", "--n", "8", "--k", "1", "--r", "2"], out, err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("holds: true\n", "")
+
+
+def test_slots_list_each_candidate_once_under_its_last_k_entries():
+    for M in range(1, 10):
+        for k in range(1, M + 1):
+            slots = list(itertools.combinations(range(M), k))
+            for n, star in itertools.product(range(k, M + 1), (False, True)):
+                listed = [(t, slot) for slot in slots for t in _closed_by(slot, n, k, star)]
+                candidates = relatively_large(M, n) if star else itertools.combinations(range(M), n)
+                assert sorted(t for t, _ in listed) == sorted(candidates), (M, n, k, star)
+                assert all(t[-k:] == slot for t, slot in listed), (M, n, k, star)
 
 
 def _as_coloring(M, k, r, colors):
