@@ -38,7 +38,7 @@ def _fmt_interval(iv: RationalInterval) -> str:
 
 
 def _fmt_list(xs) -> str:
-    return "[" + ",".join(str(x) for x in xs) + "]"
+    return "[" + ",".join(map(str, xs)) + "]"
 
 
 class _Help(Exception):

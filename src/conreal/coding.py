@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .streams import NatStream, _first_index, _in_order
+from .streams import NatStream, _first_index, _in_order, _memo
 
 
 def _least_divisor(n: int) -> int:
@@ -32,6 +32,16 @@ def _least_divisor(n: int) -> int:
 # p(i), the i-th prime: the least number above p(i-1) that is its own least divisor.
 _prime = _in_order(2, lambda last, _i: _first_index(lambda c: _least_divisor(c) == c,
                                                     last + 1, None, False))
+_blocks: dict[int, tuple[int, int]] = {}  # p -> _block(p), filled as decode meets p
+
+
+def _block(p: int) -> tuple[int, int]:
+    """(p^k, k) for the largest k with p^k < 2^30: one CPython digit (p itself above 2^15)."""
+    block, k = p, 1
+    while block * p < 1 << 30:
+        block *= p
+        k += 1
+    return block, k
 
 
 def pair(m: int, n: int) -> int:
@@ -68,6 +78,10 @@ def decode(s: int) -> list[int]:
     Factors s+1 over the prime sequence; the largest prime present is
     p(k-1), giving length k, and its exponent is the last entry plus one.
     Not encoded again to check: its prime powers multiply back to s+1.
+    Cost: a prime p of exponent e takes about ceil(e/k) + 1 passes over the
+    code, where p^k is p's block (``_block``): each pass divides by the block,
+    one CPython digit, and the factors left, fewer than k, are read off the
+    one-digit remainder and divided out at once.
     """
     if s < 0:
         raise ValueError("not a sequence code: negative")
@@ -78,11 +92,19 @@ def decode(s: int) -> list[int]:
     i = 0
     while remaining > 1:
         p = _prime(i)
+        block, k = _memo(_blocks, p, _block)
         e = 0
-        while remaining % p == 0:
-            remaining //= p
-            e += 1
-        exponents.append(e)
+        q, r = divmod(remaining, block)
+        while not r:
+            remaining, e = q, e + k
+            q, r = divmod(remaining, block)
+        j = 0  # 0 < r < p^k, so p divides remaining exactly j < k more times
+        while not r % p:
+            r //= p
+            j += 1
+        if j:
+            remaining //= p ** j
+        exponents.append(e + j)
         i += 1
     exponents[-1] -= 1  # >= 0: the loop stops right after dividing out s+1's largest prime
     return exponents

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -64,23 +65,19 @@ def dickson_witness(inst: DicksonInstance, fuel: int) -> tuple[int, int] | None:
     """
     if fuel < 2:
         raise ValueError("fuel must be >= 2")
-    rows: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
     # Indices of the <=-minimal rows so far: no other row so far is <= them,
     # coordinatewise.  No row so far is <= a later one (the search would have
     # stopped there), so <= among them is a strict order, and some earlier row
     # is <= row j exactly when a minimal one is.
     minimal: list[int] = []
     for j in range(fuel):
-        row = tuple(s[j] for s in inst.sequences)
-        if any(_le(rows[m], row) for m in minimal):
-            return next(i for i in range(j) if _le(rows[i], row)), j
-        minimal = [m for m in minimal if not _le(row, rows[m])] + [j]
+        row = [s[j] for s in inst.sequences]
+        if any(all(map(operator.le, rows[m], row)) for m in minimal):
+            return next(i for i in range(j) if all(map(operator.le, rows[i], row))), j
+        minimal = [m for m in minimal if not all(map(operator.le, row, rows[m]))] + [j]
         rows.append(row)
     return None
-
-
-def _le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)

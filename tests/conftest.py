@@ -5,13 +5,14 @@ means, not from how it is computed: ``least_index`` for scans, ``tree_reader``
 (exact interval arithmetic over the trees that ``tree_real`` builds) for
 arithmetic, ``pwl_oracle`` for pwl maps, ``ivt_oracle`` for the three
 intermediate-value procedures, ``subbar_oracle`` and ``coverage_oracle`` for
-subbars, ``avoiding_oracle`` for colorings.  The pi oracle is an independent
-fixed-precision Machin computation (the library stream sums the Chudnovsky
-series by binary splitting in doubling batches, so the two methods
-cross-check).  ``logged`` records the reads of a real or a stream, and
-``outcome`` turns a call into its value or its error.  Random reals come
-from one hypothesis strategy, ``tree_graphs``: a pool of such trees with
-shared subtrees, which ``tree_real`` and ``tree_reader`` read.
+subbars, ``avoiding_oracle`` for colorings, ``decode_oracle`` for sequence
+codes.  The pi oracle is an independent fixed-precision Machin computation
+(the library stream sums the Chudnovsky series by binary splitting in
+doubling batches, so the two methods cross-check).  ``logged`` records the
+reads of a real or a stream, and ``outcome`` turns a call into its value or
+its error.  Random reals come from one hypothesis strategy, ``tree_graphs``:
+a pool of such trees with shared subtrees, which ``tree_real`` and
+``tree_reader`` read.
 
 Every test runs under a time limit of 60 s, or of the seconds its
 ``time_limit`` marker gives: a test that hangs fails with ``TimeoutError``
@@ -162,6 +163,30 @@ def avoiding_oracle(M: int, n: int, k: int, r: int, star: bool) -> list[int] | N
         if not any(len({colors[s] for s in subs}) == 1 for subs in candidates):
             return list(colors)
     return None
+
+
+_PRIMES = [2]
+
+
+def decode_oracle(s: int) -> list[int]:
+    """The list coded by s, by definition: divide s + 1 by 2, 3, 5, ... one factor
+    at a time, count each prime's factors until nothing is left, and take one from
+    the last count.  Primes come from trial division by the primes before them."""
+    remaining, exponents = s + 1, []
+    while remaining > 1:
+        if len(exponents) == len(_PRIMES):
+            c = _PRIMES[-1] + 1
+            while any(c % p == 0 for p in itertools.takewhile(lambda p: p * p <= c, _PRIMES)):
+                c += 1
+            _PRIMES.append(c)
+        p = _PRIMES[len(exponents)]
+        exponents.append(0)
+        while remaining % p == 0:
+            remaining //= p
+            exponents[-1] += 1
+    if exponents:
+        exponents[-1] -= 1
+    return exponents
 
 
 def machin_pi_digits(n: int) -> list[int]:

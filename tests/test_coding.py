@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import conreal
 from conreal import (NatStream, concat, decode, encode, incompatible,
                      is_prefix, length, pair, prefix_of_stream, subsequence, unpair)
-from conreal.coding import _prime
+from conreal.coding import _block, _prime
+from conftest import decode_oracle
 
 lists_of_naturals = st.lists(st.integers(min_value=0, max_value=6), max_size=8)
 
@@ -70,6 +71,34 @@ def test_every_natural_is_a_code():
         c = encode(xs)
         assert decode(c) == xs
         assert encode(decode(c)) == c
+
+
+def _block_exponent(p):
+    """The largest k with p^k < 2^30: the factors of p that decode divides out per pass."""
+    k = 1
+    while p ** (k + 1) < 2 ** 30:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("i", [*range(12), 3512])
+def test_decode_at_block_edges_matches_the_oracle(i):
+    # Exponents around one and two whole blocks of p(i), each as an inner entry and
+    # as the last one, so every remainder case of the block division is met; p(3512)
+    # = 32771 is the first prime above 2^15, whose block is p itself (k = 1).
+    # Fails with the block loop's `e + k` changed to `e + k - 1`.
+    p = _prime(i)
+    k = _block_exponent(p)
+    assert _block(p) == (p ** k, k)
+    assert i < 12 or _prime(i - 1) < 2 ** 15 < p
+    fill = [0, 1] if i < 12 else [0]
+    for v in (k - 1, k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1):
+        for f in fill:
+            for xs in ([f] * i + [v, f], [f] * i + [v], ([f] * i + [v - 1]) if v else []):
+                assert decode(encode(xs)) == xs == decode_oracle(encode(xs))
+        for cofactor in (1, p + 1, _prime(i + 1), (p + 1) * _prime(i + 1) * _prime(i + 5)):
+            s = p ** v * cofactor - 1
+            assert decode(s) == decode_oracle(s)
 
 
 def test_decode_rejects_negatives():
