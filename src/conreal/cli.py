@@ -394,8 +394,7 @@ def _cmd_ivt(args) -> _Answer:
                    {"certified_below": bound}, plain)
 
 
-# The top-level parser's defaults, which also seed the namespace of an argv
-# that goes straight to its command's parser.
+# The top-level parser's defaults, which also seed the namespace of a filled argv.
 _DEFAULTS = {"format": "plain", "fuel": 64}
 
 
@@ -434,10 +433,10 @@ def _direct_fill(fill: tuple, tokens: list[str]) -> argparse.Namespace | None:
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
+def _build_parser() -> tuple[_Parser, dict[str, tuple]]:
     # Built once per process: parse_args leaves the parsers unchanged.  Returns
-    # the top-level parser, each command's own parser by name and what the
-    # direct fill reads of it; see _parse for which argv reaches which.
+    # the top-level parser and, by command name, what the direct fill reads of
+    # that command's parser; see _parse for which argv takes which.
     parser = _Parser(prog="conreal", description="constructive reals and friends")
     # --format is accepted before or after the subcommand; --fuel after the
     # subcommands that read it.
@@ -527,7 +526,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
                        next((a for a in stores if not a.option_strings), None),
                        {option: a for a in stores for option in a.option_strings},
                        {a.dest for a in actions if a.required and a.option_strings})
-    return parser, sub.choices, fills
+    return parser, fills
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -535,26 +534,20 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
     A plain argv (the command, its positionals, then exact option strings, each with
     one value that does not start with '-' or, for store_true, none) is filled directly
-    through its command parser's types, choices and defaults.  Any other argv that
-    starts with a command ('=', an abbreviation, -p5, '--', -h, a negative or rejected
-    value, a missing argument) goes to that command's parser, the rest to the top-level
-    parser: every message and help text is argparse's.
+    through its command parser's types, choices and defaults.  Any other argv ('=', an
+    abbreviation, -p5, '--', -h, a negative or rejected value, a missing argument, no
+    command first) goes to the top-level parser: every message and help text is argparse's.
     """
-    parser, commands, fills = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _direct_fill(fills[argv[0]], argv[1:])
-    if args is None:
-        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0], **_DEFAULTS))
-    return args
+    parser, fills = _build_parser()
+    args = _direct_fill(fills[argv[0]], argv[1:]) if argv and argv[0] in fills else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
     """Dispatch one invocation, print its answer or error; returns the exit code.
 
-    A plain argv is filled without argparse, any other is parsed once; ``_parse``
-    says which argv takes which way.
+    A plain argv is filled without argparse, any other goes to the top-level parser;
+    ``_parse`` says which argv takes which way.
     """
     try:
         args = _parse(argv)

@@ -128,8 +128,9 @@ def avoiding_coloring(M: int, n: int, k: int, r: int, star: bool = False) -> lis
     bit = {u: 1 << i for i, u in enumerate(slots)}  # the guard leaves r >= 2 at most 30 slots
     closing: list[list[int]] = []  # closing[s]: the masks of the candidates slot s closes
     colors = [-1] * len(slots)
-    used = [0] * (len(slots) + 1)  # used[s]: the number of colors among slots 0..s-1
-    colored = [0] * r  # colored[c]: the mask of the slots below s with color c
+    # colored[c]: the mask of the slots below s with color c; no search opens more
+    # colors than there are slots.
+    colored = [0] * min(r, len(slots))
     # Depth-first over partial colorings of slots 0..s, colors tried in increasing
     # order.  A color that closes a monochromatic candidate is skipped, since every
     # completion of that branch hits; getting past the last slot means a coloring
@@ -140,7 +141,7 @@ def avoiding_coloring(M: int, n: int, k: int, r: int, star: bool = False) -> lis
             closing.append([sum(map(bit.__getitem__, itertools.combinations(t, k))) - bit[slots[s]]
                             for t in _closed_by(slots[s], n, k, star)])
         color = colors[s] + 1
-        if color > used[s] or color == r:
+        if color == r or color and not colored[color - 1]:  # colors open in order
             colors[s] = -1
             if s == 0:
                 return None
@@ -154,7 +155,6 @@ def avoiding_coloring(M: int, n: int, k: int, r: int, star: bool = False) -> lis
                 break
         else:
             colored[color] |= 1 << s
-            used[s + 1] = max(used[s], color + 1)
             s += 1
     return colors
 

@@ -248,6 +248,26 @@ def test_ramsey_with_thousands_of_candidates_per_slot_answers():
     assert (out.getvalue(), err.getvalue()) == ("holds: true\n", "")
 
 
+@pytest.mark.time_limit(2)
+def test_colors_past_the_slot_count_are_never_opened():
+    # The search opens at most one new color per slot, so r beyond the number of
+    # slots answers as that number does, without a table of r color masks, up to
+    # the largest r the guard admits: 2^30 for one slot, 2^15 for two, 2^10 for three.
+    for M in ("1", "5"):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["ramsey", "--M", M, "--n", M, "--k", M, "--r", str(2 ** 30)], out, err) == 0
+        assert (out.getvalue(), err.getvalue()) == ("holds: true\n", "")
+    for M in range(1, 9):
+        for k in range(1, M + 1):
+            slots = math.comb(M, k)
+            if slots > 3:
+                continue
+            for n, star in itertools.product(range(k, M + 1), (False, True)):
+                first = avoiding_coloring(M, n, k, slots, star)
+                for r in (slots + 1, 2 ** (30 // slots)):
+                    assert avoiding_coloring(M, n, k, r, star) == first, (M, n, k, r, star)
+
+
 def test_slots_list_each_candidate_once_under_its_last_k_entries():
     for M in range(1, 10):
         for k in range(1, M + 1):

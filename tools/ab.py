@@ -1,7 +1,7 @@
 """Paired benchmark runs of two checkouts, compared against BENCHMARK.json's bounds.
 
     python3 tools/ab.py --base DIR --head DIR [--workloads discrete,reals] \\
-        [--seconds 20] [--pairs 5] [--seed 1]
+        [--seconds 20] [--pairs 5] [--seed 1] [--trace]
 
 BASE and HEAD are two checkouts of the repository, for example a
 ``git archive`` of the parent commit unpacked into a temporary directory and
@@ -18,8 +18,12 @@ by at most that fraction.  A run whose ``ops_per_s`` is below half of its side's
 median is named as stalled; it is kept in the figures.  A run that fails, or
 whose answers were not all correct, is named too.
 
-Exit status: 0 when every run succeeded and every ratio is within its bound,
-1 otherwise, 2 on a usage error.
+With ``--trace``, each side also makes one traced 5 s run (``--trace 1``) per
+workload at seeds 1 and 9001, and every count and bits row of the two runs is
+printed as identical, or as base -> head.
+
+Exit status: 0 when every run succeeded, every ratio is within its bound and
+every traced row is identical, 1 otherwise, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -32,10 +36,15 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: int) -> dict:
-    """The result object of one untraced run, or {"error": why} when it gave none."""
+TRACE_SEEDS = (1, 9001)
+TRACE_SECONDS = 5
+
+
+def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: int,
+             trace: int = 0) -> dict:
+    """The result object of one run, or {"error": why} when it gave none."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-                      "--trace", "0"]
+                      "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -54,10 +63,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def compare(metric: dict, base: list[float], head: list[float]) -> dict:
-    """Medians, quartiles, head/base ratio, pairs won by head, and the bound verdict."""
+    """Medians, quartiles, head/base ratio (1 when both medians are 0), pairs won by
+    head, and the bound verdict."""
     higher = metric["better"] == "higher"
     bq, hq = quartiles(base), quartiles(head)
-    ratio = hq[1] / bq[1] if bq[1] else float("inf")
+    ratio = hq[1] / bq[1] if bq[1] else float("inf") if hq[1] else 1.0
     worse_by = (1 - ratio) if higher else (ratio - 1)
     wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
     return {"base": bq, "head": hq, "ratio": ratio, "wins": wins,
@@ -71,6 +81,41 @@ def stalled(runs: list[dict]) -> list[int]:
     return [i for i, v in enumerate(rates) if v < median / 2]
 
 
+def trace_rows(base: dict, head: dict) -> list[tuple[str, object, object]]:
+    """(name, base value, head value) for each count and bits metric of two traced
+    runs, in the order base then head lists them; None where a side lacks it."""
+    runs = (base, head)
+    names = dict.fromkeys(name for r in runs for name, m in r["metrics"].items()
+                          if m["unit"] in ("count", "bits"))
+    return [(name, *(r["metrics"].get(name, {}).get("value") for r in runs)) for name in names]
+
+
+def failure(result: dict) -> str | None:
+    """Why a run counts as failed, or None when it gave all its answers correctly."""
+    if "error" in result or not result.get("correct") or result.get("failed"):
+        return result.get("error", f"correct {result.get('correct')}, failed {result.get('failed')}")
+    return None
+
+
+def report_traces(base: Path, head: Path, command: list[str], workload: str) -> bool:
+    """Print the traced rows of both checkouts at each trace seed; whether all are identical."""
+    ok = True
+    for seed in TRACE_SEEDS:
+        runs = [run_once(checkout, command, workload, seed, TRACE_SECONDS, trace=1)
+                for checkout in (base, head)]
+        print(f"\n{workload}: traced counts, seed {seed}, {TRACE_SECONDS} s runs")
+        failed = [(side, why) for side, r in zip(("base", "head"), runs) if (why := failure(r))]
+        for side, why in failed:
+            print(f"  {side} FAILED: {why}")
+        if failed:
+            ok = False
+            continue
+        for name, old, new in trace_rows(*runs):
+            ok &= old == new
+            print(f"  {name:<28} " + ("identical" if old == new else f"{old} -> {new}"))
+    return ok
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -81,6 +126,8 @@ def main(argv=None) -> int:
                         help="per run; default: run_seconds in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--trace", action="store_true",
+                        help=f"also compare traced counts at seeds {TRACE_SEEDS[0]} and {TRACE_SEEDS[1]}")
     args = parser.parse_args(argv)
     try:
         spec = json.loads((args.head / "BENCHMARK.json").read_text())
@@ -93,6 +140,8 @@ def main(argv=None) -> int:
 
     ok = True
     for workload in workloads:
+        if args.trace:
+            ok &= report_traces(args.base, args.head, spec["command"], workload)
         runs: dict[str, list[dict]] = {"base": [], "head": []}
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
@@ -106,10 +155,9 @@ def main(argv=None) -> int:
         print(f"\n{workload}: seed {args.seed}, {args.pairs} pairs of {seconds} s runs")
         for side, side_runs in runs.items():
             for i, r in enumerate(side_runs):
-                if "error" in r or not r.get("correct") or r.get("failed"):
+                if why := failure(r):
                     ok = False
-                    print(f"  pair {i + 1} {side} FAILED: "
-                          + r.get("error", f"correct {r.get('correct')}, failed {r.get('failed')}"))
+                    print(f"  pair {i + 1} {side} FAILED: {why}")
         paired = [(n, b, h) for n, (b, h) in enumerate(zip(runs["base"], runs["head"]), 1)
                   if "metrics" in b and "metrics" in h]
         if not paired:
