@@ -106,7 +106,8 @@ class ContinuousMap:
         n, d = q.numerator, q.denominator
         if n < 0 or n > d:
             raise ValueError("point outside [0, 1]")
-        return _memo(self._points, (n, d, d.bit_length()), lambda _key: self._point_value(q))
+        key = (n, d, d.bit_length())
+        return self._points.get(key) or _memo(self._points, key, lambda _key: self._point_value(q))
 
     def _point_value(self, q: Fraction) -> CReal:
         if self._nodes is None:
@@ -168,9 +169,13 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
     node_triples: dict[tuple[int, int], tuple[int, int, int]] = {}
     fuels = [None if value._direct else _NODE_FUEL for value in values]
 
-    def node_ends(i: int, p: int) -> tuple[int, int, int]:
+    def node_triple(key: tuple[int, int]) -> tuple[int, int, int]:
+        i, p = key
         node = values[i]
-        return _memo(node_triples, (i, p), lambda key: node._ends(node._least(p, fuels[i])))
+        return node._ends(node._least(p, fuels[i]))
+
+    def node_ends(i: int, p: int) -> tuple[int, int, int]:
+        return _memo(node_triples, (i, p), node_triple)
 
     def point(t: Fraction) -> Callable[[int], tuple[int, int, int]]:
         # Rightmost piece i starting at or before t (the inner breakpoints searched by
@@ -190,8 +195,8 @@ def pwl(spec: PiecewiseLinearSpec) -> ContinuousMap:
 
         def ends(p: int) -> tuple[int, int, int]:
             # The value at t at precision p, from the node triples at precision p + 2.
-            al, ah, ad = node_ends(i, p + 2)
-            bl, bh, bd = node_ends(i + 1, p + 2)
+            al, ah, ad = node_triples.get((i, p + 2)) or node_ends(i, p + 2)
+            bl, bh, bd = node_triples.get((i + 1, p + 2)) or node_ends(i + 1, p + 2)
             s, r = (v - u) * bd, u * ad
             return s * al + r * bl, s * ah + r * bh, v * ad * bd
         return ends

@@ -90,14 +90,15 @@ class CReal:
     the answer may raise.  Answers are least indices either way.
 
     Every real also has a private integer form of interval n, ``_ends(n)``:
-    a triple (lo_num, hi_num, den) with den > 0, not reduced, and the one
-    memo a real keeps.  ``from_rational``, ``sqrt2``, ``rho0/1/2`` and ``pwl`` point
-    values compute it by a formula, ``+ - * abs neg`` from their parts', and
-    ``diagonal``, ``cantor_point`` and the IVT bisection from triple n - 1
-    (``_sequential``); none builds a ``Fraction``.  Interval n is the triple's
-    ends reduced, built on each ``interval(n)`` read.  Only public
-    ``from_steps`` reals (whose intervals ``_in_order`` keeps) and caller
-    generators derive a triple from an interval.
+    a triple (lo_num, hi_num, den) with den > 0, not reduced, and the one memo
+    a real keeps: ``_memo``'s rule in one frame, a hit one ``dict.get`` and a miss
+    stored through ``setdefault``, so a read of a tree takes two frames a level.
+    ``from_rational``, ``sqrt2``, ``rho0/1/2`` and ``pwl`` point values compute it
+    by a formula, ``+ - * abs neg`` from their parts', and ``diagonal``,
+    ``cantor_point`` and the IVT bisection from triple n - 1 (``_sequential``);
+    none builds a ``Fraction``.  Interval n is the triple's ends reduced, built on
+    each ``interval(n)`` read.  Only public ``from_steps`` reals (whose intervals
+    ``_in_order`` keeps) and caller generators derive a triple from an interval.
 
     Every comparison reads triples and cross-multiplies: the width scans behind
     ``approx``, ``try_lt`` and ``try_apart``, ``verify_lt`` and the side tests of
@@ -119,7 +120,7 @@ class CReal:
 
     def _ends(self, n: int) -> tuple[int, int, int]:
         """Interval n as (lo_num, hi_num, den) over one denominator den > 0."""
-        return _memo(self._triples, n, self._triple)
+        return self._triples.get(n) or self._triples.setdefault(n, self._triple(n))
 
     def _triple(self, n: int) -> tuple[int, int, int]:
         # From the generator's interval; a real built by _from_ends has its own formula instead.
@@ -243,16 +244,16 @@ def _width_scan(x: CReal, ok: Callable[[int, int], bool], lo: int, hi: int | Non
     probe past hi is clamped to hi, so nothing past hi is read.  Any other real
     is read one index at a time from lo.  The answer does not depend on the probe.
     """
-    def width(n: int) -> tuple[int, int]:
-        lo_num, hi_num, den = x._ends(n)
-        return hi_num - lo_num, den
+    ends = x._ends
 
     def pred(n: int) -> bool:
-        return ok(*width(n))
+        lo_num, hi_num, den = ends(n)
+        return ok(hi_num - lo_num, den)
 
     start = max(lo, bits)
     if x._direct and (hi is None or start <= hi):
-        diff, den = width(start)
+        lo_num, hi_num, den = ends(start)
+        diff = hi_num - lo_num
         if ok(diff, den):
             n = _first_index(pred, lo, start - 1, True, start - 1)
             return start if n is None else n
@@ -312,8 +313,10 @@ def try_apart(x: CReal, y: CReal, fuel: int) -> Apartness | None:
     the scan runs from 0.  The probe changes the reads, never the answer: a
     racing thread can only leave a worse one.
     """
+    x_ends, y_ends = x._ends, y._ends
+
     def apart(n: int) -> bool:
-        a, b = x._ends(n), y._ends(n)
+        a, b = x_ends(n), y_ends(n)
         return _ends_lt(a, b) or _ends_lt(b, a)
     n = _first_index(apart, 0, fuel, x._direct and y._direct,
                      x._witness if y._witness is None else y._witness)

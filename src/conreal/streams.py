@@ -23,7 +23,9 @@ def _memo(cache: dict, key, compute: Callable):
 
     No lock: compute runs outside any lock (it may read other memoized
     objects), and ``dict.setdefault`` is atomic under CPython, so when two
-    threads race on one key both get the value stored first.
+    threads race on one key both get the value stored first.  The hot reads
+    (``CReal._ends``, ``pwl``'s point triples, ``ContinuousMap.at``) try
+    ``cache.get`` in their own frame first; every write goes through ``setdefault``.
     """
     value = cache.get(key)
     if value is None:

@@ -1,6 +1,7 @@
 """tools/ab.py's verdicts, on made-up run results: no benchmark process is started."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -89,3 +90,46 @@ def test_report_traces_fails_when_a_traced_run_fails(monkeypatch, capsys):
                         {"error": "exit 2: no sources"} if checkout == "head" else _run({}))
     assert ab.report_traces("base", "head", ["python3"], "reals") is False
     assert capsys.readouterr().out.count("head FAILED: exit 2: no sources") == 2
+
+
+def _out_file(checkout, workload, seed, by_class):
+    out = checkout / "conbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{workload}-seed{seed}-trace0.json").write_text(
+        json.dumps({"detail": {"class_quartiles_ms": by_class}}))
+
+
+def test_class_medians_read_the_untraced_out_file(tmp_path):
+    _out_file(tmp_path, "ivt", 1, {"ivt_approx": [0.5, 0.75, 1.25], "ivt_lnc": [2.0]})
+    assert ab.class_medians(tmp_path, "ivt", 1) == {"ivt_approx": 0.75, "ivt_lnc": 2.0}
+    assert ab.class_medians(tmp_path, "ivt", 9001) == {}
+    (tmp_path / "conbench" / "out" / "ivt-seed1-trace0.json").write_text("{\"detail\": {}}")
+    assert ab.class_medians(tmp_path, "ivt", 1) == {}
+
+
+def test_class_rows_take_the_median_over_each_sides_runs():
+    base = [{"a": 1.0, "b": 4.0}, {"a": 3.0, "b": 5.0}, {"a": 2.0}]
+    head = [{"a": 1.0, "c": 7.0}, {"a": 1.5}]
+    assert ab.class_rows(base, head) == [("a", 2.0, 1.25), ("b", 4.5, None), ("c", None, 7.0)]
+
+
+def test_main_prints_each_classs_medians_below_the_metric_table(monkeypatch, capsys, tmp_path):
+    base, head = tmp_path / "base", tmp_path / "head"
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3"], "run_seconds": 20, "workloads": [{"name": "ivt"}],
+        "end_to_end": [dict(HIGHER, unit="1/s")]}))
+    latency = {base: [1.0, 1.2, 1.1], head: [0.9, 0.8, 1.0]}
+
+    def run_once(checkout, command, workload, seed, seconds, trace=0):
+        ms = latency[checkout].pop(0)  # each run leaves its own out-file behind
+        _out_file(checkout, workload, seed, {"ivt_approx": [ms / 2, ms, 2 * ms], "ivt_lnc": [4 * ms]})
+        return _run({"ops_per_s": (1000 / ms, "1/s")})
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main(["--base", str(base), "--head", str(head), "--pairs", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index(next(line for line in lines if "op class" in line)):]
+    assert [line.split() for line in table] == [
+        ["op", "class", "base", "median", "ms", "head", "median", "ms", "head/base"],
+        ["ivt_approx", "1.1", "0.9", "0.818"], ["ivt_lnc", "4.4", "3.6", "0.818"]]

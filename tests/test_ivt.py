@@ -1,4 +1,5 @@
 import bisect
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -229,6 +230,31 @@ def test_pwl_racing_point_values_match_serial_run():
         return got[len(queries) - 15 * k:] + got[:len(queries) - 15 * k]
 
     assert all(got == expected for got in race(worker, 6))
+
+
+def test_racing_reads_of_pwl_points_share_each_node_triple():
+    # Point triples read the map's node memo by a plain get first; a miss stores through
+    # setdefault, so every thread gets the node triple stored first, one object per key.
+    points = [Fraction(k, 9) for k in range(10)] + [Fraction(1, 7), Fraction(5, 11)]
+    queries = [(q, n) for n in range(0, 30, 3) for q in points]
+    serial = f0(spike(6))
+    expected = [serial._point(q)(n) for q, n in queries]
+    shared = f0(spike(6))
+    node_ends = inspect.getclosurevars(shared._point).nonlocals["node_ends"]
+
+    def worker(k):
+        got, nodes = {}, {}
+        for q, n in queries[11 * k:] + queries[:11 * k]:
+            got[q, n] = shared._point(q)(n)
+            nodes.update(((i, n + 2), node_ends(i, n + 2)) for i in range(4))
+        return [got[query] for query in queries], nodes
+
+    outcomes = race(worker, 8)
+    _, first = outcomes[0]
+    for reads, nodes in outcomes:
+        assert reads == expected
+        assert nodes.keys() == first.keys()
+        assert all(nodes[key] is first[key] for key in first)
 
 
 def test_racing_at_calls_with_equal_points_of_other_types_share_one_real():

@@ -1,9 +1,11 @@
 import math
+import pathlib
 import sys
 from fractions import Fraction
 
 import pytest
 
+import conreal
 from conreal import (CReal, Direction, FugitiveSpec, FuelExhausted, LtWitness, NatStream,
                      RationalInterval, SplitSide, cantor_point, cotrans_split, diagonal,
                      identity_map, interval, pattern_indicator, pi_digits, rho0, rho1, rho2,
@@ -291,9 +293,10 @@ def _steps_one():
 
 @pytest.mark.parametrize("shape", ["sum", "mix"])
 def test_deep_direct_reals_answer_under_the_default_recursion_limit(shape):
-    # A read recurses once per level of the tree.  Under the default limit of 1000
-    # frames a read of 329-330 levels fails on Python 3.10 to 3.13, so 300 levels
-    # pass only while each level costs no more frames than the interval reads did.
+    # A read recurses once per level of the tree, and a triple missed at a level costs
+    # two frames there: ``_ends`` and the level's formula.  Under the default limit of
+    # 1000 frames 495 levels answer on Python 3.10 to 3.13, so 450 levels pass only
+    # while a miss costs no more than those two frames.
     # Over a from_steps leaf with the same intervals the tree is not direct: each
     # operator reads the leaf's triple through its interval, scanned one index at
     # a time, and must answer alike.
@@ -301,7 +304,7 @@ def test_deep_direct_reals_answer_under_the_default_recursion_limit(shape):
     answers = []
     for leaf in (CReal.from_rational(1), _steps_one()):
         x, value = leaf, Fraction(1)
-        for i in range(1, 300):
+        for i in range(1, 450):
             q = Fraction(1, i + 1)
             if shape == "sum" or i % 3 == 0:
                 x, value = x + CReal.from_rational(q), value + q
@@ -314,6 +317,34 @@ def test_deep_direct_reals_answer_under_the_default_recursion_limit(shape):
         assert iv.contains(value) and iv.width <= Fraction(1, 16)
         answers.append(iv)
     assert same_interval(*answers)
+
+
+def _calls_in_package(read) -> list[str]:
+    """The names of the conreal functions that read() calls, each call once, in order."""
+    root = str(pathlib.Path(conreal.__file__).parent)
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        read()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_memo_hit_on_the_hot_read_path_costs_one_frame():
+    # A cached triple of a real, a warm pwl point triple and a cached f.at(q): each hit
+    # is read in the frame that asks for it, with no helper frame between.
+    x = CReal.from_rational(Fraction(1, 3)) + sqrt2()
+    f, q = identity_map(), Fraction(1, 3)
+    point = f._point(q)
+    for read, frame in ((lambda: x._ends(9), "_ends"), (lambda: point(9), "ends"),
+                        (lambda: f.at(q), "at")):
+        read()
+        assert _calls_in_package(read) == [frame]
 
 
 def test_racing_threads_read_one_operator_real_over_parts_that_are_not_direct():

@@ -14,9 +14,13 @@ falls on both sides alike.
 For each end-to-end metric it prints the median and the quartiles of each side,
 the head/base ratio of the medians, in how many pairs head did better, and
 whether the ratio stays within the metric's bound: head may be worse than base
-by at most that fraction.  A run whose ``ops_per_s`` is below half of its side's
-median is named as stalled; it is kept in the figures.  A run that fails, or
-whose answers were not all correct, is named too.
+by at most that fraction.  Below that table it prints each op class's median
+latency on each side (the median over the side's runs of the class median that
+the run wrote to ``conbench/out/<workload>-seed<S>-trace0.json``) and the
+head/base ratio, so a change in a metric can be traced to the classes behind
+it.  A run whose ``ops_per_s`` is below half of its side's median is named as
+stalled; it is kept in the figures.  A run that fails, or whose answers were
+not all correct, is named too.
 
 With ``--trace``, each side also makes one traced 5 s run (``--trace 1``) per
 workload at seeds 1 and 9001, and every count and bits row of the two runs is
@@ -53,6 +57,28 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int, secon
         return json.loads(lines[-1])
     except json.JSONDecodeError:
         return {"error": f"no JSON result line: {lines[-1][:200]}"}
+
+
+def class_medians(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    """Each op class's median latency in ms, from the out-file of the last untraced
+    run of workload at seed in checkout; {} when it cannot be read."""
+    path = checkout / "conbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    try:
+        by_class = json.loads(path.read_text())["detail"]["class_quartiles_ms"]
+    except (OSError, json.JSONDecodeError, KeyError):
+        return {}
+    return {name: q[len(q) // 2] for name, q in by_class.items()}  # [q1, q2, q3], or [v]
+
+
+def class_rows(base: list[dict], head: list[dict]) -> list[tuple[str, float | None, float | None]]:
+    """(class, base median, head median) for each op class in the per-run class medians
+    of the two sides, in the order they list them; None where a side never ran it."""
+    rows = []
+    for name in dict.fromkeys(name for runs in (base, head) for run in runs for name in run):
+        medians = [statistics.median(v) if (v := [run[name] for run in runs if name in run])
+                   else None for runs in (base, head)]
+        rows.append((name, *medians))
+    return rows
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -147,6 +173,8 @@ def main(argv=None) -> int:
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
                 result = run_once(getattr(args, side), spec["command"], workload, args.seed, seconds)
+                if "metrics" in result:
+                    result["class_ms"] = class_medians(getattr(args, side), workload, args.seed)
                 runs[side].append(result)
                 rate = result.get("metrics", {}).get("ops_per_s", {}).get("value")
                 print(f"{workload} pair {pair + 1} {side}: "
@@ -178,6 +206,12 @@ def main(argv=None) -> int:
             b, h = (f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (c["base"], c["head"]))
             print(f"  {name:<18} {b:>28} {h:>28} {c['ratio']:>9.3f} {c['wins']:>3}/{len(paired):<2}"
                   f" {metric['bound']:>6.2f}  {'within' if c['within'] else 'OUTSIDE'}")
+        print(f"  {'op class':<18} {'base median ms':>28} {'head median ms':>28} {'head/base':>9}")
+        for name, b, h in class_rows([r["class_ms"] for _, r, _ in paired],
+                                     [r["class_ms"] for _, _, r in paired]):
+            ratio = f"{h / b:.3f}" if b and h is not None else "-"
+            print(f"  {name:<18} {'-' if b is None else f'{b:.4g}':>28}"
+                  f" {'-' if h is None else f'{h:.4g}':>28} {ratio:>9}")
     return 0 if ok else 1
 
 
